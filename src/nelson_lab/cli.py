@@ -15,11 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+from . import __version__
 from .config import SCENARIOS, load_config
 from .errors import ConfigInvalid, NelsonLabError
 from .scenarios import run_scenario
-
-VERSION = "0.1.0"
 
 
 def _seed_type(text):
@@ -72,7 +71,7 @@ def _write_outputs(out_dir, cfg, seed, summary, tables, wall_time):
         files[path.name] = _sha256(path.read_bytes())
     manifest = {
         "tool": "nelson-lab",
-        "version": VERSION,
+        "version": __version__,
         "scenario": cfg.scenario,
         "seed": seed,
         "config_sha256": _sha256(cfg.canonical_json().encode()),

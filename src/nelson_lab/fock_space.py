@@ -11,6 +11,7 @@ so that a coherent state at z has <psi(x)> = z1(x) and <a(k)> = z2(k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import factorial
 
@@ -316,31 +317,38 @@ def coherent_state(grid, basis, z, eps, deficit_tol=None):
 
 @dataclass
 class OperatorHandle:
-    """A matrix, a lazy matvec, or the exponential of a stored generator."""
+    """A matrix, or exp(X) for an anti-Hermitian X stored as its factor
+    generators: (X1,) or (X1, X2) for X = X1 (x) I + I (x) X2.  The
+    exponential is applied by the Krylov propagator of iX, acting on the
+    state reshaped to (dim1, dim2) as X1 P + P X2^T, so no product-space
+    matrix is built."""
 
     dim: int
     mat: object = None
-    matvec_fn: object = None
-    generator: object = None
+    generator: tuple = ()
     label: str = ""
+
+    def _i_generator(self, u):
+        if len(self.generator) == 1:
+            return 1j * (self.generator[0] @ u)
+        x1, x2 = self.generator
+        p = u.reshape(x1.shape[0], x2.shape[0])
+        return 1j * (x1 @ p + (x2 @ p.T).T).ravel()
 
     def apply(self, v):
         if self.mat is not None:
             return self.mat @ v
-        if self.matvec_fn is not None:
-            return self.matvec_fn(v)
+        if self.generator:
+            return expimv(self._i_generator, v, 1.0)
         raise ValueError(f"handle {self.label!r} has no action")
-
-    def expect(self, v):
-        return complex(np.vdot(v, self.apply(v)))
 
     def to_dense(self):
         if self.mat is not None:
             m = self.mat
             return m.toarray() if sp.issparse(m) else np.asarray(m)
-        if self.generator is not None:
-            g = self.generator
-            return expm(g.toarray() if sp.issparse(g) else np.asarray(g))
+        if self.generator:
+            # the factor generators commute, so the exponential factorises
+            return reduce(np.kron, [expm(g.toarray()) for g in self.generator])
         raise ValueError(f"handle {self.label!r} has no dense form")
 
 
@@ -372,15 +380,9 @@ def weyl_generator(grid, basis, xi, eps):
 
 
 def weyl(grid, basis, xi, eps):
-    """Weyl operator W(xi) on one Fock factor, applied via the Krylov
-    propagator of its (Hermitian) i * generator."""
-    x_gen = weyl_generator(grid, basis, xi, eps)
-
-    def matvec(v):
-        return expimv(lambda u: 1j * (x_gen @ u), v, 1.0)
-
-    return OperatorHandle(dim=basis.dim, matvec_fn=matvec, generator=x_gen,
-                          label="weyl")
+    """Weyl operator W(xi) on one Fock factor, as a lazy handle."""
+    return OperatorHandle(dim=basis.dim, label="weyl",
+                          generator=(weyl_generator(grid, basis, xi, eps),))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ def _lanczos_basis(matvec, v0, m, breakdown_tol):
     k = 1
     next_beta = 0.0
     while k < m:
-        # full reorthogonalisation for numerical stability
-        w -= (V[:k].conj() @ w) @ V[:k]
+        # full reorthogonalisation; conjugating w, not V, avoids a copy of V
+        w -= (V[:k] @ w.conj()).conj() @ V[:k]
         b = np.linalg.norm(w)
         if b <= breakdown_tol:
             next_beta = 0.0
@@ -50,7 +50,7 @@ def _lanczos_basis(matvec, v0, m, breakdown_tol):
         next_beta = b
     else:
         # ran the full m steps; measure the residual coupling
-        w -= (V[:m].conj() @ w) @ V[:m]
+        w -= (V[:m] @ w.conj()).conj() @ V[:m]
         next_beta = float(np.linalg.norm(w))
     return V[:k], alpha[:k], beta[: k - 1], next_beta
 

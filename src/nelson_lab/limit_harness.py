@@ -1,10 +1,11 @@
 """Convergence of the quantum dynamics onto the classical flow.
 
-The interaction-picture characteristic function <W(xi)> of the evolved
-coherent state is compared with exp(i sqrt(2) Re <xi, z(t)>) evaluated on
-the freely-pulled-back classical trajectory; the distance between the two
-shrinks with eps.  First moments of the field operators track the
-classical fields themselves.
+The interaction-picture characteristic function of the evolved coherent
+state is compared with exp(i sqrt(2) Re <xi, z(t)>) evaluated on the
+freely-pulled-back classical trajectory; the distance between the two
+shrinks with eps.  Since exp(-itH0/eps) W(xi) exp(+itH0/eps) = W(xi_t)
+with xi_t the freely evolved argument, it is <psi(t), W(xi_t) psi(t)>.
+First moments of the field operators track the classical fields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .discretization import coupling_weight
 from .errors import TruncationInsufficient
 from .fock_space import (coherent_state, ladder, occupation_cap,
                          tensor_state, truncated_basis)
-from .quantum_dynamics import assemble, full_weyl, interaction_picture, propagate
+from .quantum_dynamics import (assemble, free_weyl_argument, full_weyl,
+                               propagate)
 
 
 def characteristic_function(state, handle):
@@ -107,9 +109,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                    tail_budget=1e-4, classical_dt=1e-3, tol=1e-12):
     """Characteristic-function distance to the classical limit.
 
-    For each eps the coherent state at z0 is evolved, rotated to the
-    interaction picture, and tested against the freely-pulled-back
-    classical trajectory on the whole test-function panel.
+    For each eps the coherent state at z0 is evolved, and at each t
+    <W(xi_t)> with xi_t = free_weyl_argument(xi, t) is tested against the
+    freely-pulled-back classical trajectory on the whole panel.
     """
     t_values = tuple(float(t) for t in t_values)
     if any(t <= 0 for t in t_values) or list(t_values) != sorted(t_values):
@@ -119,6 +121,8 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                 classical_dt)
     if xi_panel is None:
         xi_panel = default_xi_panel(grid, _covered_modes(grid, params, z0.z2))
+    evolved_panels = [[free_weyl_argument(grid, params, xi1, xi2, t)
+                       for xi1, xi2 in xi_panel] for t in t_values]
     samples, dims, caps, deficits = [], [], [], []
     errors = np.zeros((len(eps_values), len(t_values), len(xi_panel)))
     for a, eps in enumerate(eps_values):
@@ -136,11 +140,10 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         deficits.append(deficit)
         snapshots = propagate(ham, state, list(t_values), tol=tol)
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
-            rotated = interaction_picture(ham, snap, t, tol=tol)
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
-                handle = full_weyl(grid, eps, nb, mb, xi1, xi2)
-                value = characteristic_function(rotated, handle)
+                handle = full_weyl(grid, eps, nb, mb, *evolved_panels[b][c])
+                value = characteristic_function(snap, handle)
                 target = coherent_target(grid, xi1, xi2, pulled_back)
                 err = abs(value - target)
                 errors[a, b, c] = err

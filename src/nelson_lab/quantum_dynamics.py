@@ -96,33 +96,21 @@ def propagate(ham, state, times, tol=1e-13):
     return out
 
 
-def interaction_picture(ham, state, t, tol=1e-13):
-    """Rotate a Schroedinger-picture state at time t by exp(+i t H0/eps)."""
-    eps = ham.eps
-    vec = expimv(lambda v: ham.h_free @ v / eps, state.vec, -t, tol=tol)
-    return QuantumState(vec, ham.nucleon_basis, ham.meson_basis, eps)
-
-
 def free_weyl_argument(grid, params, xi1, xi2, t):
-    """Freely evolved Weyl argument (e^{-i t h1} xi1, e^{-i t omega} xi2);
-    conjugation by exp(-i t H0/eps) maps W(xi) to W of this argument."""
+    """Freely evolved argument xi_t = (e^{-i t h1} xi1, e^{-i t omega} xi2):
+    exp(-itH0/eps) W(xi) exp(+itH0/eps) = W(xi_t), exactly on the truncated
+    bases, because H0 conserves each factor's occupation total."""
     st = free_flow(grid, params, FieldState(xi1, xi2), t)
     return st.z1, st.z2
 
 
 def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2):
-    """Weyl operator W(xi1, xi2) on the product basis, as a lazy handle."""
+    """Weyl operator W(xi1, xi2) = W1(xi1) (x) W2(xi2) on the product
+    basis, as a lazy handle over the two factor generators."""
     x1 = weyl_generator(grid, nucleon_basis, np.asarray(xi1, complex), eps)
     x2 = weyl_generator(grid, meson_basis, np.asarray(xi2, complex), eps)
-    id_n = sp.identity(nucleon_basis.dim, format="csr")
-    id_m = sp.identity(meson_basis.dim, format="csr")
-    x_full = (sp.kron(x1, id_m) + sp.kron(id_n, x2)).tocsr()
-
-    def matvec(v):
-        return expimv(lambda u: 1j * (x_full @ u), v, 1.0)
-
     return OperatorHandle(dim=nucleon_basis.dim * meson_basis.dim,
-                          matvec_fn=matvec, generator=x_full, label="weyl")
+                          generator=(x1, x2), label="weyl")
 
 
 def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
@@ -241,7 +229,8 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65, tol=1e-13):
     """Integral identity for <W(xi)> in the interaction picture.
 
     lhs: <psi(t)|exp(+itH0/eps) W(xi) exp(-itH0/eps)|psi(t)> with
-    psi(t) = exp(-itH/eps) psi0.  rhs: the initial value plus
+    psi(t) = exp(-itH/eps) psi0, which equals <psi(t)|W(xi(t))|psi(t)>
+    (see `free_weyl_argument`).  rhs: the initial value plus
     sum_j eps^j int_0^t <psi(s), W(xi(s)) B_j(xi(s)) psi(s)> ds with the
     freely evolved argument xi(s), integrated by composite Simpson;
     the quadrature error is estimated against the half-resolution rule.
@@ -279,8 +268,8 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65, tol=1e-13):
     quad_est = float(sum(eps ** j * abs(fine[j] - coarse[j]) / 15.0
                          for j in range(3)))
 
-    psi_tilde = expimv(lambda v: ham.h_free @ v / eps, psi, -t, tol=tol)
-    lhs = complex(np.vdot(psi_tilde, w0.apply(psi_tilde)))
+    # the last node is t itself, so w_s is W(xi(t)) and psi is psi(t)
+    lhs = complex(np.vdot(psi, w_s.apply(psi)))
     return DuhamelReport(eps=eps, t=t, n_nodes=n_nodes, dim=ham.dim,
                          char_initial=char_initial, lhs=lhs, rhs=complex(rhs),
                          residual=float(abs(lhs - rhs)),

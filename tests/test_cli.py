@@ -39,6 +39,15 @@ DUHAMEL_CFG = {
 }
 
 
+THEOREM1_CFG = {
+    "grid": DUHAMEL_CFG["grid"],
+    "model": DUHAMEL_CFG["model"],
+    "initial": DUHAMEL_CFG["initial"],
+    "scenario": {"name": "theorem1", "eps_values": [0.4, 0.2],
+                 "t_values": [0.25, 0.5]},
+}
+
+
 def write_cfg(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
@@ -122,13 +131,17 @@ def test_seed_accepts_u64_extremes(tmp_path):
     assert summary["seed"] == 2 ** 64 - 1
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    p = write_cfg(tmp_path, DUHAMEL_CFG)
+@pytest.mark.parametrize("cfg, table", [
+    (DUHAMEL_CFG, "contributions.csv"),
+    (THEOREM1_CFG, "char_errors.csv"),
+], ids=["duhamel", "theorem1"])
+def test_reruns_are_byte_identical(tmp_path, cfg, table):
+    p = write_cfg(tmp_path, cfg)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(["run", "duhamel", "--config", str(p),
+        assert main(["run", cfg["scenario"]["name"], "--config", str(p),
                      "--out", str(out), "--seed", "42"]) == 0
-    for name in ("summary.json", "contributions.csv"):
+    for name in ("summary.json", table):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     ma = json.loads((out_a / "manifest.json").read_text())
     mb = json.loads((out_b / "manifest.json").read_text())

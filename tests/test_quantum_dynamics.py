@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from nelson_lab.classical_energy import evaluate_h
@@ -10,11 +11,12 @@ from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, potential_preset)
 from nelson_lab.errors import StepSizeRejected
 from nelson_lab.fock_space import (
-    coherent_state, tensor_state, truncated_basis)
+    coherent_state, tensor_state, truncated_basis, weyl_generator)
+from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
     assemble, b_expansion_residual, b_operators, duhamel_check,
     free_weyl_argument, full_weyl, gronwall_bound_check,
-    interaction_picture, number_weight_diagonal, propagate)
+    number_weight_diagonal, propagate)
 
 
 def make_system(n_sites, half_length, chi_amp, band, caps, eps):
@@ -97,13 +99,62 @@ def test_propagation_conserves_norm_and_energy():
         assert abs(e_t - e0) <= 1e-9 * (1.0 + abs(e0))
 
 
-def test_interaction_picture_round_trip():
-    grid, _, nb, mb, ham = tiny_system()
+def test_sweep_matches_dense_interaction_picture_route():
+    # oracle for theorem1_sweep: rotate psi(t) by exp(+itH0/eps) and apply
+    # W(xi) built from the product-space generator, all dense
+    grid, params, _, coupled, _ = tiny_system()
     z1, z2 = tiny_fields(grid)
-    state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
-    rotated = interaction_picture(ham, state, 0.7)
-    back = interaction_picture(ham, rotated, -0.7)
-    assert np.linalg.norm(back.vec - state.vec) <= 1e-10
+    eps, t_values = 0.2, (0.25, 0.5)
+    report = theorem1_sweep(grid, params, FieldState(z1, z2), [eps],
+                            t_values)
+    (cap_n, cap_m), = report.caps
+    nb = truncated_basis(grid.n_sites, cap_n)
+    mb = truncated_basis(coupled.modes.size, cap_m, modes=coupled.modes)
+    ham = assemble(grid, params, eps, nb, mb)
+    assert report.dims == (ham.dim,)
+    state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
+    h_total, h_free = ham.h_total.toarray(), ham.h_free.toarray()
+    panel = default_xi_panel(grid, mb.modes)
+    id_n, id_m = np.eye(nb.dim), np.eye(mb.dim)
+    for b, t in enumerate(t_values):
+        psi_t = expm(-1j * t * h_total / eps) @ state.vec
+        rotated = expm(1j * t * h_free / eps) @ psi_t
+        for c, (xi1, xi2) in enumerate(panel):
+            x1 = weyl_generator(grid, nb, xi1, eps).toarray()
+            x2 = weyl_generator(grid, mb, xi2, eps).toarray()
+            w = expm(np.kron(x1, id_m) + np.kron(id_n, x2))
+            value = np.vdot(rotated, w @ rotated)
+            sample = report.samples[b * len(panel) + c]
+            assert (sample.t, sample.xi_index) == (t, c)
+            assert abs(sample.value - value) <= 1e-12
+
+
+def test_full_weyl_factorises_without_product_matrix(monkeypatch):
+    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    rng = np.random.default_rng(3)
+    xi1 = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    xi2 = np.zeros(2, dtype=complex)
+    xi2[mb.modes] = 0.5 * (rng.standard_normal(1)
+                           + 1j * rng.standard_normal(1))
+    v = rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim)
+    v /= np.linalg.norm(v)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("product-space matrix built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sp, "kron", no_kron)
+        patched.setattr(np, "kron", no_kron)
+        handle = full_weyl(grid, ham.eps, nb, mb, xi1, xi2)
+        applied = handle.apply(v)
+    assert handle.mat is None
+    assert abs(np.linalg.norm(applied) - 1.0) <= 1e-12
+    x1 = weyl_generator(grid, nb, xi1, ham.eps).toarray()
+    x2 = weyl_generator(grid, mb, xi2, ham.eps).toarray()
+    dense = handle.to_dense()
+    assert np.allclose(dense, np.kron(expm(x1), expm(x2)),
+                       rtol=0, atol=1e-13)
+    assert np.linalg.norm(applied - dense @ v) <= 1e-12
 
 
 def test_free_conjugation_of_weyl_is_free_flow_of_argument():
