@@ -30,7 +30,6 @@ from .limit_harness import ehrenfest_track, theorem1_sweep
 from .errors import (
     ConfigInvalid,
     ConvergenceFailure,
-    KrylovBreakdown,
     MaxIterationsExceeded,
     NelsonLabError,
     StepSizeRejected,
@@ -64,7 +63,6 @@ __all__ = [
     "theorem1_sweep",
     "ConfigInvalid",
     "ConvergenceFailure",
-    "KrylovBreakdown",
     "MaxIterationsExceeded",
     "NelsonLabError",
     "StepSizeRejected",

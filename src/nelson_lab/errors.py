@@ -64,10 +64,6 @@ class TruncationInsufficient(NelsonLabError):
         super().__init__(f"{message} (deficit={deficit:.3e})")
 
 
-class KrylovBreakdown(NelsonLabError):
-    """Krylov subspace collapsed before reaching the requested accuracy."""
-
-
 class ConvergenceFailure(NelsonLabError):
     """An eigensolve or fixed-point loop did not reach tolerance.
 

@@ -18,11 +18,11 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
 from .discretization import Grid, ModelParams, coupling_weight, dispersion
 from .errors import SectorBasisUnsupported, TruncationInsufficient
-from .krylov import expimv
 
 
 # ---------------------------------------------------------------------------
@@ -317,39 +317,31 @@ def coherent_state(grid, basis, z, eps, deficit_tol=None):
 
 @dataclass
 class OperatorHandle:
-    """A matrix, or exp(X) for an anti-Hermitian X stored as its factor
-    generators: (X1,) or (X1, X2) for X = X1 (x) I + I (x) X2.  The
-    exponential is applied by the Krylov propagator of iX, acting on the
-    state reshaped to (dim1, dim2) as X1 P + P X2^T, so no product-space
-    matrix is built."""
+    """exp(X) for an anti-Hermitian X stored as its factor generators:
+    (X1,) or (X1, X2) for X = X1 (x) I + I (x) X2.  On the state reshaped
+    to P of shape (dim1, dim2) the factors commute, so exp(X) acts as
+    exp(X1) P exp(X2)^T: the small second factor is exponentiated densely
+    and the first is applied to all columns at once by expm_multiply, so
+    no product-space matrix is built."""
 
     dim: int
-    mat: object = None
-    generator: tuple = ()
+    generator: tuple
     label: str = ""
-
-    def _i_generator(self, u):
-        if len(self.generator) == 1:
-            return 1j * (self.generator[0] @ u)
-        x1, x2 = self.generator
-        p = u.reshape(x1.shape[0], x2.shape[0])
-        return 1j * (x1 @ p + (x2 @ p.T).T).ravel()
+    # read by the benchmark tracer (perfbench/tracer.py); no handle sets it
+    mat = None
 
     def apply(self, v):
-        if self.mat is not None:
-            return self.mat @ v
-        if self.generator:
-            return expimv(self._i_generator, v, 1.0)
-        raise ValueError(f"handle {self.label!r} has no action")
+        x1 = self.generator[0]
+        if len(self.generator) == 1:
+            return expm_multiply(x1, v, traceA=0.0)
+        x2 = self.generator[1]
+        p = v.reshape(x1.shape[0], x2.shape[0])
+        return expm_multiply(x1, p @ expm(x2.toarray()).T,
+                             traceA=0.0).ravel()
 
     def to_dense(self):
-        if self.mat is not None:
-            m = self.mat
-            return m.toarray() if sp.issparse(m) else np.asarray(m)
-        if self.generator:
-            # the factor generators commute, so the exponential factorises
-            return reduce(np.kron, [expm(g.toarray()) for g in self.generator])
-        raise ValueError(f"handle {self.label!r} has no dense form")
+        # the factor generators commute, so the exponential factorises
+        return reduce(np.kron, [expm(g.toarray()) for g in self.generator])
 
 
 def weyl_generator(grid, basis, xi, eps):

@@ -106,7 +106,7 @@ def _bases_for(grid, params, eps, z0, tail_budget):
 
 
 def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
-                   tail_budget=1e-4, classical_dt=1e-3, tol=1e-12):
+                   tail_budget=1e-4, classical_dt=1e-3):
     """Characteristic-function distance to the classical limit.
 
     For each eps the coherent state at z0 is evolved, and at each t
@@ -138,7 +138,7 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         dims.append(ham.dim)
         caps.append((nb.cap, mb.cap))
         deficits.append(deficit)
-        snapshots = propagate(ham, state, list(t_values), tol=tol)
+        snapshots = propagate(ham, state, list(t_values))
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
@@ -169,7 +169,7 @@ class EhrenfestTrack:
 
 
 def ehrenfest_track(grid, params, eps, z0, times, tail_budget=1e-4,
-                    classical_dt=1e-3, tol=1e-12):
+                    classical_dt=1e-3):
     """Track <field> of the evolved coherent state against the classical
     trajectory started at the same fields."""
     times = np.asarray(times, dtype=float)
@@ -183,7 +183,7 @@ def ehrenfest_track(grid, params, eps, z0, times, tail_budget=1e-4,
     traj = flow(grid, params, z0, times, classical_dt)
     site_ops = [ladder(nb, j, eps) for j in range(grid.n_sites)]
     mode_ops = [ladder(mb, p, eps) for p in range(mb.modes.size)]
-    snapshots = ([state] + propagate(ham, state, times[1:], tol=tol)
+    snapshots = ([state] + propagate(ham, state, times[1:])
                  if times.size > 1 else [state])
     q1 = np.zeros((times.size, grid.n_sites), dtype=complex)
     q2 = np.zeros((times.size, grid.n_sites), dtype=complex)

@@ -11,7 +11,8 @@ pass/fail line per property.  Criteria:
  6. sector ground-state energies converge to the classical minimum
  7. characteristic functions converge to the classical flow's targets
  8. constrained minimizer: gradient, lower bound, brute-force agreement
- 9. numerical oracles: Krylov vs dense, Lanczos vs dense, splitting order
+ 9. numerical oracles: propagator vs dense, Lanczos vs dense, splitting
+    order
 """
 
 import numpy as np
@@ -27,17 +28,17 @@ from nelson_lab.discretization import (Grid, ModelParams, chi_gaussian,
                                        chi_sharp_band, coupling_weight,
                                        dispersion, one_body_hamiltonian,
                                        potential_preset)
-from nelson_lab.fock_space import (check_relative_bounds, coherent_state,
-                                   occupation_cap, resolvent_bound_ratio,
+from nelson_lab.fock_space import (QuantumState, check_relative_bounds,
+                                   coherent_state, occupation_cap,
+                                   resolvent_bound_ratio,
                                    sector_basis, tensor_state,
                                    truncated_basis,
                                    weyl_conjugation_identities)
 from nelson_lab.ground_state import lowest_eigenpair, theorem2_sweep
-from nelson_lab.krylov import expimv
 from nelson_lab.limit_harness import theorem1_sweep
-from nelson_lab.quantum_dynamics import (assemble, b_expansion_residual,
-                                         duhamel_check, gronwall_bound_check,
-                                         propagate)
+from nelson_lab.quantum_dynamics import (HamiltonianSet, assemble,
+                                         b_expansion_residual, duhamel_check,
+                                         gronwall_bound_check, propagate)
 
 
 def harmonic_model(grid, chi):
@@ -127,7 +128,7 @@ def test_criterion_02_conservation_suite():
     assert charge_drift <= 1e-8
     assert energy_drift <= 1e-6
 
-    # quantum side: norm and energy under Krylov propagation
+    # quantum side: norm and energy under propagation
     grid_q, _, nb, mb, ham = tiny_coupled_system()
     z1q, z2q = tiny_fields(grid_q)
     state, _ = coherent_product(grid_q, nb, mb, ham.eps, z1q, z2q)
@@ -364,7 +365,7 @@ def test_criterion_08_constrained_minimizer():
 
 
 def test_criterion_09_numerical_oracles():
-    # Krylov propagation against the dense exponential
+    # propagation (eps = 1, so H/eps = h) against the dense exponential
     rng = np.random.default_rng(9)
     dim = 400
     raw = sp.random(dim, dim, density=0.02, random_state=11,
@@ -375,9 +376,10 @@ def test_criterion_09_numerical_oracles():
     v /= np.linalg.norm(v)
     t = 0.8
     dense = scipy.linalg.expm(-1j * t * h.toarray()) @ v
-    krylov_err = float(np.linalg.norm(
-        expimv(lambda x: h @ x, v, t) - dense))
-    assert krylov_err <= 1e-9
+    ham = HamiltonianSet(None, None, 1.0, None, None, None, None, h)
+    (evolved,) = propagate(ham, QuantumState(v, None, None, 1.0), [t])
+    propagator_err = float(np.linalg.norm(evolved.vec - dense))
+    assert propagator_err <= 1e-9
 
     # Lanczos lowest eigenpair against dense diagonalization
     value_l, _ = lowest_eigenpair(h, method="lanczos", tol=1e-12)
@@ -409,6 +411,6 @@ def test_criterion_09_numerical_oracles():
 
     ratio = distance(dt) / distance(dt / 2.0)
     assert 3.5 <= ratio <= 4.5
-    print(f"criterion 9 PASS: Krylov-vs-dense {krylov_err:.2e} (tol 1e-09), "
-          f"eigenpair gap {eig_err:.2e} (tol 1e-09), splitting-order "
-          f"ratio {ratio:.2f} (window [3.5, 4.5])")
+    print(f"criterion 9 PASS: propagator-vs-dense {propagator_err:.2e} "
+          f"(tol 1e-09), eigenpair gap {eig_err:.2e} (tol 1e-09), "
+          f"splitting-order ratio {ratio:.2f} (window [3.5, 4.5])")
