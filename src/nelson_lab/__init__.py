@@ -24,7 +24,13 @@ from .fock_space import (
     sector_basis,
     truncated_basis,
 )
-from .quantum_dynamics import HamiltonianSet, assemble, duhamel_check, propagate
+from .quantum_dynamics import (
+    FactoredHamiltonian,
+    HamiltonianSet,
+    assemble,
+    duhamel_check,
+    propagate,
+)
 from .ground_state import lowest_eigenpair, theorem2_sweep
 from .limit_harness import ehrenfest_track, theorem1_sweep
 from .errors import (
@@ -53,6 +59,7 @@ __all__ = [
     "coherent_state",
     "sector_basis",
     "truncated_basis",
+    "FactoredHamiltonian",
     "HamiltonianSet",
     "assemble",
     "duhamel_check",

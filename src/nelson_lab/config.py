@@ -67,7 +67,14 @@ def _get(data, key, path, required=True, default=None):
     return data[key]
 
 
-def _number(value, path, lo=None, hi=None, integer=False):
+def _number(value, path, lo=None, hi=None, integer=False, many=False):
+    """A finite number in [lo, hi], an integer if asked; with `many`, a
+    nonempty list of them, each entry checked at its own path."""
+    if many:
+        if not isinstance(value, list) or not value:
+            raise ConfigInvalid(path, "must be a nonempty list of numbers")
+        return [_number(v, f"{path}[{i}]", lo, hi, integer)
+                for i, v in enumerate(value)]
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not ok or not np.isfinite(value):
         raise ConfigInvalid(path, "must be a finite number")
@@ -78,6 +85,12 @@ def _number(value, path, lo=None, hi=None, integer=False):
     if hi is not None and value > hi:
         raise ConfigInvalid(path, f"must be <= {hi}")
     return int(value) if integer else float(value)
+
+
+def scenario_option(options, key, default, **checks):
+    """Scenario option `key` (`default` when absent), checked by
+    `_number` under the path .scenario.<key>."""
+    return _number(options.get(key, default), f".scenario.{key}", **checks)
 
 
 def _complex_list(value, n, path):

@@ -124,6 +124,17 @@ def coupling_weight(grid: Grid, params: ModelParams) -> np.ndarray:
     return weight
 
 
+def covered_modes(grid: Grid, params: ModelParams, *fields) -> np.ndarray:
+    """Grid modes a meson basis must carry: the support of the coupling
+    weight and of each given mode field, or the middle mode if all of
+    them vanish."""
+    mask = coupling_weight(grid, params) != 0
+    for f in fields:
+        mask = mask | (np.asarray(f) != 0)
+    modes = np.nonzero(mask)[0]
+    return modes if modes.size else np.array([grid.n_sites // 2])
+
+
 def coupling_form_factor(grid: Grid, params: ModelParams) -> np.ndarray:
     """Per-mode, per-site interaction weights.
 

@@ -50,13 +50,20 @@ def _sector_occupations(n_modes, total):
 class FockBasis:
     """Occupation-number basis, either a fixed-total sector or all totals
     up to a cap.  `modes` carries grid mode indices for momentum-space
-    factors; None means the factor lives over position sites."""
+    factors; None means the factor lives over position sites.  With
+    `standing`, each pair of carried modes k, -k is rotated to the
+    standing waves c = (a_k + a_-k)/sqrt2 in the slot of k > 0 and
+    s = -i (a_k - a_-k)/sqrt2 in the slot of -k (see
+    `standing_wave_pairs`); unpaired modes stay plane waves.  The rotation
+    keeps the total number, so it is exact on the capped space, and it
+    leaves dGamma(omega) alone because omega is even in k."""
 
     kind: str
     n_modes: int
     cap: int
     occupations: np.ndarray
     modes: np.ndarray | None = None
+    standing: bool = False
     _powers: np.ndarray = field(init=False, repr=False)
     _sorted_keys: np.ndarray = field(init=False, repr=False)
     _order: np.ndarray = field(init=False, repr=False)
@@ -64,6 +71,8 @@ class FockBasis:
     def __post_init__(self):
         if self.kind not in ("sector", "truncated"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
+        if self.standing and self.modes is None:
+            raise ValueError("standing waves need grid mode indices")
         base = self.cap + 1
         if base ** self.n_modes >= 2 ** 62:
             raise ValueError("occupation key space exceeds int64")
@@ -99,14 +108,43 @@ def sector_basis(n_modes, total, modes=None):
                      None if modes is None else np.asarray(modes))
 
 
-def truncated_basis(n_modes, max_total, modes=None):
+def truncated_basis(n_modes, max_total, modes=None, standing=False):
     """All states with at most `max_total` quanta, ordered by total."""
     if n_modes < 1 or max_total < 0:
         raise ValueError("need n_modes >= 1 and max_total >= 0")
     occ = np.vstack([_sector_occupations(n_modes, n)
                      for n in range(max_total + 1)])
     return FockBasis("truncated", n_modes, max_total, occ,
-                     None if modes is None else np.asarray(modes))
+                     None if modes is None else np.asarray(modes), standing)
+
+
+def standing_wave_pairs(grid, modes):
+    """Slot pairs (p, q) of the carried modes with k_q = -k_p and k_p > 0.
+    The modes k = 0 and Nyquist are their own partners and pair with
+    nothing."""
+    slot = {int(m): p for p, m in enumerate(modes)}
+    return [(p, slot[(-m) % grid.n_sites]) for p, m in enumerate(modes)
+            if 0 < m < grid.n_sites // 2 and (-m) % grid.n_sites in slot]
+
+
+def _slot_field(grid, basis, z, what):
+    """Quadrature weight and the amplitudes of the field z at the basis
+    slots: sites, plane-wave modes, or standing waves (the pair rotation
+    of `FockBasis` acts on amplitudes as it acts on annihilators)."""
+    z = np.asarray(z, dtype=complex)
+    if basis.modes is None:
+        return grid.dx, z
+    keep = np.zeros(grid.n_sites, dtype=bool)
+    keep[basis.modes] = True
+    if np.any(z[~keep] != 0):
+        raise ValueError(f"{what} has support outside the basis modes")
+    z_sel = z[basis.modes]
+    if basis.standing:
+        for p, q in standing_wave_pairs(grid, basis.modes):
+            zp, zq = z_sel[p], z_sel[q]
+            z_sel[p] = (zp + zq) / np.sqrt(2.0)
+            z_sel[q] = -1j * (zp - zq) / np.sqrt(2.0)
+    return grid.dk, z_sel
 
 
 def occupation_cap(mean, tail_budget, cap_max=10_000):
@@ -153,7 +191,8 @@ def dgamma_diagonal(basis, values, eps):
 def second_quantize(basis, a_matrix, eps):
     """dGamma(A) = eps * sum_ij A_ij b_i* b_j for a one-body matrix A.
 
-    Number conserving, so valid on sector and truncated bases alike.
+    Number conserving, so valid on sector and truncated bases alike; real
+    when A is.
     """
     a_matrix = np.asarray(a_matrix)
     occ = basis.occupations
@@ -161,7 +200,8 @@ def second_quantize(basis, a_matrix, eps):
     if a_matrix.shape != (n, n):
         raise ValueError(f"one-body matrix must be {n}x{n}")
     diag = eps * (occ @ np.diag(a_matrix))
-    mat = sp.diags(diag, format="csr", dtype=complex)
+    mat = sp.diags(diag, format="csr",
+                   dtype=np.result_type(a_matrix.dtype, float))
     rows, cols, vals = [], [], []
     for i in range(n):
         for j in range(n):
@@ -198,13 +238,9 @@ def smeared_annihilator(basis, f, quad, eps):
     return out.tocsr()
 
 
-def interaction_halves(grid, params, eps, nucleon_basis, meson_basis):
-    """Creation and annihilation halves of the coupling term.
-
-    creation = sum_m sqrt(dk) w_m dGamma1(e^{-i k_m x}) (x) a_m*, with the
-    sum over the meson basis modes; the full coupling is their sum.  The
-    coupling weight must vanish off the covered modes.
-    """
+def coupling_weight_on(grid, params, meson_basis):
+    """The coupling weight w = chi/sqrt(omega), checked to vanish off the
+    modes the meson basis carries."""
     if meson_basis.modes is None:
         raise ValueError("meson basis must carry grid mode indices")
     w = coupling_weight(grid, params)
@@ -212,18 +248,65 @@ def interaction_halves(grid, params, eps, nucleon_basis, meson_basis):
     covered[meson_basis.modes] = True
     if np.any(w[~covered] != 0):
         raise ValueError("coupling weight is nonzero outside the meson basis")
-    occ1 = nucleon_basis.occupations
-    dim = nucleon_basis.dim * meson_basis.dim
-    creation = sp.csr_matrix((dim, dim), dtype=complex)
-    for p, m in enumerate(meson_basis.modes):
-        if w[m] == 0:
-            continue
-        rho = occ1 @ grid.phases[m]          # sum_j n_j e^{-i k_m x_j}
-        d_m = sp.diags(eps * rho)
-        adag = ladder(meson_basis, p, eps).getH()
-        creation = creation + np.sqrt(grid.dk) * w[m] * sp.kron(
-            d_m, adag, format="csr")
-    creation = creation.tocsr()
+    return w
+
+
+def _site_profiles(grid, w, basis):
+    """g[p, j]: the coupling profile of meson slot p at site x_j.
+
+    A plane-wave slot of mode m carries w_m e^{-i k_m x_j}, real at k = 0
+    and Nyquist.  A standing pair (p, q) with k = k_p carries
+    c: (w_p e^{-ikx} + w_q e^{ikx})/sqrt2 and
+    s: -i (w_p e^{-ikx} - w_q e^{ikx})/sqrt2, which are sqrt2 w cos(kx)
+    and -sqrt2 w sin(kx) when w_p = w_q.  Real whenever every imaginary
+    part vanishes exactly.
+    """
+    modes = basis.modes
+    theta = np.outer(grid.k[modes], grid.x)
+    cos, sin = np.cos(theta), np.sin(theta)
+    sin[(2 * modes) % grid.n_sites == 0] = 0.0  # sin(k x_j) = 0 exactly
+    wm = w[modes][:, None]
+    re, im = wm * cos, -wm * sin
+    for p, q in (standing_wave_pairs(grid, modes) if basis.standing else ()):
+        plus = (w[modes[p]] + w[modes[q]]) / np.sqrt(2.0)
+        minus = (w[modes[p]] - w[modes[q]]) / np.sqrt(2.0)
+        re[p], im[p] = plus * cos[p], -minus * sin[p]
+        re[q], im[q] = -plus * sin[p], -minus * cos[p]
+    return re + 1j * im if np.any(im) else re
+
+
+def coupling_factors(grid, params, eps, nucleon_basis, meson_basis):
+    """The coupling as H_c = sum_p diag(rho_p) (x) a_p* + h.c.
+
+    Returns the nucleon profiles rho (one row per coupled meson slot p,
+    rho_p(n) = sqrt(dk) eps sum_j n_j g_p(x_j) with g from
+    `_site_profiles`) and the meson annihilators a_p.  The profiles are
+    real when the slot profiles are, so in a standing-wave basis for a
+    coupling even in k.
+    """
+    w = coupling_weight_on(grid, params, meson_basis)
+    g = _site_profiles(grid, w, meson_basis)
+    slots = np.nonzero(np.any(g != 0, axis=1))[0]
+    occ = nucleon_basis.occupations
+    return (np.sqrt(grid.dk) * eps * (g[slots] @ occ.T),
+            [ladder(meson_basis, p, eps) for p in slots])
+
+
+def creation_half(profiles, ladders, meson_dim):
+    """sum_p diag(rho_p) (x) a_p* as one CSR matrix."""
+    dim = profiles.shape[1] * meson_dim
+    out = sp.csr_matrix((dim, dim), dtype=profiles.dtype)
+    for rho, a in zip(profiles, ladders):
+        out = out + sp.kron(sp.diags(rho), a.getH(), format="csr")
+    return out.tocsr()
+
+
+def interaction_halves(grid, params, eps, nucleon_basis, meson_basis):
+    """Creation and annihilation halves of the coupling term, as CSR
+    krons of `coupling_factors`; the full coupling is their sum."""
+    profiles, ladders = coupling_factors(grid, params, eps, nucleon_basis,
+                                         meson_basis)
+    creation = creation_half(profiles, ladders, meson_basis.dim)
     return creation, creation.getH().tocsr()
 
 
@@ -279,17 +362,7 @@ def coherent_state(grid, basis, z, eps, deficit_tol=None):
     probability mass lost to the cut.  Over a nucleon sector basis the
     state is the symmetrised power of z1 (deficit exactly zero).
     """
-    z = np.asarray(z, dtype=complex)
-    if basis.modes is None:
-        quad = grid.dx
-        z_sel = z
-    else:
-        quad = grid.dk
-        keep = np.zeros(grid.n_sites, dtype=bool)
-        keep[basis.modes] = True
-        if np.any(z[~keep] != 0):
-            raise ValueError("field has support outside the basis modes")
-        z_sel = z[basis.modes]
+    quad, z_sel = _slot_field(grid, basis, z, "field")
     if basis.kind == "sector":
         nrm = np.sqrt(quad) * np.linalg.norm(z_sel)
         if nrm == 0:
@@ -347,20 +420,10 @@ class OperatorHandle:
 def weyl_generator(grid, basis, xi, eps):
     """Anti-Hermitian X with W(xi) = exp(X) on a single Fock factor:
     X = (i/sqrt(2)) sum_m sqrt(quad * eps) (xi_m b_m* + conj(xi_m) b_m)."""
-    xi = np.asarray(xi, dtype=complex)
     if basis.kind == "sector":
         raise SectorBasisUnsupported(
             "Weyl displacements leave no fixed-total sector invariant")
-    if basis.modes is None:
-        quad = grid.dx
-        xi_sel = xi
-    else:
-        quad = grid.dk
-        keep = np.zeros(grid.n_sites, dtype=bool)
-        keep[basis.modes] = True
-        if np.any(xi[~keep] != 0):
-            raise ValueError("argument has support outside the basis modes")
-        xi_sel = xi[basis.modes]
+    quad, xi_sel = _slot_field(grid, basis, xi, "argument")
     x_gen = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     coeff = 1j / np.sqrt(2.0) * np.sqrt(quad * eps)
     for m in range(basis.n_modes):

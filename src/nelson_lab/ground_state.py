@@ -11,25 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .classical_energy import minimize_constrained
-from .discretization import coupling_weight
+from .discretization import covered_modes
 from .errors import ConvergenceFailure
 from .fock_space import coherent_state, sector_basis, tensor_state, truncated_basis
-from .quantum_dynamics import assemble
+from .quantum_dynamics import FactoredHamiltonian
 
 
 def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
                      maxiter=None):
-    """Smallest eigenvalue and eigenvector of a Hermitian matrix.
+    """Smallest eigenvalue and eigenvector of a Hermitian matrix: an
+    array, a sparse matrix or a `FactoredHamiltonian`.
 
     method "dense" runs a full factorisation, "lanczos" the implicitly
     restarted iteration (falling back to dense when the matrix is too
-    small for it), "auto" picks by size.  The returned pair is checked
-    against its residual.
+    small for it), "auto" picks by size.  A real symmetric matrix gets
+    the real Lanczos iteration.  The returned pair is checked against its
+    residual.
     """
     dim = matrix.shape[0]
     if method not in ("auto", "dense", "lanczos"):
@@ -39,7 +40,8 @@ def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
     if method == "lanczos" and dim < 3:
         method = "dense"
     if method == "dense":
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+        dense = (matrix.toarray() if hasattr(matrix, "toarray")
+                 else np.asarray(matrix))
         vals, vecs = eigh(dense)
         value, vector = float(vals[0]), vecs[:, 0]
     else:
@@ -61,12 +63,13 @@ def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
 
 
 def coherent_upper_bound(ham, z1, z2):
-    """Rayleigh quotient of the coherent product state at (z1, z2) in the
-    assembled bases; an upper bound on the lowest eigenvalue."""
+    """Rayleigh quotient of the coherent product state at (z1, z2) under a
+    `FactoredHamiltonian`; an upper bound on the lowest eigenvalue.  In a
+    standing-wave meson basis the state takes the rotated amplitudes."""
     v1, _ = coherent_state(ham.grid, ham.nucleon_basis, z1, ham.eps)
     v2, _ = coherent_state(ham.grid, ham.meson_basis, z2, ham.eps)
     state = tensor_state(v1, v2, ham.nucleon_basis, ham.meson_basis, ham.eps)
-    return float(np.vdot(state.vec, ham.h_total @ state.vec).real)
+    return float(np.vdot(state.vec, ham @ state.vec).real)
 
 
 @dataclass
@@ -94,20 +97,17 @@ class SweepReport:
 
 
 def active_meson_basis(grid, params, cap):
-    """Truncated meson basis covering the modes the coupling reaches."""
-    w = coupling_weight(grid, params)
-    modes = np.nonzero(w != 0)[0]
-    if modes.size == 0:
-        modes = np.array([grid.n_sites // 2])
-    return truncated_basis(modes.size, cap, modes=modes)
+    """Truncated standing-wave meson basis over the modes the coupling
+    reaches."""
+    modes = covered_modes(grid, params)
+    return truncated_basis(modes.size, cap, modes=modes, standing=True)
 
 
 def _sector_ground_energy(grid, params, n, meson_cap, method):
     eps = params.charge ** 2 / n
-    nb = sector_basis(grid.n_sites, n)
-    mb = active_meson_basis(grid, params, meson_cap)
-    ham = assemble(grid, params, eps, nb, mb)
-    value, _ = lowest_eigenpair(ham.h_total, method=method)
+    ham = FactoredHamiltonian(grid, params, eps, sector_basis(grid.n_sites, n),
+                              active_meson_basis(grid, params, meson_cap))
+    value, _ = lowest_eigenpair(ham, method=method)
     return ham, value
 
 
@@ -121,9 +121,9 @@ def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
     minimum; cap_shift reports how much the largest-n energy moves when
     the meson cap is raised by cap_check_shift.
     """
+    if not all(np.isfinite(n) and n == int(n) and n > 0 for n in n_values):
+        raise ValueError("nucleon numbers must be positive integers")
     n_values = [int(n) for n in n_values]
-    if any(n <= 0 for n in n_values):
-        raise ValueError("nucleon numbers must be positive")
     best = minimize_constrained(grid, params, seed=seed)
     e_classical = best.energy
     records = []
@@ -132,7 +132,7 @@ def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
                                                method)
         e_coherent = coherent_upper_bound(ham, best.z1, best.z2)
         records.append(GroundStateRecord(
-            n=n, eps=ham.eps, dim=ham.dim, e_quantum=e_quantum,
+            n=n, eps=ham.eps, dim=ham.shape[0], e_quantum=e_quantum,
             e_coherent=e_coherent, gap=abs(e_quantum - e_classical)))
     _, deeper = _sector_ground_energy(grid, params, max(n_values),
                                       meson_cap + cap_check_shift, method)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical_dynamics import FieldState, flow, free_flow
-from .discretization import coupling_weight
+from .discretization import covered_modes
 from .errors import TruncationInsufficient
 from .fock_space import (coherent_state, ladder, occupation_cap,
                          tensor_state, truncated_basis)
@@ -83,18 +83,8 @@ class Theorem1Report:
     deficits: tuple = ()
 
 
-def _covered_modes(grid, params, z2):
-    """Modes the meson basis must carry: coupling support plus initial
-    field support."""
-    w = coupling_weight(grid, params)
-    modes = np.nonzero((w != 0) | (np.asarray(z2) != 0))[0]
-    if modes.size == 0:
-        modes = np.array([grid.n_sites // 2])
-    return modes
-
-
 def _bases_for(grid, params, eps, z0, tail_budget):
-    modes = _covered_modes(grid, params, z0.z2)
+    modes = covered_modes(grid, params, z0.z2)
     mean_n = grid.norm_x(z0.z1) ** 2 / eps
     mean_m = grid.norm_k(z0.z2) ** 2 / eps
     # one extra rung of headroom for occupation pumped by the coupling
@@ -120,7 +110,7 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
     traj = flow(grid, params, z0, np.concatenate([[0.0], t_values]),
                 classical_dt)
     if xi_panel is None:
-        xi_panel = default_xi_panel(grid, _covered_modes(grid, params, z0.z2))
+        xi_panel = default_xi_panel(grid, covered_modes(grid, params, z0.z2))
     evolved_panels = [[free_weyl_argument(grid, params, xi1, xi2, t)
                        for xi1, xi2 in xi_panel] for t in t_values]
     samples, dims, caps, deficits = [], [], [], []

@@ -16,16 +16,57 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (FockBasis, OperatorHandle, QuantumState,
+                         coupling_factors, coupling_weight_on, creation_half,
                          dgamma_diagonal, interaction_halves, ladder,
                          second_quantize, smeared_annihilator,
                          weyl_generator)
+
+
+class FactoredHamiltonian(LinearOperator):
+    """H = dGamma1(h1) (x) I + I (x) diag(eps n.omega)
+    + sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p) (x) a_p], kept as
+    its factors and applied to the state reshaped to P (dimN x dimM):
+    H P = dGamma1(h1) P + P diag(eps n.omega)
+    + sum_p [diag(rho_p) P (a_p*)^T + diag(conj rho_p) P a_p^T].
+    No product-space matrix is built.  The dtype is that of the factors:
+    real in a standing-wave meson basis for a coupling even in k."""
+
+    def __init__(self, grid, params, eps, nucleon_basis, meson_basis):
+        self.grid, self.eps = grid, eps
+        self.nucleon_basis, self.meson_basis = nucleon_basis, meson_basis
+        omega = dispersion(grid.k, params.meson_mass)
+        self.dg1 = second_quantize(
+            nucleon_basis, one_body_hamiltonian(grid, params), eps)
+        self.meson_diag = eps * (meson_basis.occupations
+                                 @ omega[meson_basis.modes])
+        self.profiles, self.ladders = coupling_factors(
+            grid, params, eps, nucleon_basis, meson_basis)
+        # with rho = r + i s and real ladders, the coupling of slot p is
+        # r P (a_p + a_p^T) + i s P (a_p - a_p^T)
+        self._right = [(a + a.T, a - a.T) for a in self.ladders]
+        dim = nucleon_basis.dim * meson_basis.dim
+        super().__init__(np.result_type(self.dg1.dtype, self.profiles.dtype),
+                         (dim, dim))
+
+    def _matvec(self, v):
+        p = v.reshape(self.nucleon_basis.dim, self.meson_basis.dim)
+        out = self.dg1 @ p + p * self.meson_diag
+        for rho, (plus, minus) in zip(self.profiles, self._right):
+            out = out + rho.real[:, None] * (p @ plus)
+            if np.iscomplexobj(rho):
+                out = out + 1j * rho.imag[:, None] * (p @ minus)
+        return out.ravel()
+
+    def toarray(self):
+        """Dense matrix, one matvec per column; for small dims and tests."""
+        return self.matmat(np.eye(self.shape[0], dtype=self.dtype))
 
 
 @dataclass
@@ -47,17 +88,16 @@ class HamiltonianSet:
 
 
 def assemble(grid, params, eps, nucleon_basis, meson_basis):
-    """Build free, coupling, and total Hamiltonians on the product basis."""
-    h1 = one_body_hamiltonian(grid, params)
-    omega = dispersion(grid.k, params.meson_mass)
-    dg1 = second_quantize(nucleon_basis, h1, eps)
-    dg2 = dgamma_diagonal(meson_basis, omega[meson_basis.modes], eps)
-    id_n = sp.identity(nucleon_basis.dim, format="csr")
-    id_m = sp.identity(meson_basis.dim, format="csr")
-    h_free = (sp.kron(dg1, id_m) + sp.kron(id_n, dg2)).tocsr()
-    creation, annihilation = interaction_halves(
-        grid, params, eps, nucleon_basis, meson_basis)
-    h_coupling = (creation + annihilation).tocsr()
+    """Free, coupling, and total Hamiltonians on the product basis, as
+    CSR krons of the `FactoredHamiltonian` factors."""
+    factors = FactoredHamiltonian(grid, params, eps, nucleon_basis,
+                                  meson_basis)
+    h_free = (sp.kron(factors.dg1, sp.identity(meson_basis.dim, format="csr"))
+              + sp.diags(np.tile(factors.meson_diag, nucleon_basis.dim))
+              ).tocsr()
+    creation = creation_half(factors.profiles, factors.ladders,
+                             meson_basis.dim)
+    h_coupling = (creation + creation.getH()).tocsr()
     return HamiltonianSet(grid, params, eps, nucleon_basis, meson_basis,
                           h_free, h_coupling,
                           (h_free + h_coupling).tocsr())
@@ -122,12 +162,8 @@ def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
     """
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
-    w = coupling_weight(grid, params)
+    w = coupling_weight_on(grid, params, meson_basis)
     modes = meson_basis.modes
-    covered = np.zeros(grid.n_sites, dtype=bool)
-    covered[modes] = True
-    if np.any(w[~covered] != 0):
-        raise ValueError("coupling weight is nonzero outside the meson basis")
     phases = grid.phases
     # site profile S_j = sum_m dk w_m (xi2_m e^{+i k_m x_j} - c.c.)
     s_plus = grid.dk * (w * xi2) @ np.conj(phases)

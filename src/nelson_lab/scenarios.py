@@ -11,8 +11,8 @@ import numpy as np
 
 from .classical_dynamics import classical_energy_along, flow
 from .classical_energy import binding_lower_bound, minimize_constrained
-from .config import RunConfig
-from .discretization import coupling_weight, dispersion
+from .config import RunConfig, scenario_option
+from .discretization import covered_modes, dispersion
 from .errors import ConfigInvalid
 from .fock_space import (check_relative_bounds, coherent_state,
                          resolvent_bound_ratio, tensor_state,
@@ -21,33 +21,6 @@ from .ground_state import theorem2_sweep
 from .limit_harness import ehrenfest_track, theorem1_sweep
 from .quantum_dynamics import (assemble, b_expansion_residual, duhamel_check,
                                gronwall_bound_check)
-
-
-def _opt_number(options, key, default, lo=None, hi=None, integer=False):
-    value = options.get(key, default)
-    path = f".scenario.{key}"
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok or not np.isfinite(value):
-        raise ConfigInvalid(path, "must be a finite number")
-    if integer and int(value) != value:
-        raise ConfigInvalid(path, "must be an integer")
-    if lo is not None and value < lo:
-        raise ConfigInvalid(path, f"must be >= {lo}")
-    if hi is not None and value > hi:
-        raise ConfigInvalid(path, f"must be <= {hi}")
-    return int(value) if integer else float(value)
-
-
-def _opt_number_list(options, key, default, lo=None):
-    values = options.get(key, list(default))
-    path = f".scenario.{key}"
-    if (not isinstance(values, list) or len(values) == 0
-            or not all(isinstance(v, (int, float))
-                       and not isinstance(v, bool) for v in values)):
-        raise ConfigInvalid(path, "must be a nonempty list of numbers")
-    if lo is not None and any(v < lo for v in values):
-        raise ConfigInvalid(path, f"entries must be >= {lo}")
-    return [float(v) for v in values]
 
 
 def _reject_unknown(options, known):
@@ -77,9 +50,10 @@ def _field_rows(grid, prefix, values, coords, coord_name):
 
 def run_classical_flow(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"t_final", "n_samples", "dt"})
-    t_final = _opt_number(cfg.options, "t_final", 2.0, lo=1e-12)
-    n_samples = _opt_number(cfg.options, "n_samples", 41, lo=2, integer=True)
-    dt = _opt_number(cfg.options, "dt", 1e-3, lo=1e-12)
+    t_final = scenario_option(cfg.options, "t_final", 2.0, lo=1e-12)
+    n_samples = scenario_option(cfg.options, "n_samples", 41, lo=2,
+                                integer=True)
+    dt = scenario_option(cfg.options, "dt", 1e-3, lo=1e-12)
     state0 = _need_initial(cfg)
     grid, params = cfg.grid, cfg.params
     times = np.linspace(0.0, t_final, n_samples)
@@ -113,9 +87,10 @@ def run_classical_flow(cfg: RunConfig, seed: int):
 
 def run_minimize(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"n_starts", "max_iter", "grad_tol"})
-    n_starts = _opt_number(cfg.options, "n_starts", 3, lo=1, integer=True)
-    max_iter = _opt_number(cfg.options, "max_iter", 5000, lo=1, integer=True)
-    grad_tol = _opt_number(cfg.options, "grad_tol", 1e-7, lo=0.0)
+    n_starts = scenario_option(cfg.options, "n_starts", 3, lo=1, integer=True)
+    max_iter = scenario_option(cfg.options, "max_iter", 5000, lo=1,
+                               integer=True)
+    grad_tol = scenario_option(cfg.options, "grad_tol", 1e-7, lo=0.0)
     grid, params = cfg.grid, cfg.params
     result = minimize_constrained(grid, params, seed=seed, n_starts=n_starts,
                                   max_iter=max_iter, grad_tol=grad_tol)
@@ -143,17 +118,6 @@ def run_minimize(cfg: RunConfig, seed: int):
     return summary, tables
 
 
-def _covered_modes_with(grid, params, *fields):
-    w = coupling_weight(grid, params)
-    mask = w != 0
-    for f in fields:
-        mask = mask | (np.asarray(f) != 0)
-    modes = np.nonzero(mask)[0]
-    if modes.size == 0:
-        modes = np.array([grid.n_sites // 2])
-    return modes
-
-
 def _xi_from_options(cfg, key, n):
     values = cfg.options.get(key)
     if values is None:
@@ -177,17 +141,18 @@ def run_duhamel(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"eps", "t", "n_nodes", "nucleon_cap",
                                   "meson_cap", "xi1", "xi2",
                                   "expansion_check"})
-    eps = _opt_number(cfg.options, "eps", 0.5, lo=1e-6)
-    t = _opt_number(cfg.options, "t", 0.5, lo=1e-12)
-    n_nodes = _opt_number(cfg.options, "n_nodes", 65, lo=5, integer=True)
-    nucleon_cap = _opt_number(cfg.options, "nucleon_cap", 8, lo=1,
-                              integer=True)
-    meson_cap = _opt_number(cfg.options, "meson_cap", 10, lo=1, integer=True)
+    eps = scenario_option(cfg.options, "eps", 0.5, lo=1e-6)
+    t = scenario_option(cfg.options, "t", 0.5, lo=1e-12)
+    n_nodes = scenario_option(cfg.options, "n_nodes", 65, lo=5, integer=True)
+    nucleon_cap = scenario_option(cfg.options, "nucleon_cap", 8, lo=1,
+                                  integer=True)
+    meson_cap = scenario_option(cfg.options, "meson_cap", 10, lo=1,
+                                integer=True)
     state0 = _need_initial(cfg)
     grid, params = cfg.grid, cfg.params
     xi1 = _xi_from_options(cfg, "xi1", grid.n_sites)
     xi2 = _xi_from_options(cfg, "xi2", grid.n_sites)
-    modes = _covered_modes_with(grid, params, state0.z2, xi2)
+    modes = covered_modes(grid, params, state0.z2, xi2)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
     ham = assemble(grid, params, eps, nb, mb)
@@ -224,12 +189,12 @@ def run_duhamel(cfg: RunConfig, seed: int):
 def run_theorem1(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"eps_values", "t_values", "tail_budget",
                                   "classical_dt", "track_eps"})
-    eps_values = _opt_number_list(cfg.options, "eps_values",
-                                  (0.4, 0.2, 0.1, 0.05), lo=1e-6)
-    t_values = _opt_number_list(cfg.options, "t_values", (0.25, 0.5),
-                                lo=1e-12)
-    tail_budget = _opt_number(cfg.options, "tail_budget", 1e-4, lo=1e-12)
-    classical_dt = _opt_number(cfg.options, "classical_dt", 1e-3, lo=1e-12)
+    eps_values = scenario_option(cfg.options, "eps_values",
+                                 [0.4, 0.2, 0.1, 0.05], lo=1e-6, many=True)
+    t_values = scenario_option(cfg.options, "t_values", [0.25, 0.5],
+                               lo=1e-12, many=True)
+    tail_budget = scenario_option(cfg.options, "tail_budget", 1e-4, lo=1e-12)
+    classical_dt = scenario_option(cfg.options, "classical_dt", 1e-3, lo=1e-12)
     state0 = _need_initial(cfg)
     report = theorem1_sweep(cfg.grid, cfg.params, state0, eps_values,
                             t_values, tail_budget=tail_budget,
@@ -256,7 +221,7 @@ def run_theorem1(cfg: RunConfig, seed: int):
                                "value_im", "target_re", "target_im"], rows)}
     track_eps = cfg.options.get("track_eps")
     if track_eps is not None:
-        track_eps = _opt_number(cfg.options, "track_eps", 0.1, lo=1e-6)
+        track_eps = scenario_option(cfg.options, "track_eps", 0.1, lo=1e-6)
         times = np.concatenate([[0.0], t_values])
         track = ehrenfest_track(cfg.grid, cfg.params, track_eps, state0,
                                 times, tail_budget=tail_budget,
@@ -273,11 +238,12 @@ def run_theorem1(cfg: RunConfig, seed: int):
 def run_theorem2(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"n_values", "meson_cap", "cap_check_shift",
                                   "method"})
-    n_values = [int(v) for v in _opt_number_list(cfg.options, "n_values",
-                                                 (1, 2, 3, 4, 5), lo=1)]
-    meson_cap = _opt_number(cfg.options, "meson_cap", 7, lo=0, integer=True)
-    cap_shift = _opt_number(cfg.options, "cap_check_shift", 3, lo=1,
-                            integer=True)
+    n_values = scenario_option(cfg.options, "n_values", [1, 2, 3, 4, 5],
+                               lo=1, integer=True, many=True)
+    meson_cap = scenario_option(cfg.options, "meson_cap", 7, lo=0,
+                                integer=True)
+    cap_shift = scenario_option(cfg.options, "cap_check_shift", 3, lo=1,
+                                integer=True)
     method = cfg.options.get("method", "auto")
     if method not in ("auto", "dense", "lanczos"):
         raise ConfigInvalid(".scenario.method",
@@ -310,20 +276,22 @@ def run_property_suite(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"eps", "nucleon_cap", "meson_cap",
                                   "n_samples", "delta", "t", "xi_scale",
                                   "identity_cap", "identity_margin"})
-    eps = _opt_number(cfg.options, "eps", 0.5, lo=1e-6)
-    nucleon_cap = _opt_number(cfg.options, "nucleon_cap", 6, lo=1,
-                              integer=True)
-    meson_cap = _opt_number(cfg.options, "meson_cap", 8, lo=1, integer=True)
-    n_samples = _opt_number(cfg.options, "n_samples", 200, lo=1, integer=True)
-    delta = _opt_number(cfg.options, "delta", 1.0)
-    t = _opt_number(cfg.options, "t", 1.0, lo=1e-12)
-    xi_scale = _opt_number(cfg.options, "xi_scale", 0.2, lo=1e-12)
-    identity_cap = _opt_number(cfg.options, "identity_cap", 22, lo=4,
-                               integer=True)
-    identity_margin = _opt_number(cfg.options, "identity_margin", 11, lo=1,
+    eps = scenario_option(cfg.options, "eps", 0.5, lo=1e-6)
+    nucleon_cap = scenario_option(cfg.options, "nucleon_cap", 6, lo=1,
                                   integer=True)
+    meson_cap = scenario_option(cfg.options, "meson_cap", 8, lo=1,
+                                integer=True)
+    n_samples = scenario_option(cfg.options, "n_samples", 200, lo=1,
+                                integer=True)
+    delta = scenario_option(cfg.options, "delta", 1.0)
+    t = scenario_option(cfg.options, "t", 1.0, lo=1e-12)
+    xi_scale = scenario_option(cfg.options, "xi_scale", 0.2, lo=1e-12)
+    identity_cap = scenario_option(cfg.options, "identity_cap", 22, lo=4,
+                                   integer=True)
+    identity_margin = scenario_option(cfg.options, "identity_margin", 11,
+                                      lo=1, integer=True)
     grid, params = cfg.grid, cfg.params
-    modes = _covered_modes_with(grid, params)
+    modes = covered_modes(grid, params)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
 

@@ -48,6 +48,14 @@ THEOREM1_CFG = {
 }
 
 
+THEOREM2_CFG = {
+    "grid": {"n_sites": 4, "half_length": 3.141592653589793},
+    "model": MINIMIZE_CFG["model"],
+    "scenario": {"name": "theorem2", "n_values": [1, 2, 3], "meson_cap": 5,
+                 "method": "lanczos"},
+}
+
+
 def write_cfg(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
@@ -134,7 +142,8 @@ def test_seed_accepts_u64_extremes(tmp_path):
 @pytest.mark.parametrize("cfg, table", [
     (DUHAMEL_CFG, "contributions.csv"),
     (THEOREM1_CFG, "char_errors.csv"),
-], ids=["duhamel", "theorem1"])
+    (THEOREM2_CFG, "sector_energies.csv"),
+], ids=["duhamel", "theorem1", "theorem2"])
 def test_reruns_are_byte_identical(tmp_path, cfg, table):
     p = write_cfg(tmp_path, cfg)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -147,6 +156,16 @@ def test_reruns_are_byte_identical(tmp_path, cfg, table):
     mb = json.loads((out_b / "manifest.json").read_text())
     ma.pop("wall_time_s"), mb.pop("wall_time_s")
     assert ma == mb
+
+
+@pytest.mark.parametrize("entry", ["2.5", "NaN", "Infinity"])
+def test_bad_n_values_entry_exits_2(tmp_path, capsys, entry):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(THEOREM2_CFG).replace(
+        '"n_values": [1, 2, 3]', f'"n_values": [1, {entry}]'))
+    assert main(["run", "theorem2", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ".scenario.n_values[1]" in capsys.readouterr().err
 
 
 def test_manifest_records_config_hash(tmp_path):

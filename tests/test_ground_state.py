@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
+from nelson_lab import ground_state
 from nelson_lab.discretization import (
-    Grid, ModelParams, chi_sharp_band, one_body_hamiltonian, potential_preset)
+    Grid, ModelParams, chi_gaussian, chi_sharp_band, covered_modes,
+    one_body_hamiltonian, potential_preset)
 from nelson_lab.errors import ConvergenceFailure
+from nelson_lab.fock_space import (coherent_state, sector_basis,
+                                   truncated_basis)
 from nelson_lab.ground_state import (
     active_meson_basis, coherent_upper_bound, lowest_eigenpair,
     theorem2_sweep)
+from nelson_lab.quantum_dynamics import FactoredHamiltonian, assemble
 
 
 def random_sparse_hermitian(dim, density, seed):
@@ -24,11 +29,40 @@ def random_sparse_hermitian(dim, density, seed):
 
 def harmonic_system(chi_amp):
     grid = Grid(4, np.pi)
-    params = ModelParams(
+    return grid, harmonic_params(grid, chi_sharp_band(grid, chi_amp, 1.0, 1.0))
+
+
+def harmonic_params(grid, chi):
+    return ModelParams(
         mass=1.0, meson_mass=1.0, charge=1.0,
-        potential=potential_preset(grid, "harmonic", 1.0),
-        chi=chi_sharp_band(grid, chi_amp, 1.0, 1.0))
-    return grid, params
+        potential=potential_preset(grid, "harmonic", 1.0), chi=chi)
+
+
+def sector_pair(grid, params, n, cap):
+    """The factored sector operator in the standing-wave basis, and the
+    CSR Hamiltonian assembled over plane waves on the same modes."""
+    eps = params.charge ** 2 / n
+    nb = sector_basis(grid.n_sites, n)
+    modes = covered_modes(grid, params)
+    op = FactoredHamiltonian(grid, params, eps, nb,
+                             active_meson_basis(grid, params, cap))
+    plane = assemble(grid, params, eps, nb,
+                     truncated_basis(modes.size, cap, modes=modes))
+    return op, plane
+
+
+# Grid(4) with a sharp band covers k = +-1 only; the Gaussian on Grid(6)
+# covers every mode, k = 0 and Nyquist (unpaired) included
+EVEN_CASES = [
+    pytest.param(Grid(4, np.pi), "band", 3, 4, id="grid4-band"),
+    pytest.param(Grid(6, np.pi), "gaussian", 2, 2, id="grid6-gaussian"),
+]
+
+
+def even_params(grid, kind):
+    chi = (chi_sharp_band(grid, 0.5, 1.0, 1.0) if kind == "band"
+           else chi_gaussian(grid, 0.5, 1.0))
+    return harmonic_params(grid, chi)
 
 
 def test_lowest_eigenpair_routes_agree():
@@ -89,13 +123,11 @@ def test_free_sector_energy_is_exact():
 
 def test_coherent_upper_bound_dominates_ground_energy():
     grid, params = harmonic_system(0.5)
-    from nelson_lab.fock_space import sector_basis
-    from nelson_lab.quantum_dynamics import assemble
     n = 3
     eps = params.charge ** 2 / n
-    ham = assemble(grid, params, eps, sector_basis(grid.n_sites, n),
-                   active_meson_basis(grid, params, 6))
-    e_q, _ = lowest_eigenpair(ham.h_total)
+    ham = FactoredHamiltonian(grid, params, eps, sector_basis(grid.n_sites, n),
+                              active_meson_basis(grid, params, 6))
+    e_q, _ = lowest_eigenpair(ham)
     rng = np.random.default_rng(2)
     for _ in range(5):
         z1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -108,5 +140,84 @@ def test_coherent_upper_bound_dominates_ground_energy():
 
 def test_theorem2_sweep_validates_input():
     grid, params = harmonic_system(0.5)
-    with pytest.raises(ValueError):
-        theorem2_sweep(grid, params, [0, 1], meson_cap=3)
+    for bad in ([0, 1], [1, 2.5], [1, float("nan")]):
+        with pytest.raises(ValueError):
+            theorem2_sweep(grid, params, bad, meson_cap=3)
+
+
+@pytest.mark.parametrize("grid, kind, n, cap", EVEN_CASES)
+def test_factored_standing_wave_operator_matches_plane_wave_assembly(
+        grid, kind, n, cap):
+    params = even_params(grid, kind)
+    op, plane = sector_pair(grid, params, n, cap)
+    dense = op.toarray()
+    assert op.dtype == np.float64 and dense.dtype == np.float64
+    # the same factors kron'd into CSR give the same matrix
+    standing = assemble(grid, params, op.eps, op.nucleon_basis,
+                        op.meson_basis).h_total
+    assert np.abs(dense - standing.toarray()).max() <= 1e-14
+    assert np.abs(dense - dense.T).max() == 0.0
+    # the pair rotation is unitary on the capped meson space
+    want = eigvalsh(plane.h_total.toarray())
+    assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
+    if kind == "gaussian":
+        assert {0, grid.n_sites // 2} <= set(op.meson_basis.modes)
+
+
+def test_uneven_coupling_gives_complex_operator_with_same_spectrum():
+    grid = Grid(4, np.pi)
+    params = harmonic_params(grid, np.array([0.0, 0.5, 0.0, 0.2]))
+    op, plane = sector_pair(grid, params, 3, 4)
+    assert op.dtype == np.complex128
+    dense = op.toarray()
+    standing = assemble(grid, params, op.eps, op.nucleon_basis,
+                        op.meson_basis).h_total
+    assert np.abs(dense - standing.toarray()).max() <= 1e-14
+    want = eigvalsh(plane.h_total.toarray())
+    assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
+    e_op, _ = lowest_eigenpair(op, method="lanczos")
+    e_plane, _ = lowest_eigenpair(plane.h_total, method="lanczos")
+    assert abs(e_op - e_plane) <= 1e-12
+    assert abs(e_op - want[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("grid, kind, n, cap", EVEN_CASES)
+def test_rotated_coherent_bound_equals_plane_wave_expectation(
+        grid, kind, n, cap):
+    params = even_params(grid, kind)
+    op, plane = sector_pair(grid, params, n, cap)
+    modes = plane.meson_basis.modes
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        z1 = rng.standard_normal(grid.n_sites) \
+            + 1j * rng.standard_normal(grid.n_sites)
+        z2 = np.zeros(grid.n_sites, dtype=complex)
+        z2[modes] = 0.3 * (rng.standard_normal(modes.size)
+                           + 1j * rng.standard_normal(modes.size))
+        v1, _ = coherent_state(grid, plane.nucleon_basis, z1, plane.eps)
+        v2, _ = coherent_state(grid, plane.meson_basis, z2, plane.eps)
+        phi = np.kron(v1, v2)
+        want = np.vdot(phi, plane.h_total @ phi).real
+        assert abs(coherent_upper_bound(op, z1, z2) - want) <= 1e-12
+
+
+def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
+    grid, params = harmonic_system(0.5)
+    op, plane = sector_pair(grid, params, 3, 7)
+    e_plane = eigvalsh(plane.h_total.toarray())[0]
+    seen = []
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix.dtype)
+        return lowest_eigenpair(matrix, *args, **kwargs)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called")
+
+    monkeypatch.setattr(ground_state, "lowest_eigenpair", spy)
+    monkeypatch.setattr(sp, "kron", no_kron)
+    for method in ("dense", "lanczos"):
+        report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=7,
+                                method=method)
+        assert abs(report.records[-1].e_quantum - e_plane) <= 1e-12
+    assert len(seen) == 8 and all(d == np.float64 for d in seen)

@@ -205,3 +205,16 @@ def test_bad_option_value_rejected():
     })
     with pytest.raises(ConfigInvalid):
         run_scenario(cfg, seed=0)
+
+
+@pytest.mark.parametrize("entry", [2.5, float("nan"), float("inf")],
+                         ids=["fraction", "nan", "infinity"])
+def test_n_values_entries_must_be_finite_integers(entry):
+    cfg = parse_config({
+        "grid": {"n_sites": 4, "half_length": PI},
+        "model": band_model(0.5, 1.0, 1.0),
+        "scenario": {"name": "theorem2", "n_values": [1, entry]},
+    })
+    with pytest.raises(ConfigInvalid) as err:
+        run_scenario(cfg, seed=0)
+    assert err.value.path == ".scenario.n_values[1]"
