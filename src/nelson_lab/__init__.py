@@ -26,8 +26,6 @@ from .fock_space import (
 )
 from .quantum_dynamics import (
     FactoredHamiltonian,
-    HamiltonianSet,
-    assemble,
     duhamel_check,
     propagate,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "sector_basis",
     "truncated_basis",
     "FactoredHamiltonian",
-    "HamiltonianSet",
-    "assemble",
     "duhamel_check",
     "propagate",
     "lowest_eigenpair",

@@ -11,7 +11,7 @@ Conventions used throughout the package:
   unitary between the two quadrature norms (Parseval holds exactly).
 
 The phase matrix E[m, j] = e^{-i k_m x_j} is precomputed once per grid and
-reused by the transforms, the interaction form factor, and the spectral
+reused by the transforms, the Duhamel B-operators, and the spectral
 kinetic matrix K = (1/G) E^H diag(k^2/2M) E.
 """
 
@@ -133,21 +133,6 @@ def covered_modes(grid: Grid, params: ModelParams, *fields) -> np.ndarray:
         mask = mask | (np.asarray(f) != 0)
     modes = np.nonzero(mask)[0]
     return modes if modes.size else np.array([grid.n_sites // 2])
-
-
-def coupling_form_factor(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Per-mode, per-site interaction weights.
-
-    Returns the complex array g with
-
-        g[m, j] = sqrt(dk) * (chi_m / sqrt(omega_m)) * exp(-i k_m x_j),
-
-    the coefficient of c_j^dag c_j b_m^dag in the interaction (its conjugate
-    multiplies b_m).  Raises DegenerateDispersion if chi is nonzero at a
-    mode whose dispersion lies below params.omega_floor.
-    """
-    weight = coupling_weight(grid, params)
-    return np.sqrt(grid.dk) * weight[:, None] * grid.phases
 
 
 def one_body_hamiltonian(grid: Grid, params: ModelParams) -> np.ndarray:

@@ -19,8 +19,8 @@ from .discretization import covered_modes
 from .errors import TruncationInsufficient
 from .fock_space import (coherent_state, ladder, occupation_cap,
                          tensor_state, truncated_basis)
-from .quantum_dynamics import (assemble, free_weyl_argument, full_weyl,
-                               propagate)
+from .quantum_dynamics import (FactoredHamiltonian, free_weyl_argument,
+                               full_weyl, propagate)
 
 
 def characteristic_function(state, handle):
@@ -117,7 +117,7 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
     errors = np.zeros((len(eps_values), len(t_values), len(xi_panel)))
     for a, eps in enumerate(eps_values):
         nb, mb = _bases_for(grid, params, eps, z0, tail_budget)
-        ham = assemble(grid, params, eps, nb, mb)
+        ham = FactoredHamiltonian(grid, params, eps, nb, mb)
         v1, d1 = coherent_state(grid, nb, z0.z1, eps)
         v2, d2 = coherent_state(grid, mb, z0.z2, eps)
         deficit = max(d1, d2)
@@ -166,7 +166,7 @@ def ehrenfest_track(grid, params, eps, z0, times, tail_budget=1e-4,
     if times.ndim != 1 or times.size == 0 or times[0] != 0.0:
         raise ValueError("times must start at 0")
     nb, mb = _bases_for(grid, params, eps, z0, tail_budget)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     v1, _ = coherent_state(grid, nb, z0.z1, eps)
     v2, _ = coherent_state(grid, mb, z0.z2, eps)
     state = tensor_state(v1, v2, nb, mb, eps)

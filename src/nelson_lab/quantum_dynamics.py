@@ -6,7 +6,7 @@ The scaled Hamiltonian is H = dGamma1(h1) (x) I + I (x) dGamma2(omega)
 Conjugating the coupling with a Weyl operator expands in eps:
 (i/eps)(W(xi)* H_c W(xi) - H_c) = B0 + eps B1 + eps^2 B2, and the
 time-dependent characteristic function obeys an exact integral identity
-with the freely evolved argument xi(s); both are assembled here.
+with the freely evolved argument xi(s); both are built here.
 """
 
 from __future__ import annotations
@@ -16,121 +16,70 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, expm_multiply
+from scipy.sparse.linalg import expm_multiply
 
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
-from .fock_space import (FockBasis, OperatorHandle, QuantumState,
-                         coupling_factors, coupling_weight_on, creation_half,
-                         dgamma_diagonal, interaction_halves, ladder,
-                         second_quantize, smeared_annihilator,
-                         weyl_generator)
+from .fock_space import (OperatorHandle, ProductOperator, QuantumState,
+                         _core_projector, _site_profiles, coupling_factors,
+                         coupling_weight_on, dgamma_diagonal, ladder,
+                         number_weight_diagonal, second_quantize,
+                         smeared_annihilator, weyl_generator)
 
 
-class FactoredHamiltonian(LinearOperator):
-    """H = dGamma1(h1) (x) I + I (x) diag(eps n.omega)
-    + sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p) (x) a_p], kept as
-    its factors and applied to the state reshaped to P (dimN x dimM):
-    H P = dGamma1(h1) P + P diag(eps n.omega)
-    + sum_p [diag(rho_p) P (a_p*)^T + diag(conj rho_p) P a_p^T].
-    No product-space matrix is built.  The dtype is that of the factors:
-    real in a standing-wave meson basis for a coupling even in k."""
+class FactoredHamiltonian(ProductOperator):
+    """H = dGamma1(h1) (x) I + I (x) diag(eps n.omega) + H_c as a
+    `ProductOperator`.  With rho_p = r_p + i s_p and real ladders, the
+    coupling H_c = sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p) (x) a_p]
+    is kept as the pairs (r_p, a_p + a_p^T) and, for complex profiles,
+    (i s_p, a_p^T - a_p); `coupling` is H_c alone.  The dtype is that of
+    the factors: real in a standing-wave meson basis for a coupling even
+    in k."""
 
     def __init__(self, grid, params, eps, nucleon_basis, meson_basis):
-        self.grid, self.eps = grid, eps
+        self.grid, self.params, self.eps = grid, params, eps
         self.nucleon_basis, self.meson_basis = nucleon_basis, meson_basis
         omega = dispersion(grid.k, params.meson_mass)
         self.dg1 = second_quantize(
             nucleon_basis, one_body_hamiltonian(grid, params), eps)
-        self.meson_diag = eps * (meson_basis.occupations
-                                 @ omega[meson_basis.modes])
-        self.profiles, self.ladders = coupling_factors(
+        self.meson_diag = dgamma_diagonal(meson_basis,
+                                          omega[meson_basis.modes], eps)
+        _, self.profiles, self.ladders = coupling_factors(
             grid, params, eps, nucleon_basis, meson_basis)
-        # with rho = r + i s and real ladders, the coupling of slot p is
-        # r P (a_p + a_p^T) + i s P (a_p - a_p^T)
-        self._right = [(a + a.T, a - a.T) for a in self.ladders]
-        dim = nucleon_basis.dim * meson_basis.dim
-        super().__init__(np.result_type(self.dg1.dtype, self.profiles.dtype),
-                         (dim, dim))
-
-    def _matvec(self, v):
-        p = v.reshape(self.nucleon_basis.dim, self.meson_basis.dim)
-        out = self.dg1 @ p + p * self.meson_diag
-        for rho, (plus, minus) in zip(self.profiles, self._right):
-            out = out + rho.real[:, None] * (p @ plus)
+        coupling = []
+        for rho, a in zip(self.profiles, self.ladders):
+            coupling.append((rho.real, a + a.T))
             if np.iscomplexobj(rho):
-                out = out + 1j * rho.imag[:, None] * (p @ minus)
-        return out.ravel()
-
-    def toarray(self):
-        """Dense matrix, one matvec per column; for small dims and tests."""
-        return self.matmat(np.eye(self.shape[0], dtype=self.dtype))
-
-
-@dataclass
-class HamiltonianSet:
-    """Assembled sparse Hamiltonians over a product basis."""
-
-    grid: object
-    params: object
-    eps: float
-    nucleon_basis: FockBasis
-    meson_basis: FockBasis
-    h_free: sp.csr_matrix
-    h_coupling: sp.csr_matrix
-    h_total: sp.csr_matrix
-
-    @property
-    def dim(self):
-        return self.nucleon_basis.dim * self.meson_basis.dim
+                coupling.append((1j * rho.imag, a.T - a))
+        dims = (nucleon_basis.dim, meson_basis.dim)
+        self.coupling = ProductOperator(coupling, dims)
+        super().__init__([(self.dg1, None), (None, self.meson_diag)]
+                         + coupling, dims)
 
 
-def assemble(grid, params, eps, nucleon_basis, meson_basis):
-    """Free, coupling, and total Hamiltonians on the product basis, as
-    CSR krons of the `FactoredHamiltonian` factors."""
-    factors = FactoredHamiltonian(grid, params, eps, nucleon_basis,
-                                  meson_basis)
-    h_free = (sp.kron(factors.dg1, sp.identity(meson_basis.dim, format="csr"))
-              + sp.diags(np.tile(factors.meson_diag, nucleon_basis.dim))
-              ).tocsr()
-    creation = creation_half(factors.profiles, factors.ladders,
-                             meson_basis.dim)
-    h_coupling = (creation + creation.getH()).tocsr()
-    return HamiltonianSet(grid, params, eps, nucleon_basis, meson_basis,
-                          h_free, h_coupling,
-                          (h_free + h_coupling).tocsr())
-
-
-def number_weight_diagonal(nucleon_basis, meson_basis, eps):
-    """Diagonal of N1^2 + N2 + eps on the product basis."""
-    n1 = eps * nucleon_basis.occupations.sum(axis=1).astype(float)
-    n2 = eps * meson_basis.occupations.sum(axis=1).astype(float)
-    return (np.repeat(n1 ** 2, meson_basis.dim)
-            + np.tile(n2, nucleon_basis.dim) + eps)
-
-
-def _evolve(ham, psi, dt):
-    """exp(-i dt H/eps) psi by the truncated Taylor method of Al-Mohy and
+def _evolve(h, eps, psi, dt):
+    """exp(-i dt h/eps) psi by the truncated Taylor method of Al-Mohy and
     Higham (scipy's expm_multiply), accurate to double precision."""
-    return expm_multiply((-1j * dt / ham.eps) * ham.h_total, psi)
+    return expm_multiply((-1j * dt / eps) * h, psi)
 
 
 def propagate(ham, state, times):
     """States exp(-i t H/eps) psi0 at the requested times (increasing,
-    starting at or after zero)."""
+    starting at or after zero), stepped on the CSR matrix `ham.tocsr()`."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
+    h = ham.tocsr()
     out = []
     psi = state.vec.copy()
     prev = 0.0
     for t in times:
         if t > prev:
-            psi = _evolve(ham, psi, t - prev)
+            psi = _evolve(h, ham.eps, psi, t - prev)
             prev = t
         out.append(QuantumState(psi.copy(), ham.nucleon_basis,
                                 ham.meson_basis, ham.eps))
@@ -155,15 +104,22 @@ def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2):
 
 
 def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
-    """Coefficients of the Weyl-conjugated coupling, as sparse matrices:
+    """Coefficients of the Weyl-conjugated coupling, as product operators:
     W(xi)* H_c W(xi) = H_c - i eps (B0 + eps B1 + eps^2 B2).
 
-    All three are anti-Hermitian; B2 is a purely imaginary scalar.
+    With G_p = sqrt(dk) g_p the site profile of meson slot p (see
+    `_site_profiles`), B0 = -(1/sqrt2) [sum_p (L_p (x) a_p* - L_p* (x) a_p)
+    + dGamma1(S) (x) I] with L_p = psi*(xi1 G_p) - psi(xi1 conj G_p), and
+    B1 = -(i/2) [(psi*(S xi1) + psi(S xi1)) (x) I - I (x) sum_p (mu_p a_p*
+    + conj(mu_p) a_p)] with mu_p = dx sum_j G_p(x_j) |xi1_j|^2.  Both are
+    linear in the slot profile, so they hold in plane-wave and
+    standing-wave meson bases alike.  All three are anti-Hermitian; B2 is
+    a purely imaginary scalar.
     """
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     w = coupling_weight_on(grid, params, meson_basis)
-    modes = meson_basis.modes
+    g = np.sqrt(grid.dk) * _site_profiles(grid, w, meson_basis)
     phases = grid.phases
     # site profile S_j = sum_m dk w_m (xi2_m e^{+i k_m x_j} - c.c.)
     s_plus = grid.dk * (w * xi2) @ np.conj(phases)
@@ -174,37 +130,22 @@ def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
     def psi(f):
         return smeared_annihilator(nucleon_basis, f, grid.dx, eps)
 
-    def psi_star(f):
-        return psi(f).getH()
-
-    dim_n, dim_m = nucleon_basis.dim, meson_basis.dim
-    dim = dim_n * dim_m
-    id_n = sp.identity(dim_n, format="csr")
-    id_m = sp.identity(dim_m, format="csr")
-    t1 = sp.csr_matrix((dim, dim), dtype=complex)
-    t2 = sp.csr_matrix((dim, dim), dtype=complex)
-    third = sp.csr_matrix((dim_m, dim_m), dtype=complex)
-    for p, m in enumerate(modes):
-        if w[m] == 0:
-            continue
-        e_m = phases[m]
+    scale = -1.0 / np.sqrt(2.0)
+    b0 = [(scale * dgamma_diagonal(nucleon_basis, s_site, eps), None)]
+    third = sp.csr_matrix((meson_basis.dim, meson_basis.dim), dtype=complex)
+    for p in np.nonzero(np.any(g != 0, axis=1))[0]:
         a_p = ladder(meson_basis, p, eps)
-        adag_p = a_p.getH()
-        c = np.sqrt(grid.dk) * w[m]
-        t1 = t1 + c * (sp.kron(psi_star(xi1 * e_m), adag_p)
-                       + sp.kron(psi_star(xi1 * np.conj(e_m)), a_p))
-        t2 = t2 + c * (sp.kron(psi(xi1 * np.conj(e_m)), adag_p)
-                       + sp.kron(psi(xi1 * e_m), a_p))
-        third = third + c * (rho_xi[m] * adag_p
-                             + np.conj(rho_xi[m]) * a_p)
-    t3 = sp.kron(dgamma_diagonal(nucleon_basis, s_site, eps), id_m)
-    b0 = -(1.0 / np.sqrt(2.0)) * (t1 - t2 + t3)
-    nucleon_part = psi_star(s_site * xi1) + psi(s_site * xi1)
-    b1 = -0.5j * (sp.kron(nucleon_part, id_m) - sp.kron(id_n, third))
+        left = scale * (psi(xi1 * g[p]).getH() - psi(xi1 * np.conj(g[p])))
+        b0 += [(left, a_p.T), (-left.getH(), a_p)]
+        mu = grid.dx * (g[p] @ np.abs(xi1) ** 2)
+        third = third + mu * a_p.T + np.conj(mu) * a_p
+    field = psi(s_site * xi1)
+    b1 = [(-0.5j * (field.getH() + field), None), (None, 0.5j * third)]
     b2_scalar = -(1j / np.sqrt(2.0)) * np.imag(
         grid.dk * np.sum(w * xi2 * np.conj(rho_xi)))
-    b2 = b2_scalar * sp.identity(dim, format="csr", dtype=complex)
-    return b0.tocsr(), b1.tocsr(), b2.tocsr()
+    b2 = [(np.full(nucleon_basis.dim, b2_scalar), None)]
+    dims = (nucleon_basis.dim, meson_basis.dim)
+    return tuple(ProductOperator(terms, dims) for terms in (b0, b1, b2))
 
 
 def b_expansion_residual(grid, params, eps, nucleon_basis, meson_basis,
@@ -215,25 +156,16 @@ def b_expansion_residual(grid, params, eps, nucleon_basis, meson_basis,
     everything dense, projected onto states at least `core_margin` quanta
     below the caps in each factor.
     """
-    w1 = expm(weyl_generator(grid, nucleon_basis,
-                             np.asarray(xi1, complex), eps).toarray())
-    w2 = expm(weyl_generator(grid, meson_basis,
-                             np.asarray(xi2, complex), eps).toarray())
-    w_full = np.kron(w1, w2)
-    creation, annihilation = interaction_halves(
-        grid, params, eps, nucleon_basis, meson_basis)
-    h_c = (creation + annihilation).toarray()
+    w_full = full_weyl(grid, eps, nucleon_basis, meson_basis,
+                       xi1, xi2).to_dense()
+    h_c = FactoredHamiltonian(grid, params, eps, nucleon_basis,
+                              meson_basis).coupling.toarray()
     b0, b1, b2 = b_operators(grid, params, eps, nucleon_basis, meson_basis,
                              xi1, xi2)
     lhs = (1j / eps) * (w_full.conj().T @ h_c @ w_full - h_c)
-    rhs = (b0 + eps * b1 + eps ** 2 * b2).toarray()
-    keep_n = (nucleon_basis.occupations.sum(axis=1)
-              <= nucleon_basis.cap - core_margin[0]).astype(float)
-    keep_m = (meson_basis.occupations.sum(axis=1)
-              <= meson_basis.cap - core_margin[1]).astype(float)
-    core = np.kron(keep_n, keep_m)
-    if not np.any(core):
-        raise ValueError("core margins remove every state")
+    rhs = b0.toarray() + eps * b1.toarray() + eps ** 2 * b2.toarray()
+    core = np.kron(_core_projector(nucleon_basis, core_margin[0]),
+                   _core_projector(meson_basis, core_margin[1]))
     res = core[:, None] * (lhs - rhs) * core[None, :]
     return float(np.linalg.norm(res, 2))
 
@@ -280,6 +212,7 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     nb, mb = ham.nucleon_basis, ham.meson_basis
     nodes = np.linspace(0.0, t, n_nodes)
 
+    h = ham.tocsr()
     w0 = full_weyl(grid, eps, nb, mb, xi1, xi2)
     psi = state0.vec.copy()
     char_initial = complex(np.vdot(psi, w0.apply(psi)))
@@ -287,7 +220,7 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     vals = np.zeros((3, n_nodes), dtype=complex)
     for i, s in enumerate(nodes):
         if i > 0:
-            psi = _evolve(ham, psi, nodes[i] - nodes[i - 1])
+            psi = _evolve(h, eps, psi, nodes[i] - nodes[i - 1])
         z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
         b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s)
         w_s = full_weyl(grid, eps, nb, mb, z1s, z2s)
@@ -327,7 +260,7 @@ def gronwall_bound_check(ham, delta, t, n_samples=200, seed=0,
     m_delta = max(2.0 + eps, 1.0 + (1.0 + eps) ** delta)
     bound = np.exp(m_delta * np.sqrt(eps) * abs(delta) * abs(t) * chi_norm)
     tvec = number_weight_diagonal(ham.nucleon_basis, ham.meson_basis, eps)
-    u = expm(-1j * t * ham.h_total.toarray() / eps)
+    u = expm(-1j * t * ham.toarray() / eps)
     weighted = (tvec ** delta)[:, None] * u * (tvec ** -delta)[None, :]
     op_ratio = float(np.linalg.norm(weighted, 2)) / bound
     rng = np.random.default_rng(seed)

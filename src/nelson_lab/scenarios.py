@@ -19,8 +19,8 @@ from .fock_space import (check_relative_bounds, coherent_state,
                          truncated_basis, weyl_conjugation_identities)
 from .ground_state import theorem2_sweep
 from .limit_harness import ehrenfest_track, theorem1_sweep
-from .quantum_dynamics import (assemble, b_expansion_residual, duhamel_check,
-                               gronwall_bound_check)
+from .quantum_dynamics import (FactoredHamiltonian, b_expansion_residual,
+                               duhamel_check, gronwall_bound_check)
 
 
 def _reject_unknown(options, known):
@@ -155,7 +155,7 @@ def run_duhamel(cfg: RunConfig, seed: int):
     modes = covered_modes(grid, params, state0.z2, xi2)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     v1, d1 = coherent_state(grid, nb, state0.z1, eps)
     v2, d2 = coherent_state(grid, mb, state0.z2, eps)
     state = tensor_state(v1, v2, nb, mb, eps)
@@ -331,7 +331,7 @@ def run_property_suite(cfg: RunConfig, seed: int):
         record(f"bound_resolvent_{trial}", ratio, 1.0 + 1e-9,
                ratio <= 1.0 + 1e-9)
 
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     gronwall = gronwall_bound_check(ham, delta, t, n_samples=n_samples,
                                     seed=seed)
     record("gronwall_operator_ratio", gronwall["operator_ratio"], 1.01,

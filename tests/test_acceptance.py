@@ -15,6 +15,8 @@ pass/fail line per property.  Criteria:
     order
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -36,7 +38,7 @@ from nelson_lab.fock_space import (QuantumState, check_relative_bounds,
                                    weyl_conjugation_identities)
 from nelson_lab.ground_state import lowest_eigenpair, theorem2_sweep
 from nelson_lab.limit_harness import theorem1_sweep
-from nelson_lab.quantum_dynamics import (HamiltonianSet, assemble,
+from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
                                          b_expansion_residual, duhamel_check,
                                          gronwall_bound_check, propagate)
 
@@ -58,7 +60,7 @@ def tiny_coupled_system(eps=0.5, caps=(8, 10)):
     modes = np.nonzero(coupling_weight(grid, params) != 0)[0]
     nb = truncated_basis(grid.n_sites, caps[0])
     mb = truncated_basis(modes.size, caps[1], modes=modes)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     return grid, params, nb, mb, ham
 
 
@@ -93,10 +95,9 @@ def test_criterion_01_coherent_energy_identity():
         cap = occupation_cap(grid.norm_k(z2) ** 2 / eps, 1e-8) + 2
         nb = sector_basis(grid.n_sites, n)
         mb = truncated_basis(modes.size, cap, modes=modes)
-        ham = assemble(grid, params, eps, nb, mb)
+        ham = FactoredHamiltonian(grid, params, eps, nb, mb)
         state, deficit = coherent_product(grid, nb, mb, eps, z1, z2)
-        e_quantum = float(np.real(
-            np.vdot(state.vec, ham.h_total @ state.vec)))
+        e_quantum = float(np.real(np.vdot(state.vec, ham @ state.vec)))
         h_classical = evaluate_h(grid, params, FieldState(z1, z2)).total
         dev = abs(e_quantum - h_classical) / (1.0 + abs(h_classical))
         worst_dev = max(worst_dev, dev)
@@ -132,11 +133,11 @@ def test_criterion_02_conservation_suite():
     grid_q, _, nb, mb, ham = tiny_coupled_system()
     z1q, z2q = tiny_fields(grid_q)
     state, _ = coherent_product(grid_q, nb, mb, ham.eps, z1q, z2q)
-    e0 = float(np.real(np.vdot(state.vec, ham.h_total @ state.vec)))
+    e0 = float(np.real(np.vdot(state.vec, ham @ state.vec)))
     norm_drift, q_energy_drift = 0.0, 0.0
     for snap in propagate(ham, state, [0.25, 0.5, 1.0]):
         norm_drift = max(norm_drift, abs(snap.norm() - 1.0))
-        e_t = float(np.real(np.vdot(snap.vec, ham.h_total @ snap.vec)))
+        e_t = float(np.real(np.vdot(snap.vec, ham @ snap.vec)))
         q_energy_drift = max(q_energy_drift,
                              abs(e_t - e0) / (1.0 + abs(e0)))
     assert norm_drift <= 1e-10
@@ -376,7 +377,8 @@ def test_criterion_09_numerical_oracles():
     v /= np.linalg.norm(v)
     t = 0.8
     dense = scipy.linalg.expm(-1j * t * h.toarray()) @ v
-    ham = HamiltonianSet(None, None, 1.0, None, None, None, None, h)
+    ham = SimpleNamespace(eps=1.0, nucleon_basis=None, meson_basis=None,
+                          tocsr=lambda: h)
     (evolved,) = propagate(ham, QuantumState(v, None, None, 1.0), [t])
     propagator_err = float(np.linalg.norm(evolved.vec - dense))
     assert propagator_err <= 1e-9

@@ -1,4 +1,4 @@
-"""Grid conventions, transforms, dispersion, form factor, one-body operator."""
+"""Grid conventions, transforms, dispersion, coupling profiles, one-body operator."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +9,13 @@ from nelson_lab.discretization import (
     ModelParams,
     chi_gaussian,
     chi_sharp_band,
-    coupling_form_factor,
     coupling_weight,
     dispersion,
     one_body_hamiltonian,
     potential_preset,
 )
 from nelson_lab.errors import DegenerateDispersion
+from nelson_lab.fock_space import _site_profiles, truncated_basis
 
 
 def make_params(grid, **kw):
@@ -82,13 +82,20 @@ class TestDispersion:
         assert dispersion(0.0, 0.0) == 0.0
 
 
+def plane_wave_profiles(g, p):
+    """sqrt(dk) g[m, j]: the coupling profiles the operators use, over
+    plane waves on every mode."""
+    basis = truncated_basis(g.n_sites, 1, modes=np.arange(g.n_sites))
+    return np.sqrt(g.dk) * _site_profiles(g, coupling_weight(g, p), basis)
+
+
 class TestFormFactor:
     def test_matches_elementwise_oracle(self):
         g = Grid(8, np.pi)
         rng = np.random.default_rng(11)
         chi = rng.standard_normal(8)
         p = make_params(g, chi=chi, meson_mass=0.7)
-        got = coupling_form_factor(g, p)
+        got = plane_wave_profiles(g, p)
         omega = np.sqrt(g.k**2 + 0.7**2)
         for m in range(8):
             for j in range(8):
@@ -105,7 +112,7 @@ class TestFormFactor:
         chi = np.zeros(4)
         chi[0] = 1.0
         p = make_params(g, chi=chi, meson_mass=1.0)
-        got = coupling_form_factor(g, p)
+        got = plane_wave_profiles(g, p)
         npt.assert_allclose(got[0], np.ones(4))  # sqrt(1)*1/sqrt(1)*e^0
         npt.assert_allclose(got[1:], 0.0)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from math import comb, factorial
 from scipy.stats import poisson
 
@@ -10,11 +11,12 @@ from nelson_lab.discretization import (
     potential_preset)
 from nelson_lab.errors import SectorBasisUnsupported, TruncationInsufficient
 from nelson_lab.fock_space import (
-    FockBasis, QuantumState, check_relative_bounds, coherent_state,
-    dgamma_diagonal, interaction_halves, ladder, number_operator,
-    occupation_cap, resolvent_bound_ratio, second_quantize, sector_basis,
-    smeared_annihilator, tensor_state, truncated_basis, weyl,
+    FockBasis, ProductOperator, QuantumState, check_relative_bounds,
+    coherent_state, coupling_factors, dgamma_diagonal, ladder,
+    number_operator, occupation_cap, resolvent_bound_ratio, second_quantize,
+    sector_basis, smeared_annihilator, tensor_state, truncated_basis, weyl,
     weyl_conjugation_identities)
+from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
 def small_model(grid, amplitude=0.5):
@@ -95,8 +97,8 @@ def test_number_operators():
     per = number_operator(basis, eps, mode=1).toarray()
     assert np.allclose(np.diag(per), eps * basis.occupations[:, 1])
     vals = np.array([2.0, -1.0, 0.5])
-    dg = dgamma_diagonal(basis, vals, eps).toarray()
-    assert np.allclose(np.diag(dg), eps * basis.occupations @ vals)
+    dg = dgamma_diagonal(basis, vals, eps)
+    assert np.allclose(dg, eps * basis.occupations @ vals)
 
 
 def test_second_quantize_against_ladder_products():
@@ -147,19 +149,51 @@ def test_interaction_halves_against_explicit_assembly():
     w = coupling_weight(grid, params)
     modes = np.nonzero(w != 0)[0]
     mb = truncated_basis(modes.size, 3, modes=modes)
-    creation, annihilation = interaction_halves(grid, params, eps, nb, mb)
+    coupling = FactoredHamiltonian(grid, params, eps, nb, mb).coupling
 
     dim = nb.dim * mb.dim
-    want = np.zeros((dim, dim), dtype=complex)
+    creation = np.zeros((dim, dim), dtype=complex)
     for p, m in enumerate(modes):
         rho = nb.occupations @ grid.phases[m]
         d_m = np.diag(eps * rho)
         adag = ladder(mb, p, eps).getH().toarray()
-        want += np.sqrt(grid.dk) * w[m] * np.kron(d_m, adag)
-    assert np.allclose(creation.toarray(), want, atol=1e-13)
-    assert abs(annihilation - creation.getH()).max() == 0
-    full = creation + annihilation
-    assert abs(full - full.getH()).max() <= 1e-13
+        creation += np.sqrt(grid.dk) * w[m] * np.kron(d_m, adag)
+    want = creation + creation.conj().T
+    full = coupling.toarray()
+    assert np.allclose(full, want, rtol=0, atol=1e-13)
+    assert np.abs(coupling.tocsr().toarray() - full).max() <= 1e-14
+    assert np.abs(full - full.conj().T).max() <= 1e-13
+
+
+def test_product_operator_matches_kron_of_its_factors():
+    # every factor kind, with non-symmetric sparse factors so that a
+    # missing transpose shows
+    rng = np.random.default_rng(12)
+    dims = (5, 3)
+    left = sp.random(5, 5, density=0.5, random_state=1, format="csr")
+    right = sp.random(3, 3, density=0.6, random_state=2, format="csr")
+    diag_n = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    diag_m = rng.standard_normal(3)
+    terms = [(left, right), (None, right.T), (left, None), (diag_n, right),
+             (left, diag_m), (diag_n, None), (None, None)]
+    op = ProductOperator(terms, dims)
+
+    def dense(factor, n):
+        if factor is None:
+            return np.eye(n)
+        return np.diag(factor) if factor.ndim == 1 else factor.toarray()
+
+    want = sum(np.kron(dense(a, dims[0]), dense(b, dims[1]))
+               for a, b in terms)
+    assert op.dtype == np.complex128 and op.dim == 15
+    assert np.abs(op.toarray() - want).max() <= 1e-14
+    assert np.abs(op.tocsr().toarray() - want).max() <= 1e-14
+    for v in (rng.standard_normal(15),
+              rng.standard_normal(15) + 1j * rng.standard_normal(15)):
+        assert np.linalg.norm(op @ v - want @ v) <= 1e-13
+    # a coupling-free model leaves the coupling with no pairs at all
+    empty = ProductOperator([], dims)
+    assert not np.any(empty @ v) and empty.tocsr().nnz == 0
 
 
 def test_interaction_requires_covering_modes():
@@ -168,7 +202,7 @@ def test_interaction_requires_covering_modes():
     nb = truncated_basis(grid.n_sites, 1)
     mb = truncated_basis(1, 2, modes=np.array([0]))  # k=0 mode carries no chi
     with pytest.raises(ValueError):
-        interaction_halves(grid, params, 0.5, nb, mb)
+        coupling_factors(grid, params, 0.5, nb, mb)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from nelson_lab.fock_space import (coherent_state, sector_basis,
 from nelson_lab.ground_state import (
     active_meson_basis, coherent_upper_bound, lowest_eigenpair,
     theorem2_sweep)
-from nelson_lab.quantum_dynamics import FactoredHamiltonian, assemble
+from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
 def random_sparse_hermitian(dim, density, seed):
@@ -40,14 +40,14 @@ def harmonic_params(grid, chi):
 
 def sector_pair(grid, params, n, cap):
     """The factored sector operator in the standing-wave basis, and the
-    CSR Hamiltonian assembled over plane waves on the same modes."""
+    same operator over plane waves on the same modes."""
     eps = params.charge ** 2 / n
     nb = sector_basis(grid.n_sites, n)
     modes = covered_modes(grid, params)
     op = FactoredHamiltonian(grid, params, eps, nb,
                              active_meson_basis(grid, params, cap))
-    plane = assemble(grid, params, eps, nb,
-                     truncated_basis(modes.size, cap, modes=modes))
+    plane = FactoredHamiltonian(grid, params, eps, nb,
+                                truncated_basis(modes.size, cap, modes=modes))
     return op, plane
 
 
@@ -153,12 +153,11 @@ def test_factored_standing_wave_operator_matches_plane_wave_assembly(
     dense = op.toarray()
     assert op.dtype == np.float64 and dense.dtype == np.float64
     # the same factors kron'd into CSR give the same matrix
-    standing = assemble(grid, params, op.eps, op.nucleon_basis,
-                        op.meson_basis).h_total
+    standing = op.tocsr()
     assert np.abs(dense - standing.toarray()).max() <= 1e-14
     assert np.abs(dense - dense.T).max() == 0.0
     # the pair rotation is unitary on the capped meson space
-    want = eigvalsh(plane.h_total.toarray())
+    want = eigvalsh(plane.tocsr().toarray())
     assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
     if kind == "gaussian":
         assert {0, grid.n_sites // 2} <= set(op.meson_basis.modes)
@@ -170,13 +169,12 @@ def test_uneven_coupling_gives_complex_operator_with_same_spectrum():
     op, plane = sector_pair(grid, params, 3, 4)
     assert op.dtype == np.complex128
     dense = op.toarray()
-    standing = assemble(grid, params, op.eps, op.nucleon_basis,
-                        op.meson_basis).h_total
+    standing = op.tocsr()
     assert np.abs(dense - standing.toarray()).max() <= 1e-14
-    want = eigvalsh(plane.h_total.toarray())
+    want = eigvalsh(plane.tocsr().toarray())
     assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
     e_op, _ = lowest_eigenpair(op, method="lanczos")
-    e_plane, _ = lowest_eigenpair(plane.h_total, method="lanczos")
+    e_plane, _ = lowest_eigenpair(plane.tocsr(), method="lanczos")
     assert abs(e_op - e_plane) <= 1e-12
     assert abs(e_op - want[0]) <= 1e-12
 
@@ -187,6 +185,7 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
     params = even_params(grid, kind)
     op, plane = sector_pair(grid, params, n, cap)
     modes = plane.meson_basis.modes
+    h_plane = plane.tocsr()
     rng = np.random.default_rng(7)
     for _ in range(4):
         z1 = rng.standard_normal(grid.n_sites) \
@@ -197,14 +196,14 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
         v1, _ = coherent_state(grid, plane.nucleon_basis, z1, plane.eps)
         v2, _ = coherent_state(grid, plane.meson_basis, z2, plane.eps)
         phi = np.kron(v1, v2)
-        want = np.vdot(phi, plane.h_total @ phi).real
+        want = np.vdot(phi, h_plane @ phi).real
         assert abs(coherent_upper_bound(op, z1, z2) - want) <= 1e-12
 
 
 def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
     grid, params = harmonic_system(0.5)
     op, plane = sector_pair(grid, params, 3, 7)
-    e_plane = eigvalsh(plane.h_total.toarray())[0]
+    e_plane = eigvalsh(plane.tocsr().toarray())[0]
     seen = []
 
     def spy(matrix, *args, **kwargs):

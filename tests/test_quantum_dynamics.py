@@ -1,5 +1,7 @@
 """Coupled dynamics on truncated product bases."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,15 +10,16 @@ from scipy.linalg import expm
 from nelson_lab.classical_energy import evaluate_h
 from nelson_lab.classical_dynamics import FieldState
 from nelson_lab.discretization import (
-    Grid, ModelParams, chi_sharp_band, coupling_weight, potential_preset)
+    Grid, ModelParams, chi_sharp_band, coupling_weight, covered_modes,
+    potential_preset)
 from nelson_lab.errors import StepSizeRejected
 from nelson_lab.fock_space import (
-    QuantumState, coherent_state, tensor_state, truncated_basis,
-    weyl_generator)
+    QuantumState, check_relative_bounds, coherent_state, tensor_state,
+    truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
-    HamiltonianSet, assemble, b_expansion_residual, b_operators,
-    duhamel_check, free_weyl_argument, full_weyl, gronwall_bound_check,
+    FactoredHamiltonian, b_expansion_residual, b_operators, duhamel_check,
+    free_weyl_argument, full_weyl, gronwall_bound_check,
     number_weight_diagonal, propagate)
 
 
@@ -32,7 +35,7 @@ def make_system(n_sites, half_length, chi_amp, band, caps, eps):
     if modes.size == 0:
         modes = np.array([1])
     mb = truncated_basis(modes.size, caps[1], modes=modes)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     return grid, params, nb, mb, ham
 
 
@@ -55,10 +58,15 @@ def tiny_fields(grid):
     return z1, z2
 
 
+def free_part(ham):
+    """H0 = H - H_c, dense."""
+    return ham.toarray() - ham.coupling.toarray()
+
+
 def test_assembled_hamiltonians_hermitian():
     _, _, _, _, ham = tiny_system()
-    for mat in (ham.h_free, ham.h_coupling, ham.h_total):
-        assert abs(mat - mat.getH()).max() <= 1e-12
+    for mat in (free_part(ham), ham.coupling.toarray(), ham.toarray()):
+        assert np.abs(mat - mat.conj().T).max() <= 1e-12
 
 
 def test_coherent_energy_matches_classical_functional():
@@ -73,13 +81,13 @@ def test_coherent_energy_matches_classical_functional():
     nb = truncated_basis(4, 10)
     modes = np.nonzero(coupling_weight(grid, params) != 0)[0]
     mb = truncated_basis(modes.size, 12, modes=modes)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     z1 = 0.3 * np.array([1.0, 0.5 + 0.5j, -0.3, 0.2j])
     z2 = np.zeros(4, dtype=complex)
     z2[modes] = [0.2 - 0.1j, 0.15j]
     state, deficit = coherent_initial(grid, nb, mb, eps, z1, z2)
     assert deficit <= 1e-10
-    e_quantum = np.vdot(state.vec, ham.h_total @ state.vec).real
+    e_quantum = np.vdot(state.vec, ham @ state.vec).real
     e_classical = evaluate_h(grid, params, FieldState(z1, z2)).total
     assert abs(e_quantum - e_classical) <= 1e-6 * (1.0 + abs(e_classical))
     # scaled nucleon number reproduces the classical charge
@@ -93,10 +101,10 @@ def test_propagation_conserves_norm_and_energy():
     grid, _, nb, mb, ham = tiny_system()
     z1, z2 = tiny_fields(grid)
     state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
-    e0 = np.vdot(state.vec, ham.h_total @ state.vec).real
+    e0 = np.vdot(state.vec, ham @ state.vec).real
     for snap in propagate(ham, state, [0.25, 0.5, 1.0]):
         assert abs(snap.norm() - 1.0) <= 1e-10
-        e_t = np.vdot(snap.vec, ham.h_total @ snap.vec).real
+        e_t = np.vdot(snap.vec, ham @ snap.vec).real
         assert abs(e_t - e0) <= 1e-9 * (1.0 + abs(e0))
 
 
@@ -107,8 +115,8 @@ def random_hermitian(rng, n, scale=1.0):
 
 def propagated(h, v, t):
     """exp(-i t h) v by `propagate`, with h standing in for H/eps."""
-    ham = HamiltonianSet(None, None, 1.0, None, None, None, None,
-                         sp.csr_matrix(h))
+    ham = SimpleNamespace(eps=1.0, nucleon_basis=None, meson_basis=None,
+                          tocsr=lambda: sp.csr_matrix(h))
     return propagate(ham, QuantumState(v, None, None, 1.0), [t])[0].vec
 
 
@@ -172,8 +180,9 @@ def test_propagation_ignores_global_random_state():
     grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0),
                                        (9, 6), eps)
     assert ham.dim == 20020
-    mu = ham.h_total.diagonal().mean()
-    shifted = ham.h_total - mu * sp.identity(ham.dim)
+    h = ham.tocsr()
+    mu = h.diagonal().mean()
+    shifted = h - mu * sp.identity(ham.dim)
     assert abs(shifted).sum(axis=0).max() / eps > 63.36
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
     z2 = np.zeros(4, dtype=complex)
@@ -197,10 +206,10 @@ def test_sweep_matches_dense_interaction_picture_route():
     (cap_n, cap_m), = report.caps
     nb = truncated_basis(grid.n_sites, cap_n)
     mb = truncated_basis(coupled.modes.size, cap_m, modes=coupled.modes)
-    ham = assemble(grid, params, eps, nb, mb)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     assert report.dims == (ham.dim,)
     state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
-    h_total, h_free = ham.h_total.toarray(), ham.h_free.toarray()
+    h_total, h_free = ham.toarray(), free_part(ham)
     panel = default_xi_panel(grid, mb.modes)
     id_n, id_m = np.eye(nb.dim), np.eye(mb.dim)
     for b, t in enumerate(t_values):
@@ -254,7 +263,7 @@ def test_free_conjugation_of_weyl_is_free_flow_of_argument():
     xi2[mb.modes] = 0.4 * (rng.standard_normal(mb.modes.size)
                            + 1j * rng.standard_normal(mb.modes.size))
     t = 0.7
-    u0 = expm(-1j * t * ham.h_free.toarray() / ham.eps)
+    u0 = expm(-1j * t * free_part(ham) / ham.eps)
     w_mat = full_weyl(grid, ham.eps, nb, mb, xi1, xi2).to_dense()
     xi1_t, xi2_t = free_weyl_argument(grid, params, xi1, xi2, t)
     w_t = full_weyl(grid, ham.eps, nb, mb, xi1_t, xi2_t).to_dense()
@@ -269,11 +278,111 @@ def test_b_operators_anti_hermitian_and_scalar_tail():
     xi2[mb.modes] = 0.5 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
     b0, b1, b2 = b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)
     for b in (b0, b1, b2):
-        assert abs(b + b.getH()).max() <= 1e-12
+        dense = b.toarray()
+        assert np.abs(dense + dense.conj().T).max() <= 1e-12
     dense = b2.toarray()
     scalar = dense[0, 0]
     assert abs(scalar.real) <= 1e-15
     assert np.allclose(dense, scalar * np.eye(ham.dim))
+
+
+# the tiny system has one Nyquist mode, which stays a plane wave in the
+# standing-wave frame; Grid(4) carries the pair k = +-1
+INVARIANT_CASES = [
+    pytest.param(2, np.pi / 2, (2.0, 2.0), (4, 5), False, id="tiny-plane"),
+    pytest.param(2, np.pi / 2, (2.0, 2.0), (4, 5), True, id="tiny-standing"),
+    pytest.param(4, np.pi, (1.0, 1.0), (2, 3), False, id="grid4-plane"),
+    pytest.param(4, np.pi, (1.0, 1.0), (2, 3), True, id="grid4-standing"),
+]
+
+
+def invariant_system(n_sites, half_length, band, caps, standing, eps=0.5):
+    grid = Grid(n_sites, half_length)
+    params = ModelParams(
+        mass=1.0, meson_mass=1.0, charge=1.0,
+        potential=potential_preset(grid, "harmonic", 1.0),
+        chi=chi_sharp_band(grid, 0.3, band[0], band[1]))
+    modes = covered_modes(grid, params)
+    nb = truncated_basis(grid.n_sites, caps[0])
+    mb = truncated_basis(modes.size, caps[1], modes=modes, standing=standing)
+    return grid, params, nb, mb, FactoredHamiltonian(grid, params, eps, nb,
+                                                     mb)
+
+
+def random_arguments(grid, mb, seed):
+    rng = np.random.default_rng(seed)
+    xi1 = 0.5 * (rng.standard_normal(grid.n_sites)
+                 + 1j * rng.standard_normal(grid.n_sites))
+    xi2 = np.zeros(grid.n_sites, dtype=complex)
+    xi2[mb.modes] = 0.5 * (rng.standard_normal(mb.modes.size)
+                           + 1j * rng.standard_normal(mb.modes.size))
+    return xi1, xi2
+
+
+@pytest.mark.parametrize("n_sites, half_length, band, caps, standing",
+                         INVARIANT_CASES)
+def test_product_operator_invariants(n_sites, half_length, band, caps,
+                                     standing):
+    grid, params, nb, mb, ham = invariant_system(n_sites, half_length, band,
+                                                 caps, standing)
+    dense = ham.toarray()
+    assert np.abs(dense - dense.conj().T).max() <= 1e-13
+    # H conserves the nucleon number N1 (x) I exactly
+    n1 = np.repeat(ham.eps * nb.occupations.sum(axis=1), mb.dim)
+    assert np.abs(dense * n1[None, :] - n1[:, None] * dense).max() == 0.0
+    assert np.abs(ham.tocsr().toarray() - dense).max() <= 1e-14
+    xi1, xi2 = random_arguments(grid, mb, seed=4)
+    for b in b_operators(grid, params, ham.eps, nb, mb, xi1, xi2):
+        b_dense = b.toarray()
+        assert np.abs(b_dense + b_dense.conj().T).max() <= 1e-13
+        assert np.abs(b.tocsr().toarray() - b_dense).max() <= 1e-14
+
+
+def test_b_operators_agree_across_meson_frames():
+    # the pair rotation keeps the total number, so the capped coherent
+    # state at the same fields is one state in both frames, and B0, B1,
+    # B2 built from the slot profiles must give it the same expectations
+    values = []
+    for standing in (False, True):
+        grid, params, nb, mb, ham = invariant_system(
+            4, np.pi, (1.0, 1.0), (2, 3), standing)
+        xi1, xi2 = random_arguments(grid, mb, seed=8)
+        z1, z2 = random_arguments(grid, mb, seed=9)
+        state, _ = coherent_initial(grid, nb, mb, ham.eps, 0.5 * z1,
+                                    0.5 * z2)
+        values.append([np.vdot(state.vec, b @ state.vec) for b in
+                       b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)])
+    assert np.abs(np.subtract(*values)).max() <= 1e-12
+    assert min(abs(v) for v in values[0]) >= 1e-3
+
+
+def test_b_operators_and_relative_bounds_build_no_product_matrix(
+        monkeypatch):
+    grid, params, nb, mb, ham = tiny_system(caps=(3, 4))
+    xi1, xi2 = random_arguments(grid, mb, seed=2)
+    want = [b.tocsr() for b in b_operators(grid, params, ham.eps, nb, mb,
+                                           xi1, xi2)]
+    bounds = check_relative_bounds(grid, params, ham.eps, nb, mb,
+                                   n_samples=20, seed=1)
+    v = np.random.default_rng(6).standard_normal(ham.dim) + 0j
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called")
+
+    monkeypatch.setattr(sp, "kron", no_kron)
+    got = b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)
+    for b, mat in zip(got, want):
+        assert np.linalg.norm(b @ v - mat @ v) <= 1e-14 * np.linalg.norm(v)
+    assert check_relative_bounds(grid, params, ham.eps, nb, mb,
+                                 n_samples=20, seed=1) == bounds
+
+
+def test_expansion_residual_rejects_an_empty_core():
+    grid, params, nb, mb, ham = tiny_system(caps=(3, 4))
+    xi1, xi2 = random_arguments(grid, mb, seed=2)
+    with pytest.raises(ValueError, match="core margin"):
+        b_expansion_residual(grid, params, ham.eps, nb, mb, xi1, xi2,
+                             core_margin=(2, 5))
 
 
 def test_conjugated_coupling_expansion_matches_matrix_route():
