@@ -175,13 +175,6 @@ def ladder(basis, mode, eps):
     return sp.csr_matrix((vals, (tgt, src)), shape=(basis.dim, basis.dim))
 
 
-def number_operator(basis, eps, mode=None):
-    """Diagonal eps * n_mode, or the eps-scaled total number if mode is None."""
-    occ = basis.occupations
-    diag = occ[:, mode] if mode is not None else occ.sum(axis=1)
-    return sp.diags(eps * diag.astype(float), format="csr")
-
-
 def dgamma_diagonal(basis, values, eps):
     """dGamma of a multiplication operator, as its diagonal
     eps * sum_m v_m n_m (a diagonal factor of a `ProductOperator`)."""
@@ -227,14 +220,23 @@ def second_quantize(basis, a_matrix, eps):
     return mat.tocsr()
 
 
-def smeared_annihilator(basis, f, quad, eps):
-    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m on the basis modes."""
+def ladders(basis, eps):
+    """The annihilators a_m of every mode of the basis, in mode order."""
+    return [ladder(basis, m, eps) for m in range(basis.n_modes)]
+
+
+def smeared_annihilator(basis, f, quad, eps, mode_ladders=None):
+    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m on the basis modes.
+    `mode_ladders`, the `ladders(basis, eps)`, are re-weighted instead of
+    rebuilt when given."""
     f = np.asarray(f, dtype=complex)
     out = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for m in range(basis.n_modes):
         if f[m] == 0:
             continue
-        out = out + np.sqrt(quad) * np.conj(f[m]) * ladder(basis, m, eps)
+        a_m = (ladder(basis, m, eps) if mode_ladders is None
+               else mode_ladders[m])
+        out = out + np.sqrt(quad) * np.conj(f[m]) * a_m
     return out.tocsr()
 
 
@@ -512,11 +514,12 @@ def check_relative_bounds(grid, params, eps, nucleon_basis, meson_basis,
     nucleon occupations in the basis.  Returns {name: max ratio}, each
     bounded by 1 when the inequality holds.
     """
-    slots, profiles, ladders = coupling_factors(
+    slots, profiles, slot_ladders = coupling_factors(
         grid, params, eps, nucleon_basis, meson_basis)
     dims = (nucleon_basis.dim, meson_basis.dim)
-    creation = ProductOperator(zip(profiles, [a.T for a in ladders]), dims)
-    annihilation = ProductOperator(zip(profiles.conj(), ladders), dims)
+    creation = ProductOperator(zip(profiles, [a.T for a in slot_ladders]),
+                               dims)
+    annihilation = ProductOperator(zip(profiles.conj(), slot_ladders), dims)
     omega = dispersion(grid.k, params.meson_mass)[meson_basis.modes]
     # dk |f(n)_p|^2 = |rho_p(n)|^2, and omega is even in k, so a
     # standing pair shares the omega of its modes

@@ -24,7 +24,7 @@ from .discretization import (coupling_weight, dispersion,
 from .errors import StepSizeRejected
 from .fock_space import (OperatorHandle, ProductOperator, QuantumState,
                          _core_projector, _site_profiles, coupling_factors,
-                         coupling_weight_on, dgamma_diagonal, ladder,
+                         coupling_weight_on, dgamma_diagonal, ladders,
                          number_weight_diagonal, second_quantize,
                          smeared_annihilator, weyl_generator)
 
@@ -103,7 +103,8 @@ def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2):
                           generator=(x1, x2), label="weyl")
 
 
-def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
+def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2,
+                factor_ladders=None):
     """Coefficients of the Weyl-conjugated coupling, as product operators:
     W(xi)* H_c W(xi) = H_c - i eps (B0 + eps B1 + eps^2 B2).
 
@@ -114,8 +115,14 @@ def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
     + conj(mu_p) a_p)] with mu_p = dx sum_j G_p(x_j) |xi1_j|^2.  Both are
     linear in the slot profile, so they hold in plane-wave and
     standing-wave meson bases alike.  All three are anti-Hermitian; B2 is
-    a purely imaginary scalar.
+    a purely imaginary scalar.  `factor_ladders`, the pair
+    (`ladders(nucleon_basis, eps)`, `ladders(meson_basis, eps)`), lets
+    repeated calls on the same bases re-weight one set of ladders.
     """
+    if factor_ladders is None:
+        factor_ladders = (ladders(nucleon_basis, eps),
+                          ladders(meson_basis, eps))
+    nucleon_ladders, meson_ladders = factor_ladders
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     w = coupling_weight_on(grid, params, meson_basis)
@@ -128,13 +135,14 @@ def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2):
     rho_xi = grid.dx * (phases @ (np.abs(xi1) ** 2))
 
     def psi(f):
-        return smeared_annihilator(nucleon_basis, f, grid.dx, eps)
+        return smeared_annihilator(nucleon_basis, f, grid.dx, eps,
+                                   nucleon_ladders)
 
     scale = -1.0 / np.sqrt(2.0)
     b0 = [(scale * dgamma_diagonal(nucleon_basis, s_site, eps), None)]
     third = sp.csr_matrix((meson_basis.dim, meson_basis.dim), dtype=complex)
     for p in np.nonzero(np.any(g != 0, axis=1))[0]:
-        a_p = ladder(meson_basis, p, eps)
+        a_p = meson_ladders[p]
         left = scale * (psi(xi1 * g[p]).getH() - psi(xi1 * np.conj(g[p])))
         b0 += [(left, a_p.T), (-left.getH(), a_p)]
         mu = grid.dx * (g[p] @ np.abs(xi1) ** 2)
@@ -213,6 +221,7 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     nodes = np.linspace(0.0, t, n_nodes)
 
     h = ham.tocsr()
+    factor_ladders = (ladders(nb, eps), ladders(mb, eps))
     w0 = full_weyl(grid, eps, nb, mb, xi1, xi2)
     psi = state0.vec.copy()
     char_initial = complex(np.vdot(psi, w0.apply(psi)))
@@ -222,7 +231,8 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
         if i > 0:
             psi = _evolve(h, eps, psi, nodes[i] - nodes[i - 1])
         z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
-        b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s)
+        b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s,
+                            factor_ladders)
         w_s = full_weyl(grid, eps, nb, mb, z1s, z2s)
         for j, b in enumerate(b_ops):
             vals[j, i] = np.vdot(psi, w_s.apply(b @ psi))

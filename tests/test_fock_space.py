@@ -13,7 +13,7 @@ from nelson_lab.errors import SectorBasisUnsupported, TruncationInsufficient
 from nelson_lab.fock_space import (
     FockBasis, ProductOperator, QuantumState, check_relative_bounds,
     coherent_state, coupling_factors, dgamma_diagonal, ladder,
-    number_operator, occupation_cap, resolvent_bound_ratio, second_quantize,
+    occupation_cap, resolvent_bound_ratio, second_quantize,
     sector_basis, smeared_annihilator, tensor_state, truncated_basis, weyl,
     weyl_conjugation_identities)
 from nelson_lab.quantum_dynamics import FactoredHamiltonian
@@ -92,10 +92,11 @@ def test_ladder_rejects_sector():
 def test_number_operators():
     eps = 0.5
     basis = truncated_basis(3, 2)
-    total = number_operator(basis, eps).toarray()
-    assert np.allclose(np.diag(total), eps * basis.occupations.sum(axis=1))
-    per = number_operator(basis, eps, mode=1).toarray()
-    assert np.allclose(np.diag(per), eps * basis.occupations[:, 1])
+    # the number operators are dGamma of the identity and of a projector
+    total = dgamma_diagonal(basis, np.ones(3), eps)
+    assert np.allclose(total, eps * basis.occupations.sum(axis=1))
+    per = dgamma_diagonal(basis, np.array([0.0, 1.0, 0.0]), eps)
+    assert np.allclose(per, eps * basis.occupations[:, 1])
     vals = np.array([2.0, -1.0, 0.5])
     dg = dgamma_diagonal(basis, vals, eps)
     assert np.allclose(dg, eps * basis.occupations @ vals)
@@ -137,7 +138,7 @@ def test_second_quantize_hermitian_and_number_conserving():
     a = a + a.conj().T
     dg = second_quantize(basis, a, 0.5)
     assert abs(dg - dg.getH()).max() <= 1e-13
-    n_tot = number_operator(basis, 0.5)
+    n_tot = sp.diags(dgamma_diagonal(basis, np.ones(3), 0.5), format="csr")
     assert abs(dg @ n_tot - n_tot @ dg).max() <= 1e-13
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigvalsh
+from scipy.sparse.linalg import LinearOperator
 
 from nelson_lab import ground_state
+from nelson_lab.classical_energy import minimize_constrained
 from nelson_lab.discretization import (
     Grid, ModelParams, chi_gaussian, chi_sharp_band, covered_modes,
     one_body_hamiltonian, potential_preset)
@@ -13,8 +15,8 @@ from nelson_lab.errors import ConvergenceFailure
 from nelson_lab.fock_space import (coherent_state, sector_basis,
                                    truncated_basis)
 from nelson_lab.ground_state import (
-    active_meson_basis, coherent_upper_bound, lowest_eigenpair,
-    theorem2_sweep)
+    active_meson_basis, coherent_product_state, coherent_upper_bound,
+    lowest_eigenpair, theorem2_sweep)
 from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
@@ -65,6 +67,16 @@ def even_params(grid, kind):
     return harmonic_params(grid, chi)
 
 
+def counting(op):
+    """`op` as a LinearOperator that counts its matvecs in `.count`."""
+    def matvec(v):
+        wrapped.count += 1
+        return op @ v
+    wrapped = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+    wrapped.count = 0
+    return wrapped
+
+
 def test_lowest_eigenpair_routes_agree():
     mat = random_sparse_hermitian(400, 0.02, seed=11)
     val_d, vec_d = lowest_eigenpair(mat, method="dense")
@@ -113,12 +125,16 @@ def test_sector_energies_approach_classical_minimum():
 def test_free_sector_energy_is_exact():
     grid, params = harmonic_system(0.0)
     e0 = eigh(one_body_hamiltonian(grid, params))[0][0]
-    report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=0)
     want = params.charge ** 2 * e0
-    assert abs(report.e_classical - want) <= 1e-9
-    for r in report.records:
-        assert abs(r.e_quantum - want) <= 1e-9
-        assert r.gap <= 1e-9
+    # the Lanczos route starts at the coherent state, which here is the
+    # exact ground state to the minimiser's tolerance: a degenerate start
+    for method in ("auto", "lanczos"):
+        report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=0,
+                                method=method)
+        assert abs(report.e_classical - want) <= 1e-9
+        for r in report.records:
+            assert abs(r.e_quantum - want) <= 1e-9
+            assert r.gap <= 1e-9
 
 
 def test_coherent_upper_bound_dominates_ground_energy():
@@ -208,6 +224,8 @@ def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
 
     def spy(matrix, *args, **kwargs):
         seen.append(matrix.dtype)
+        # the real operator starts from the real coherent vector
+        assert kwargs["v0"].dtype == np.float64
         return lowest_eigenpair(matrix, *args, **kwargs)
 
     def no_kron(*args, **kwargs):
@@ -220,3 +238,36 @@ def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
                                 method=method)
         assert abs(report.records[-1].e_quantum - e_plane) <= 1e-12
     assert len(seen) == 8 and all(d == np.float64 for d in seen)
+
+
+def test_coherent_start_needs_fewer_matvecs():
+    grid, params = harmonic_system(0.5)
+    n = 4
+    ham = FactoredHamiltonian(grid, params, params.charge ** 2 / n,
+                              sector_basis(grid.n_sites, n),
+                              active_meson_basis(grid, params, 7))
+    assert ham.dtype == np.float64
+    best = minimize_constrained(grid, params)
+    start = coherent_product_state(ham, best.z1, best.z2)
+    assert np.linalg.norm(start.imag) <= 1e-7 * np.linalg.norm(start)
+    random_op, coherent_op = counting(ham), counting(ham)
+    e_random, _ = lowest_eigenpair(random_op, method="lanczos")
+    e_coherent, _ = lowest_eigenpair(coherent_op, method="lanczos",
+                                     v0=start.real)
+    assert abs(e_coherent - e_random) <= 1e-12
+    assert coherent_op.count < random_op.count
+
+
+def test_complex_plane_wave_operator_takes_the_complex_start():
+    grid, params = harmonic_system(0.5)
+    op, plane = sector_pair(grid, params, 3, 7)
+    assert op.dtype == np.float64 and plane.dtype == np.complex128
+    best = minimize_constrained(grid, params)
+    start = coherent_product_state(plane, best.z1, best.z2)
+    assert np.iscomplexobj(start)
+    e_plane, vec = lowest_eigenpair(plane, method="lanczos", v0=start)
+    e_op, _ = lowest_eigenpair(
+        op, method="lanczos",
+        v0=coherent_product_state(op, best.z1, best.z2).real)
+    assert abs(e_plane - e_op) <= 1e-12
+    assert np.linalg.norm(plane @ vec - e_plane * vec) <= 1e-7
