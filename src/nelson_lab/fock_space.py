@@ -13,16 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from math import factorial
+from math import factorial, lgamma, log, log1p
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, expm_multiply
+from scipy.sparse.linalg import LinearOperator
+from scipy.special import jv
 from scipy.stats import poisson
 
 from .discretization import Grid, ModelParams, coupling_weight, dispersion
-from .errors import SectorBasisUnsupported, TruncationInsufficient
+from .errors import (SectorBasisUnsupported, StepSizeRejected,
+                     TruncationInsufficient)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +439,92 @@ def coherent_state(grid, basis, z, eps, deficit_tol=None):
 
 
 # ---------------------------------------------------------------------------
+# Chebyshev propagator
+
+# the Bessel coefficients a Chebyshev series leaves out sum to at most this
+_CHEBYSHEV_TAIL = 1e-15
+# relative change of the norm beyond which a propagated vector is rejected
+_NORM_TOLERANCE = 1e-10
+# (-i)^k for k mod 4, exactly
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _gershgorin_interval(h):
+    """[lo, hi] holding the spectrum of a Hermitian CSR h: the union of the
+    Gershgorin discs Re h_jj -/+ sum_{k != j} |h_jk|, from one pass."""
+    diag = h.diagonal()
+    abs_h = sp.csr_matrix((np.abs(h.data), h.indices, h.indptr),
+                          shape=h.shape)
+    radius = abs_h @ np.ones(h.shape[1]) - np.abs(diag)
+    return (float(np.min(diag.real - radius)),
+            float(np.max(diag.real + radius)))
+
+
+def _chebyshev_length(radius):
+    """Fewest terms K with 2 sum_{k >= K} |J_k(radius)| <= _CHEBYSHEV_TAIL,
+    from |J_k(x)| <= (x/2)^k / k!: once q = x / (2(k + 1)) < 1 these bounds
+    fall by at least the factor q per term, so their sum from k on is at
+    most (x/2)^k / k! / (1 - q)."""
+    k = 0
+    while True:
+        q = radius / (2.0 * (k + 1))
+        if q < 1.0 and (k * log(radius / 2.0) - lgamma(k + 1.0) - log1p(-q)
+                        <= log(_CHEBYSHEV_TAIL / 2.0)):
+            return k
+        k += 1
+
+
+def _expm_hermitian(h, tau, v):
+    """exp(-i tau h) v for a Hermitian CSR h and a 1d v or a 2d block v
+    (each column propagated), by the Chebyshev series of Tal-Ezer and
+    Kosloff.  With the spectrum in [c - d, c + d] (`_gershgorin_interval`)
+    and X = (h - c)/d,
+
+        exp(-i tau h) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
+                        J_k(tau d) T_k(X),
+
+    cut after `_chebyshev_length(tau d)` terms; T_k(X) v runs the
+    three-term recurrence with the shift and scale applied to the vectors,
+    so no second matrix is built.  A zero-width interval gives the phase
+    alone.  The bound holds only for a Hermitian h: a non-finite interval,
+    or a result that is not finite or whose norm differs from that of v by
+    more than _NORM_TOLERANCE relative, raises StepSizeRejected."""
+    v = np.asarray(v, dtype=complex)
+    lo, hi = _gershgorin_interval(h)
+    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    if not np.isfinite(tau * half):
+        raise StepSizeRejected(
+            f"no finite Chebyshev interval: tau={tau}, spectrum in "
+            f"[{lo}, {hi}]")
+    phase = np.exp(-1j * tau * center)
+    if tau * half == 0.0:
+        out = phase * v
+    else:
+        k = np.arange(_chebyshev_length(abs(tau) * half))
+        coeffs = phase * _MINUS_I_POWERS[k % 4] * jv(k, tau * half)
+        coeffs[1:] *= 2.0
+        out = coeffs[0] * v
+        prev, cur = None, v
+        scratch = np.empty_like(out)
+        for coeff in coeffs[1:]:
+            nxt = h @ cur
+            nxt -= np.multiply(cur, center, out=scratch)
+            if prev is None:  # T_1 = X T_0
+                nxt *= 1.0 / half
+            else:  # T_{k+1} = 2 X T_k - T_{k-1}
+                nxt *= 2.0 / half
+                nxt -= prev
+            out += np.multiply(nxt, coeff, out=scratch)
+            prev, cur = cur, nxt
+    norm_in, norm_out = np.linalg.norm(v), np.linalg.norm(out)
+    if not abs(norm_out - norm_in) <= _NORM_TOLERANCE * norm_in:
+        raise StepSizeRejected(
+            f"Chebyshev propagation changed the norm from {norm_in:.6e} to "
+            f"{norm_out:.6e}: the generator is not Hermitian")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # operator handles and Weyl factors
 
 
@@ -446,8 +534,9 @@ class OperatorHandle:
     (X1,) or (X1, X2) for X = X1 (x) I + I (x) X2.  On the state reshaped
     to P of shape (dim1, dim2) the factors commute, so exp(X) acts as
     exp(X1) P exp(X2)^T: the small second factor is exponentiated densely
-    and the first is applied to all columns at once by expm_multiply, so
-    no product-space matrix is built."""
+    and the first, as exp(-i (i X1)) with the Hermitian i X1, is applied
+    to all columns at once by the Chebyshev propagator
+    `_expm_hermitian`, so no product-space matrix is built."""
 
     dim: int
     generator: tuple
@@ -456,34 +545,29 @@ class OperatorHandle:
     mat = None
 
     def apply(self, v):
-        x1 = self.generator[0]
+        h1 = 1j * self.generator[0]
         if len(self.generator) == 1:
-            return expm_multiply(x1, v, traceA=0.0)
+            return _expm_hermitian(h1, 1.0, v)
         x2 = self.generator[1]
-        p = v.reshape(x1.shape[0], x2.shape[0])
-        return expm_multiply(x1, p @ expm(x2.toarray()).T,
-                             traceA=0.0).ravel()
+        p = v.reshape(h1.shape[0], x2.shape[0])
+        return _expm_hermitian(h1, 1.0, p @ expm(x2.toarray()).T).ravel()
 
     def to_dense(self):
         # the factor generators commute, so the exponential factorises
         return reduce(np.kron, [expm(g.toarray()) for g in self.generator])
 
 
-def weyl_generator(grid, basis, xi, eps):
+def weyl_generator(grid, basis, xi, eps, mode_ladders=None):
     """Anti-Hermitian X with W(xi) = exp(X) on a single Fock factor:
-    X = (i/sqrt(2)) sum_m sqrt(quad * eps) (xi_m b_m* + conj(xi_m) b_m)."""
+    X = (i/sqrt(2)) (a*(xi) + a(xi)) with the smeared annihilator
+    a(xi) = sum_m sqrt(quad * eps) conj(xi_m) b_m.  `mode_ladders`, the
+    `ladders(basis, eps)`, are re-weighted instead of rebuilt when given."""
     if basis.kind == "sector":
         raise SectorBasisUnsupported(
             "Weyl displacements leave no fixed-total sector invariant")
     quad, xi_sel = _slot_field(grid, basis, xi, "argument")
-    x_gen = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    coeff = 1j / np.sqrt(2.0) * np.sqrt(quad * eps)
-    for m in range(basis.n_modes):
-        if xi_sel[m] == 0:
-            continue
-        b = ladder(basis, m, 1.0)
-        x_gen = x_gen + coeff * (xi_sel[m] * b.getH() + np.conj(xi_sel[m]) * b)
-    return x_gen.tocsr()
+    a_xi = smeared_annihilator(basis, xi_sel, quad, eps, mode_ladders)
+    return ((1j / np.sqrt(2.0)) * (a_xi.getH() + a_xi)).tocsr()
 
 
 def weyl(grid, basis, xi, eps):

@@ -17,7 +17,7 @@ import numpy as np
 from .classical_dynamics import FieldState, flow, free_flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
-from .fock_space import (coherent_state, ladder, occupation_cap,
+from .fock_space import (coherent_state, ladders, occupation_cap,
                          tensor_state, truncated_basis)
 from .quantum_dynamics import (FactoredHamiltonian, free_weyl_argument,
                                full_weyl, propagate)
@@ -129,10 +129,12 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         caps.append((nb.cap, mb.cap))
         deficits.append(deficit)
         snapshots = propagate(ham, state, list(t_values))
+        factor_ladders = (ladders(nb, eps), ladders(mb, eps))
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
-                handle = full_weyl(grid, eps, nb, mb, *evolved_panels[b][c])
+                handle = full_weyl(grid, eps, nb, mb, *evolved_panels[b][c],
+                                   factor_ladders)
                 value = characteristic_function(snap, handle)
                 target = coherent_target(grid, xi1, xi2, pulled_back)
                 err = abs(value - target)
@@ -171,8 +173,7 @@ def ehrenfest_track(grid, params, eps, z0, times, tail_budget=1e-4,
     v2, _ = coherent_state(grid, mb, z0.z2, eps)
     state = tensor_state(v1, v2, nb, mb, eps)
     traj = flow(grid, params, z0, times, classical_dt)
-    site_ops = [ladder(nb, j, eps) for j in range(grid.n_sites)]
-    mode_ops = [ladder(mb, p, eps) for p in range(mb.modes.size)]
+    site_ops, mode_ops = ladders(nb, eps), ladders(mb, eps)
     snapshots = ([state] + propagate(ham, state, times[1:])
                  if times.size > 1 else [state])
     q1 = np.zeros((times.size, grid.n_sites), dtype=complex)

@@ -16,17 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (OperatorHandle, ProductOperator, QuantumState,
-                         _core_projector, _site_profiles, coupling_factors,
-                         coupling_weight_on, dgamma_diagonal, ladders,
-                         number_weight_diagonal, second_quantize,
-                         smeared_annihilator, weyl_generator)
+                         _core_projector, _expm_hermitian, _site_profiles,
+                         coupling_factors, coupling_weight_on,
+                         dgamma_diagonal, ladders, number_weight_diagonal,
+                         second_quantize, smeared_annihilator, weyl_generator)
 
 
 class FactoredHamiltonian(ProductOperator):
@@ -60,9 +59,10 @@ class FactoredHamiltonian(ProductOperator):
 
 
 def _evolve(h, eps, psi, dt):
-    """exp(-i dt h/eps) psi by the truncated Taylor method of Al-Mohy and
-    Higham (scipy's expm_multiply), accurate to double precision."""
-    return expm_multiply((-1j * dt / eps) * h, psi)
+    """exp(-i dt h/eps) psi for the Hermitian CSR h, by the Chebyshev
+    series on its Gershgorin interval (`fock_space._expm_hermitian`);
+    raises StepSizeRejected when the step does not keep the norm."""
+    return _expm_hermitian(h, dt / eps, psi)
 
 
 def propagate(ham, state, times):
@@ -94,11 +94,17 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2):
+def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2,
+              factor_ladders=(None, None)):
     """Weyl operator W(xi1, xi2) = W1(xi1) (x) W2(xi2) on the product
-    basis, as a lazy handle over the two factor generators."""
-    x1 = weyl_generator(grid, nucleon_basis, np.asarray(xi1, complex), eps)
-    x2 = weyl_generator(grid, meson_basis, np.asarray(xi2, complex), eps)
+    basis, as a lazy handle over the two factor generators.
+    `factor_ladders`, the pair (`ladders(nucleon_basis, eps)`,
+    `ladders(meson_basis, eps)`), lets repeated calls on the same bases
+    re-weight one set of ladders."""
+    x1 = weyl_generator(grid, nucleon_basis, np.asarray(xi1, complex), eps,
+                        factor_ladders[0])
+    x2 = weyl_generator(grid, meson_basis, np.asarray(xi2, complex), eps,
+                        factor_ladders[1])
     return OperatorHandle(dim=nucleon_basis.dim * meson_basis.dim,
                           generator=(x1, x2), label="weyl")
 
@@ -222,7 +228,7 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
 
     h = ham.tocsr()
     factor_ladders = (ladders(nb, eps), ladders(mb, eps))
-    w0 = full_weyl(grid, eps, nb, mb, xi1, xi2)
+    w0 = full_weyl(grid, eps, nb, mb, xi1, xi2, factor_ladders)
     psi = state0.vec.copy()
     char_initial = complex(np.vdot(psi, w0.apply(psi)))
 
@@ -233,7 +239,7 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
         z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
         b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s,
                             factor_ladders)
-        w_s = full_weyl(grid, eps, nb, mb, z1s, z2s)
+        w_s = full_weyl(grid, eps, nb, mb, z1s, z2s, factor_ladders)
         for j, b in enumerate(b_ops):
             vals[j, i] = np.vdot(psi, w_s.apply(b @ psi))
 

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from math import comb, factorial
+from scipy.linalg import expm
 from scipy.stats import poisson
 
 from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, dispersion,
     potential_preset)
-from nelson_lab.errors import SectorBasisUnsupported, TruncationInsufficient
+from nelson_lab.errors import (
+    NelsonLabError, SectorBasisUnsupported, StepSizeRejected,
+    TruncationInsufficient)
 from nelson_lab.fock_space import (
-    FockBasis, ProductOperator, QuantumState, check_relative_bounds,
-    coherent_state, coupling_factors, dgamma_diagonal, ladder,
-    occupation_cap, resolvent_bound_ratio, second_quantize,
-    sector_basis, smeared_annihilator, tensor_state, truncated_basis, weyl,
-    weyl_conjugation_identities)
+    FockBasis, ProductOperator, QuantumState, _expm_hermitian,
+    _gershgorin_interval, check_relative_bounds, coherent_state,
+    coupling_factors, dgamma_diagonal, ladder, ladders, occupation_cap,
+    resolvent_bound_ratio, second_quantize, sector_basis,
+    smeared_annihilator, tensor_state, truncated_basis, weyl,
+    weyl_conjugation_identities, weyl_generator)
 from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
@@ -337,6 +341,25 @@ def test_weyl_sector_rejected():
         weyl(grid, sector_basis(4, 2), np.ones(4, dtype=complex), 0.5)
 
 
+def test_weyl_generator_from_cached_ladders_matches_rebuilt():
+    grid = Grid(4, np.pi)
+    eps = 0.3
+    rng = np.random.default_rng(4)
+    modes = np.array([1, 3])
+    xi = np.zeros(grid.n_sites, dtype=complex)
+    xi[modes] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    for basis in (truncated_basis(2, 6, modes=modes),
+                  truncated_basis(2, 6, modes=modes, standing=True),
+                  truncated_basis(grid.n_sites, 3)):
+        arg = xi if basis.modes is not None else 0.5 * xi[::-1] + 0.2
+        rebuilt = weyl_generator(grid, basis, arg, eps).toarray()
+        cached = weyl_generator(grid, basis, arg, eps,
+                                ladders(basis, eps)).toarray()
+        assert np.abs(rebuilt).max() >= 0.1
+        assert np.abs(cached - rebuilt).max() <= 1e-15
+        assert np.abs(rebuilt + rebuilt.conj().T).max() <= 1e-15
+
+
 def test_weyl_conjugation_identities_small_residuals():
     # the cap-induced leakage scales like the Poisson tail of the
     # displacement over the core margin, amplified by dGamma(y) at the
@@ -458,3 +481,62 @@ def test_resolvent_bound_single_mode_saturates_partially():
 def test_resolvent_bound_shape_validation():
     with pytest.raises(ValueError):
         resolvent_bound_ratio(np.eye(2), np.eye(3), cap=4, eps=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev propagator
+
+
+def random_hermitian(rng, n, complex_entries):
+    a = rng.standard_normal((n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_chebyshev_propagator_matches_dense_exponential(complex_entries):
+    rng = np.random.default_rng(17 + complex_entries)
+    for radius in (0.1, 1.0, 7.0, 30.0, 90.0, 200.0):
+        n = int(rng.integers(4, 30))
+        h = random_hermitian(rng, n, complex_entries)
+        h += rng.uniform(-3.0, 3.0) * np.eye(n)
+        lo, hi = _gershgorin_interval(sp.csr_matrix(h))
+        tau = 2.0 * radius / (hi - lo)
+        u = expm(-1j * tau * h)
+        for shape in ((n,), (n, 3)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = _expm_hermitian(sp.csr_matrix(h), tau, v)
+            assert got.shape == shape
+            assert np.linalg.norm(got - u @ v) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_chebyshev_interval_holds_the_spectrum():
+    rng = np.random.default_rng(2)
+    h = random_hermitian(rng, 25, True)
+    lo, hi = _gershgorin_interval(sp.csr_matrix(h))
+    eig = np.linalg.eigvalsh(h)
+    assert lo <= eig[0] and eig[-1] <= hi
+
+
+def test_chebyshev_propagator_on_zero_width_intervals():
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    scalar = sp.csr_matrix(2.5 * np.eye(6))
+    assert _gershgorin_interval(scalar) == (2.5, 2.5)
+    got = _expm_hermitian(scalar, 0.7, v)
+    assert np.linalg.norm(got - np.exp(-1.75j) * v) <= 1e-15
+    zero = sp.csr_matrix((6, 6))
+    assert np.array_equal(_expm_hermitian(zero, 3.0, v), v)
+    assert np.array_equal(_expm_hermitian(zero, 3.0, v[:, 0]), v[:, 0])
+
+
+def test_chebyshev_propagator_rejects_a_non_hermitian_generator():
+    # the series is exact only for a Hermitian h; a nilpotent h changes
+    # the norm, and a non-finite entry leaves no finite interval
+    v = np.array([0.6, 0.8j])
+    for h in (np.array([[0.0, 5.0], [0.0, 0.0]]),
+              np.array([[1.0, np.nan], [np.nan, 0.0]])):
+        with pytest.raises(StepSizeRejected) as info:
+            _expm_hermitian(sp.csr_matrix(h), 1.0, v)
+        assert isinstance(info.value, NelsonLabError)

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+import scipy.sparse.linalg._expm_multiply as scipy_expm_multiply
 from scipy.linalg import expm
 
 from nelson_lab.classical_energy import evaluate_h
@@ -173,9 +175,10 @@ def test_propagator_diagonal_phase():
 
 
 def test_propagation_ignores_global_random_state():
-    # expm_multiply estimates norms of powers of A with scipy's randomized
-    # onenormest (global np.random) once |A|_1 > 63.36; at eps=0.05, t=1
-    # on the four-site grid of the theorem1 ladder it is above that
+    # propagation must not read the global np.random state; scipy's
+    # expm_multiply does, through its randomized onenormest, once
+    # |A|_1 > 63.36, and eps=0.05, t=1 on the four-site grid of the
+    # theorem1 ladder is above that
     eps = 0.05
     grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0),
                                        (9, 6), eps)
@@ -193,6 +196,58 @@ def test_propagation_ignores_global_random_state():
         np.random.seed(seed)
         runs.append(propagate(ham, state, [1.0])[0].vec.tobytes())
     assert runs[0] == runs[1]
+
+
+def test_theorem1_and_duhamel_run_without_expm_multiply(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply called")
+
+    monkeypatch.setattr(spla, "expm_multiply", refuse)
+    monkeypatch.setattr(scipy_expm_multiply, "_expm_multiply_simple", refuse)
+    grid, params, nb, mb, ham = tiny_system(caps=(4, 5))
+    z1, z2 = tiny_fields(grid)
+    report = theorem1_sweep(grid, params, FieldState(z1, z2), [0.4],
+                            (0.25,))
+    assert np.all(report.errors <= 0.1)
+    state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
+    xi1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+    xi2 = np.zeros(2, dtype=complex)
+    xi2[mb.modes] = 0.25 - 0.2j
+    assert duhamel_check(ham, state, xi1, xi2, t=0.25,
+                         n_nodes=9).residual <= 1e-6
+
+
+class CountingCSR(sp.csr_matrix):
+    """CSR matrix that counts its products with dense operands."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            CountingCSR.matvecs += 1
+        return super().__matmul__(other)
+
+
+def test_ladder_step_at_eps_0025_takes_few_matvecs():
+    # the eps=0.025 rung of the theorem1 ladder (dim 65520): one t=0.25
+    # step takes 48 matvecs (scipy's expm_multiply makes 204 column
+    # products with the scaled matrix)
+    eps = 0.025
+    grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0),
+                                       (12, 7), eps)
+    assert ham.dim == 65520
+    h = CountingCSR(ham.tocsr())
+    counted = SimpleNamespace(eps=eps, nucleon_basis=nb, meson_basis=mb,
+                              tocsr=lambda: h)
+    z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
+    z2 = np.zeros(4, dtype=complex)
+    z2[mb.modes] = [0.1 - 0.05j, 0.07j]
+    state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
+    CountingCSR.matvecs = 0
+    psi = propagate(counted, state, [0.25])[0].vec
+    assert 0 < CountingCSR.matvecs <= 60
+    e0 = np.vdot(state.vec, h @ state.vec).real
+    assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-12
 
 
 def test_sweep_matches_dense_interaction_picture_route():
