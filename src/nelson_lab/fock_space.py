@@ -11,7 +11,6 @@ so that a coherent state at z has <psi(x)> = z1(x) and <a(k)> = z2(k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
 from math import factorial, lgamma, log, log1p
 
@@ -474,11 +473,11 @@ def _chebyshev_length(radius):
         k += 1
 
 
-def _expm_hermitian(h, tau, v):
+def _expm_hermitian(h, tau, v, interval):
     """exp(-i tau h) v for a Hermitian CSR h and a 1d v or a 2d block v
     (each column propagated), by the Chebyshev series of Tal-Ezer and
-    Kosloff.  With the spectrum in [c - d, c + d] (`_gershgorin_interval`)
-    and X = (h - c)/d,
+    Kosloff.  With the spectrum of h in [c - d, c + d] = `interval`
+    (`_gershgorin_interval(h)`, computed once per h) and X = (h - c)/d,
 
         exp(-i tau h) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
                         J_k(tau d) T_k(X),
@@ -490,7 +489,7 @@ def _expm_hermitian(h, tau, v):
     or a result that is not finite or whose norm differs from that of v by
     more than _NORM_TOLERANCE relative, raises StepSizeRejected."""
     v = np.asarray(v, dtype=complex)
-    lo, hi = _gershgorin_interval(h)
+    lo, hi = interval
     center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     if not np.isfinite(tau * half):
         raise StepSizeRejected(
@@ -525,36 +524,7 @@ def _expm_hermitian(h, tau, v):
 
 
 # ---------------------------------------------------------------------------
-# operator handles and Weyl factors
-
-
-@dataclass
-class OperatorHandle:
-    """exp(X) for an anti-Hermitian X stored as its factor generators:
-    (X1,) or (X1, X2) for X = X1 (x) I + I (x) X2.  On the state reshaped
-    to P of shape (dim1, dim2) the factors commute, so exp(X) acts as
-    exp(X1) P exp(X2)^T: the small second factor is exponentiated densely
-    and the first, as exp(-i (i X1)) with the Hermitian i X1, is applied
-    to all columns at once by the Chebyshev propagator
-    `_expm_hermitian`, so no product-space matrix is built."""
-
-    dim: int
-    generator: tuple
-    label: str = ""
-    # read by the benchmark tracer (perfbench/tracer.py); no handle sets it
-    mat = None
-
-    def apply(self, v):
-        h1 = 1j * self.generator[0]
-        if len(self.generator) == 1:
-            return _expm_hermitian(h1, 1.0, v)
-        x2 = self.generator[1]
-        p = v.reshape(h1.shape[0], x2.shape[0])
-        return _expm_hermitian(h1, 1.0, p @ expm(x2.toarray()).T).ravel()
-
-    def to_dense(self):
-        # the factor generators commute, so the exponential factorises
-        return reduce(np.kron, [expm(g.toarray()) for g in self.generator])
+# Weyl generators
 
 
 def weyl_generator(grid, basis, xi, eps, mode_ladders=None):
@@ -570,10 +540,10 @@ def weyl_generator(grid, basis, xi, eps, mode_ladders=None):
     return ((1j / np.sqrt(2.0)) * (a_xi.getH() + a_xi)).tocsr()
 
 
-def weyl(grid, basis, xi, eps):
-    """Weyl operator W(xi) on one Fock factor, as a lazy handle."""
-    return OperatorHandle(dim=basis.dim, label="weyl",
-                          generator=(weyl_generator(grid, basis, xi, eps),))
+def _dense_weyl(grid, basis, xi, eps):
+    """exp of the capped generator, dense, for the identity checks; it
+    departs from the untruncated W(xi) near the cap."""
+    return expm(weyl_generator(grid, basis, xi, eps).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +669,9 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
     xi_sel = xi if basis.modes is None else xi[basis.modes]
     eta_sel = eta if basis.modes is None else eta[basis.modes]
 
-    w_xi = weyl(grid, basis, xi, eps).to_dense()
-    w_eta = weyl(grid, basis, eta, eps).to_dense()
-    w_sum = weyl(grid, basis, xi + eta, eps).to_dense()
+    w_xi = _dense_weyl(grid, basis, xi, eps)
+    w_eta = _dense_weyl(grid, basis, eta, eps)
+    w_sum = _dense_weyl(grid, basis, xi + eta, eps)
     core = _core_projector(basis, core_margin)
 
     def core_norm(mat):

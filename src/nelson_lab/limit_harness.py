@@ -4,8 +4,9 @@ The interaction-picture characteristic function of the evolved coherent
 state is compared with exp(i sqrt(2) Re <xi, z(t)>) evaluated on the
 freely-pulled-back classical trajectory; the distance between the two
 shrinks with eps.  Since exp(-itH0/eps) W(xi) exp(+itH0/eps) = W(xi_t)
-with xi_t the freely evolved argument, it is <psi(t), W(xi_t) psi(t)>.
-First moments of the field operators track the classical fields.
+with xi_t the freely evolved argument, it is <psi(t), W(xi_t) psi(t)>,
+exact by normal ordering (`weyl_matrix_elements`).  First moments of the
+field operators track the classical fields.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from .errors import TruncationInsufficient
 from .fock_space import (coherent_state, ladders, occupation_cap,
                          tensor_state, truncated_basis)
 from .quantum_dynamics import (FactoredHamiltonian, free_weyl_argument,
-                               full_weyl, propagate)
-
-
-def characteristic_function(state, handle):
-    """<psi, W psi> for a normalised state and a Weyl handle."""
-    return complex(np.vdot(state.vec, handle.apply(state.vec)))
+                               propagate, weyl_matrix_elements)
 
 
 def coherent_target(grid, xi1, xi2, z):
@@ -101,7 +97,8 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
 
     For each eps the coherent state at z0 is evolved, and at each t
     <W(xi_t)> with xi_t = free_weyl_argument(xi, t) is tested against the
-    freely-pulled-back classical trajectory on the whole panel.
+    freely-pulled-back classical trajectory on the whole panel; each
+    value is one exact `weyl_matrix_elements` series of the state.
     """
     t_values = tuple(float(t) for t in t_values)
     if any(t <= 0 for t in t_values) or list(t_values) != sorted(t_values):
@@ -133,9 +130,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
-                handle = full_weyl(grid, eps, nb, mb, *evolved_panels[b][c],
-                                   factor_ladders)
-                value = characteristic_function(snap, handle)
+                value = complex(weyl_matrix_elements(
+                    grid, eps, nb, mb, *evolved_panels[b][c], snap.vec, (),
+                    factor_ladders)[0])
                 target = coherent_target(grid, xi1, xi2, pulled_back)
                 err = abs(value - target)
                 errors[a, b, c] = err

@@ -21,11 +21,12 @@ from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
-from .fock_space import (OperatorHandle, ProductOperator, QuantumState,
-                         _core_projector, _expm_hermitian, _site_profiles,
-                         coupling_factors, coupling_weight_on,
-                         dgamma_diagonal, ladders, number_weight_diagonal,
-                         second_quantize, smeared_annihilator, weyl_generator)
+from .fock_space import (ProductOperator, QuantumState, _core_projector,
+                         _dense_weyl, _expm_hermitian, _gershgorin_interval,
+                         _site_profiles, _slot_field, coupling_factors,
+                         coupling_weight_on, dgamma_diagonal, ladders,
+                         number_weight_diagonal, second_quantize,
+                         smeared_annihilator)
 
 
 class FactoredHamiltonian(ProductOperator):
@@ -58,28 +59,23 @@ class FactoredHamiltonian(ProductOperator):
                          + coupling, dims)
 
 
-def _evolve(h, eps, psi, dt):
-    """exp(-i dt h/eps) psi for the Hermitian CSR h, by the Chebyshev
-    series on its Gershgorin interval (`fock_space._expm_hermitian`);
-    raises StepSizeRejected when the step does not keep the norm."""
-    return _expm_hermitian(h, dt / eps, psi)
-
-
 def propagate(ham, state, times):
     """States exp(-i t H/eps) psi0 at the requested times (increasing,
-    starting at or after zero), stepped on the CSR matrix `ham.tocsr()`."""
+    starting at or after zero), stepped on the CSR matrix `ham.tocsr()`
+    with its Gershgorin interval computed once."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     h = ham.tocsr()
+    interval = _gershgorin_interval(h)
     out = []
     psi = state.vec.copy()
     prev = 0.0
     for t in times:
         if t > prev:
-            psi = _evolve(h, ham.eps, psi, t - prev)
+            psi = _expm_hermitian(h, (t - prev) / ham.eps, psi, interval)
             prev = t
         out.append(QuantumState(psi.copy(), ham.nucleon_basis,
                                 ham.meson_basis, ham.eps))
@@ -94,19 +90,52 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def full_weyl(grid, eps, nucleon_basis, meson_basis, xi1, xi2,
-              factor_ladders=(None, None)):
-    """Weyl operator W(xi1, xi2) = W1(xi1) (x) W2(xi2) on the product
-    basis, as a lazy handle over the two factor generators.
-    `factor_ladders`, the pair (`ladders(nucleon_basis, eps)`,
-    `ladders(meson_basis, eps)`), lets repeated calls on the same bases
-    re-weight one set of ladders."""
-    x1 = weyl_generator(grid, nucleon_basis, np.asarray(xi1, complex), eps,
-                        factor_ladders[0])
-    x2 = weyl_generator(grid, meson_basis, np.asarray(xi2, complex), eps,
-                        factor_ladders[1])
-    return OperatorHandle(dim=nucleon_basis.dim * meson_basis.dim,
-                          generator=(x1, x2), label="weyl")
+def _lowering_series(op, block, cap):
+    """Even and odd parts of exp(op) block = sum_k op^k block / k! for an
+    op that lowers the occupation total of a basis capped at `cap`, so
+    that op^k = 0 for k > cap; the sum also ends at a vanishing term."""
+    parts = [block.astype(complex), np.zeros(block.shape, dtype=complex)]
+    term = block
+    for k in range(1, cap + 1):
+        term = op @ term
+        if not term.any():
+            break
+        term *= 1.0 / k
+        parts[k % 2] += term
+    return parts
+
+
+def weyl_matrix_elements(grid, eps, nucleon_basis, meson_basis, xi1, xi2,
+                         phi, chis, factor_ladders=(None, None)):
+    """<phi, W(xi1, xi2) phi>, then <phi, W chi> for each chi in `chis`,
+    exactly as the untruncated W acts on capped states.  With beta =
+    i/sqrt2 and A = a1(xi1) (x) I + I (x) a2(xi2), normal ordering gives
+    <phi, W chi> = e^{-eps|xi|^2/4} <e^{-beta A} phi, e^{beta A} chi>, and
+    A only lowers, so each exponential is a finite series.  On P (dimN x
+    dimM) it is e^{beta a1} P (e^{beta a2})^T: one sparse nucleon series
+    on all vectors at once, whose even and odd parts give both signs, and
+    the meson series on the identity.  `factor_ladders` are re-weighted
+    (see `b_operators`); sector ladders raise SectorBasisUnsupported."""
+    dims = (nucleon_basis.dim, meson_basis.dim)
+    beta = 1j / np.sqrt(2.0)
+    quad1, z1 = _slot_field(grid, nucleon_basis, xi1, "argument")
+    quad2, z2 = _slot_field(grid, meson_basis, xi2, "argument")
+    a1 = smeared_annihilator(nucleon_basis, z1, quad1, eps,
+                             factor_ladders[0])
+    a2 = smeared_annihilator(meson_basis, z2, quad2, eps, factor_ladders[1])
+    vectors = [phi, *chis]
+    even1, odd1 = _lowering_series(
+        beta * a1, np.hstack([v.reshape(dims) for v in vectors]),
+        nucleon_basis.cap)
+    even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]),
+                                   meson_basis.cap)
+    lowered = ((even1[:, :dims[1]] - odd1[:, :dims[1]])
+               @ (even2 - odd2).T)
+    raised = ((even1 + odd1).reshape(dims[0], len(vectors), dims[1])
+              @ (even2 + odd2).T)
+    norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
+    return np.exp(-eps * norm_sq / 4.0) * np.einsum(
+        "ik,ijk->j", lowered.conj(), raised)
 
 
 def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2,
@@ -170,8 +199,8 @@ def b_expansion_residual(grid, params, eps, nucleon_basis, meson_basis,
     everything dense, projected onto states at least `core_margin` quanta
     below the caps in each factor.
     """
-    w_full = full_weyl(grid, eps, nucleon_basis, meson_basis,
-                       xi1, xi2).to_dense()
+    w_full = np.kron(_dense_weyl(grid, nucleon_basis, xi1, eps),
+                     _dense_weyl(grid, meson_basis, xi2, eps))
     h_c = FactoredHamiltonian(grid, params, eps, nucleon_basis,
                               meson_basis).coupling.toarray()
     b0, b1, b2 = b_operators(grid, params, eps, nucleon_basis, meson_basis,
@@ -217,6 +246,8 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     sum_j eps^j int_0^t <psi(s), W(xi(s)) B_j(xi(s)) psi(s)> ds with the
     freely evolved argument xi(s), integrated by composite Simpson;
     the quadrature error is estimated against the half-resolution rule.
+    All values come from one `weyl_matrix_elements` call per node; the
+    first and last nodes give the initial value and lhs.
     """
     if n_nodes < 5 or (n_nodes - 1) % 4 != 0:
         raise ValueError("n_nodes must be 4k+1 with k >= 1")
@@ -227,32 +258,30 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     nodes = np.linspace(0.0, t, n_nodes)
 
     h = ham.tocsr()
+    interval = _gershgorin_interval(h)
     factor_ladders = (ladders(nb, eps), ladders(mb, eps))
-    w0 = full_weyl(grid, eps, nb, mb, xi1, xi2, factor_ladders)
     psi = state0.vec.copy()
-    char_initial = complex(np.vdot(psi, w0.apply(psi)))
-
-    vals = np.zeros((3, n_nodes), dtype=complex)
+    # rows: <psi, W psi>, then <psi, W B_j psi> for j = 0, 1, 2
+    vals = np.zeros((4, n_nodes), dtype=complex)
     for i, s in enumerate(nodes):
         if i > 0:
-            psi = _evolve(h, eps, psi, nodes[i] - nodes[i - 1])
+            psi = _expm_hermitian(h, (nodes[i] - nodes[i - 1]) / eps, psi,
+                                  interval)
         z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
         b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s,
                             factor_ladders)
-        w_s = full_weyl(grid, eps, nb, mb, z1s, z2s, factor_ladders)
-        for j, b in enumerate(b_ops):
-            vals[j, i] = np.vdot(psi, w_s.apply(b @ psi))
+        vals[:, i] = weyl_matrix_elements(grid, eps, nb, mb, z1s, z2s, psi,
+                                          [b @ psi for b in b_ops],
+                                          factor_ladders)
+    char_initial, lhs = complex(vals[0, 0]), complex(vals[0, -1])
 
     h = t / (n_nodes - 1)
-    fine = vals @ _simpson_weights(n_nodes, h)
-    coarse = vals[:, ::2] @ _simpson_weights((n_nodes + 1) // 2, 2.0 * h)
+    fine = vals[1:] @ _simpson_weights(n_nodes, h)
+    coarse = vals[1:, ::2] @ _simpson_weights((n_nodes + 1) // 2, 2.0 * h)
     contributions = tuple(eps ** j * fine[j] for j in range(3))
     rhs = char_initial + sum(contributions)
     quad_est = float(sum(eps ** j * abs(fine[j] - coarse[j]) / 15.0
                          for j in range(3)))
-
-    # the last node is t itself, so w_s is W(xi(t)) and psi is psi(t)
-    lhs = complex(np.vdot(psi, w_s.apply(psi)))
     return DuhamelReport(eps=eps, t=t, n_nodes=n_nodes, dim=ham.dim,
                          char_initial=char_initial, lhs=lhs, rhs=complex(rhs),
                          residual=float(abs(lhs - rhs)),

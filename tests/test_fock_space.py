@@ -18,9 +18,10 @@ from nelson_lab.fock_space import (
     _gershgorin_interval, check_relative_bounds, coherent_state,
     coupling_factors, dgamma_diagonal, ladder, ladders, occupation_cap,
     resolvent_bound_ratio, second_quantize, sector_basis,
-    smeared_annihilator, tensor_state, truncated_basis, weyl,
+    smeared_annihilator, tensor_state, truncated_basis,
     weyl_conjugation_identities, weyl_generator)
-from nelson_lab.quantum_dynamics import FactoredHamiltonian
+from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
+                                         weyl_matrix_elements)
 
 
 def small_model(grid, amplitude=0.5):
@@ -303,8 +304,9 @@ def test_weyl_unitary_and_vacuum_characteristic_function():
     xi2 = np.zeros(grid.n_sites, dtype=complex)
     xi2[1] = 0.7 - 0.2j
     xi2[3] = 0.4j
-    handle = weyl(grid, basis, xi2, eps)
-    w_mat = handle.to_dense()
+    # exp of the capped generator: unitary on the capped space, and close
+    # to the untruncated W(xi) on the vacuum only for a deep cap
+    w_mat = expm(weyl_generator(grid, basis, xi2, eps).toarray())
     assert np.linalg.norm(w_mat.conj().T @ w_mat - np.eye(basis.dim),
                           2) <= 1e-12
     vac = np.zeros(basis.dim)
@@ -312,10 +314,6 @@ def test_weyl_unitary_and_vacuum_characteristic_function():
     got = np.vdot(vac, w_mat @ vac)
     norm_sq = grid.dk * np.sum(np.abs(xi2[modes]) ** 2)
     assert abs(got - np.exp(-eps * norm_sq / 4.0)) <= 1e-10
-    # lazy application agrees with the dense route
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    assert np.linalg.norm(handle.apply(v) - w_mat @ v) <= 1e-9
 
 
 def test_weyl_displaces_vacuum_to_coherent_state():
@@ -327,18 +325,24 @@ def test_weyl_displaces_vacuum_to_coherent_state():
     z2[1] = 0.3 + 0.1j
     z2[3] = -0.2
     xi = np.sqrt(2.0) * z2 / (1j * eps)
+    # <n|W(xi)|0> = conj <0|W(-xi)|n>, exactly, on the meson factor alone
+    # (a nucleon factor of dim 1)
+    nucleon = truncated_basis(grid.n_sites, 0)
+    no_xi1 = np.zeros(grid.n_sites, dtype=complex)
     vac = np.zeros(basis.dim)
     vac[0] = 1.0
-    got = weyl(grid, basis, xi, eps).apply(vac)
+    got = np.conj(weyl_matrix_elements(grid, eps, nucleon, basis, no_xi1,
+                                       -xi, vac, np.eye(basis.dim))[1:])
     want, deficit = coherent_state(grid, basis, z2, eps)
     assert deficit <= 1e-12
-    assert np.linalg.norm(got - want) <= 1e-8
+    assert np.linalg.norm(got - want) <= 1e-12
 
 
 def test_weyl_sector_rejected():
     grid = Grid(4, np.pi)
     with pytest.raises(SectorBasisUnsupported):
-        weyl(grid, sector_basis(4, 2), np.ones(4, dtype=complex), 0.5)
+        weyl_generator(grid, sector_basis(4, 2), np.ones(4, dtype=complex),
+                       0.5)
 
 
 def test_weyl_generator_from_cached_ladders_matches_rebuilt():
@@ -506,7 +510,7 @@ def test_chebyshev_propagator_matches_dense_exponential(complex_entries):
         u = expm(-1j * tau * h)
         for shape in ((n,), (n, 3)):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = _expm_hermitian(sp.csr_matrix(h), tau, v)
+            got = _expm_hermitian(sp.csr_matrix(h), tau, v, (lo, hi))
             assert got.shape == shape
             assert np.linalg.norm(got - u @ v) <= 1e-12 * np.linalg.norm(v)
 
@@ -524,11 +528,13 @@ def test_chebyshev_propagator_on_zero_width_intervals():
     v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     scalar = sp.csr_matrix(2.5 * np.eye(6))
     assert _gershgorin_interval(scalar) == (2.5, 2.5)
-    got = _expm_hermitian(scalar, 0.7, v)
+    got = _expm_hermitian(scalar, 0.7, v, (2.5, 2.5))
     assert np.linalg.norm(got - np.exp(-1.75j) * v) <= 1e-15
     zero = sp.csr_matrix((6, 6))
-    assert np.array_equal(_expm_hermitian(zero, 3.0, v), v)
-    assert np.array_equal(_expm_hermitian(zero, 3.0, v[:, 0]), v[:, 0])
+    interval = _gershgorin_interval(zero)
+    assert np.array_equal(_expm_hermitian(zero, 3.0, v, interval), v)
+    assert np.array_equal(_expm_hermitian(zero, 3.0, v[:, 0], interval),
+                          v[:, 0])
 
 
 def test_chebyshev_propagator_rejects_a_non_hermitian_generator():
@@ -537,6 +543,7 @@ def test_chebyshev_propagator_rejects_a_non_hermitian_generator():
     v = np.array([0.6, 0.8j])
     for h in (np.array([[0.0, 5.0], [0.0, 0.0]]),
               np.array([[1.0, np.nan], [np.nan, 0.0]])):
+        h = sp.csr_matrix(h)
         with pytest.raises(StepSizeRejected) as info:
-            _expm_hermitian(sp.csr_matrix(h), 1.0, v)
+            _expm_hermitian(h, 1.0, v, _gershgorin_interval(h))
         assert isinstance(info.value, NelsonLabError)

@@ -14,15 +14,16 @@ from nelson_lab.classical_dynamics import FieldState
 from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, covered_modes,
     potential_preset)
-from nelson_lab.errors import StepSizeRejected
+from nelson_lab import fock_space, quantum_dynamics
+from nelson_lab.errors import SectorBasisUnsupported, StepSizeRejected
 from nelson_lab.fock_space import (
-    QuantumState, check_relative_bounds, coherent_state, tensor_state,
-    truncated_basis, weyl_generator)
+    QuantumState, check_relative_bounds, coherent_state, sector_basis,
+    tensor_state, truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
     FactoredHamiltonian, b_expansion_residual, b_operators, duhamel_check,
-    free_weyl_argument, full_weyl, gronwall_bound_check,
-    number_weight_diagonal, propagate)
+    free_weyl_argument, gronwall_bound_check, number_weight_diagonal,
+    propagate, weyl_matrix_elements)
 
 
 def make_system(n_sites, half_length, chi_amp, band, caps, eps):
@@ -250,9 +251,43 @@ def test_ladder_step_at_eps_0025_takes_few_matvecs():
     assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-12
 
 
+def raised_caps(nb, mb, k):
+    """The two factor bases with their caps raised by k."""
+    return (truncated_basis(nb.n_modes, nb.cap + k),
+            truncated_basis(mb.n_modes, mb.cap + k, modes=mb.modes,
+                            standing=mb.standing))
+
+
+def embedded(vec, nb, mb, big_nb, big_mb):
+    """A product-basis vector of nb (x) mb as P over big_nb (x) big_mb."""
+    out = np.zeros((big_nb.dim, big_mb.dim), dtype=complex)
+    out[np.ix_(big_nb.index_of(nb.occupations),
+               big_mb.index_of(mb.occupations))] = vec.reshape(nb.dim, mb.dim)
+    return out
+
+
+def dense_weyl_factors(grid, eps, nb, mb, xi1, xi2):
+    """exp of each capped factor generator, dense."""
+    return (expm(weyl_generator(grid, nb, xi1, eps).toarray()),
+            expm(weyl_generator(grid, mb, xi2, eps).toarray()))
+
+
+def dense_reference(grid, eps, nb, mb, xi1, xi2, phi, chis, k):
+    """<phi, W chi> for each chi, with W = exp(X1) (x) exp(X2) the dense
+    exponential of the capped generator on caps raised by k, applied as
+    exp(X1) P exp(X2)^T; it differs from the untruncated W(xi) only near
+    the raised caps."""
+    big_nb, big_mb = raised_caps(nb, mb, k)
+    w1, w2 = dense_weyl_factors(grid, eps, big_nb, big_mb, xi1, xi2)
+    left = embedded(phi, nb, mb, big_nb, big_mb)
+    return np.array([
+        np.vdot(left, w1 @ embedded(chi, nb, mb, big_nb, big_mb) @ w2.T)
+        for chi in chis])
+
+
 def test_sweep_matches_dense_interaction_picture_route():
-    # oracle for theorem1_sweep: rotate psi(t) by exp(+itH0/eps) and apply
-    # W(xi) built from the product-space generator, all dense
+    # oracle for theorem1_sweep: rotate psi(t) by exp(+itH0/eps), embed it
+    # in caps raised by 8, and apply W(xi) built there, all dense
     grid, params, _, coupled, _ = tiny_system()
     z1, z2 = tiny_fields(grid)
     eps, t_values = 0.2, (0.25, 0.5)
@@ -266,29 +301,85 @@ def test_sweep_matches_dense_interaction_picture_route():
     state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
     h_total, h_free = ham.toarray(), free_part(ham)
     panel = default_xi_panel(grid, mb.modes)
-    id_n, id_m = np.eye(nb.dim), np.eye(mb.dim)
     for b, t in enumerate(t_values):
         psi_t = expm(-1j * t * h_total / eps) @ state.vec
         rotated = expm(1j * t * h_free / eps) @ psi_t
         for c, (xi1, xi2) in enumerate(panel):
-            x1 = weyl_generator(grid, nb, xi1, eps).toarray()
-            x2 = weyl_generator(grid, mb, xi2, eps).toarray()
-            w = expm(np.kron(x1, id_m) + np.kron(id_n, x2))
-            value = np.vdot(rotated, w @ rotated)
+            value, = dense_reference(grid, eps, nb, mb, xi1, xi2, rotated,
+                                     [rotated], 8)
             sample = report.samples[b * len(panel) + c]
             assert (sample.t, sample.xi_index) == (t, c)
             assert abs(sample.value - value) <= 1e-12
 
 
-def test_full_weyl_factorises_without_product_matrix(monkeypatch):
+def random_weyl_case(rng, grid, nb, mb, scale):
+    xi1 = scale * (rng.standard_normal(grid.n_sites)
+                   + 1j * rng.standard_normal(grid.n_sites))
+    xi2 = np.zeros(grid.n_sites, dtype=complex)
+    xi2[mb.modes] = scale * (rng.standard_normal(mb.modes.size)
+                             + 1j * rng.standard_normal(mb.modes.size))
+    dim = nb.dim * mb.dim
+    phi, chi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                for _ in range(2))
+    return xi1, xi2, phi / np.linalg.norm(phi), chi / np.linalg.norm(chi)
+
+
+@pytest.mark.parametrize("standing", [False, True])
+def test_weyl_matrix_elements_match_dense_reference_at_raised_caps(standing):
+    # random states reach the caps, where the exponential of the capped
+    # generator is furthest from P W P; caps raised by 8 push that
+    # difference below 1e-13
+    if standing:
+        grid, eps, caps = Grid(4, np.pi), 0.3, (1, 3)
+        modes = np.array([1, 3])
+    else:
+        grid, eps, caps = Grid(2, np.pi / 2), 0.2, (3, 4)
+        modes = np.array([1])
+    nb = truncated_basis(grid.n_sites, caps[0])
+    mb = truncated_basis(modes.size, caps[1], modes=modes, standing=standing)
+    rng = np.random.default_rng(5)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.3)
+    got = weyl_matrix_elements(grid, eps, nb, mb, xi1, xi2, phi, [chi])
+    want = dense_reference(grid, eps, nb, mb, xi1, xi2, phi, [phi, chi], 8)
+    assert abs(got[0]) >= 0.1 and abs(got[1]) >= 0.01
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_weyl_matrix_elements_do_not_depend_on_the_cap():
+    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    rng = np.random.default_rng(8)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
+    got = weyl_matrix_elements(grid, ham.eps, nb, mb, xi1, xi2, phi, [chi])
+    big_nb, big_mb = raised_caps(nb, mb, 2)
+    big_phi, big_chi = (embedded(v, nb, mb, big_nb, big_mb).ravel()
+                        for v in (phi, chi))
+    again = weyl_matrix_elements(grid, ham.eps, big_nb, big_mb, xi1, xi2,
+                                 big_phi, [big_chi])
+    assert np.abs(got - again).max() <= 1e-13
+
+
+def test_weyl_vacuum_value_is_exact_at_a_low_cap():
+    grid = Grid(4, np.pi)
+    eps = 0.5
+    modes = np.array([1, 3])
+    nb = truncated_basis(grid.n_sites, 2)
+    mb = truncated_basis(2, 2, modes=modes)
+    xi1 = np.array([0.3 - 0.1j, 0.2j, -0.4, 0.1 + 0.1j])
+    xi2 = np.zeros(grid.n_sites, dtype=complex)
+    xi2[1] = 0.7 - 0.2j
+    xi2[3] = 0.4j
+    vac = np.zeros(nb.dim * mb.dim)
+    vac[0] = 1.0
+    got, = weyl_matrix_elements(grid, eps, nb, mb, xi1, xi2, vac, [])
+    norm_sq = (grid.dx * np.sum(np.abs(xi1) ** 2)
+               + grid.dk * np.sum(np.abs(xi2[modes]) ** 2))
+    assert abs(got - np.exp(-eps * norm_sq / 4.0)) <= 1e-14
+
+
+def test_weyl_matrix_elements_build_no_product_matrix(monkeypatch):
     grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
     rng = np.random.default_rng(3)
-    xi1 = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    xi2 = np.zeros(2, dtype=complex)
-    xi2[mb.modes] = 0.5 * (rng.standard_normal(1)
-                           + 1j * rng.standard_normal(1))
-    v = rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim)
-    v /= np.linalg.norm(v)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
 
     def no_kron(*args, **kwargs):
         raise AssertionError("product-space matrix built")
@@ -296,20 +387,50 @@ def test_full_weyl_factorises_without_product_matrix(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(sp, "kron", no_kron)
         patched.setattr(np, "kron", no_kron)
-        handle = full_weyl(grid, ham.eps, nb, mb, xi1, xi2)
-        applied = handle.apply(v)
-    assert abs(np.linalg.norm(applied) - 1.0) <= 1e-12
-    x1 = weyl_generator(grid, nb, xi1, ham.eps).toarray()
-    x2 = weyl_generator(grid, mb, xi2, ham.eps).toarray()
-    dense = handle.to_dense()
-    assert np.allclose(dense, np.kron(expm(x1), expm(x2)),
-                       rtol=0, atol=1e-13)
-    assert np.linalg.norm(applied - dense @ v) <= 1e-12
+        got = weyl_matrix_elements(grid, ham.eps, nb, mb, xi1, xi2, phi,
+                                   [chi])
+    want = dense_reference(grid, ham.eps, nb, mb, xi1, xi2, phi, [phi, chi],
+                           12)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_weyl_matrix_elements_reject_a_sector_basis():
+    grid, _, nb, mb, _ = tiny_system(caps=(2, 2))
+    xi1 = np.array([0.3, 0.2j])
+    xi2 = np.zeros(2, dtype=complex)
+    xi2[mb.modes] = 0.25
+    for bases in ((sector_basis(grid.n_sites, 1), mb),
+                  (nb, sector_basis(mb.n_modes, 1, modes=mb.modes))):
+        with pytest.raises(SectorBasisUnsupported):
+            weyl_matrix_elements(grid, 0.5, *bases, xi1, xi2,
+                                 np.ones(bases[0].dim * bases[1].dim), [])
+
+
+def test_gershgorin_interval_once_per_propagation(monkeypatch):
+    calls, original = [], fock_space._gershgorin_interval
+
+    def counted(h):
+        calls.append(h.shape)
+        return original(h)
+
+    # each module looks the name up in its own namespace
+    monkeypatch.setattr(quantum_dynamics, "_gershgorin_interval", counted)
+    monkeypatch.setattr(fock_space, "_gershgorin_interval", counted)
+    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    z1, z2 = tiny_fields(grid)
+    state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
+    propagate(ham, state, [0.25, 0.5, 0.75, 1.0])
+    assert len(calls) == 1
+    xi1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+    xi2 = np.zeros(2, dtype=complex)
+    xi2[mb.modes] = 0.25 - 0.2j
+    duhamel_check(ham, state, xi1, xi2, t=0.25, n_nodes=9)
+    assert len(calls) == 2
 
 
 def test_free_conjugation_of_weyl_is_free_flow_of_argument():
     # exp(-itH0/eps) W(xi) exp(+itH0/eps) = W(xi freely evolved), exactly
-    # on the truncated bases
+    # on the truncated bases, for the exponential of the capped generator
     grid, params, nb, mb, ham = make_system(
         2, np.pi / 2, 0.3, (2.0, 2.0), (2, 3), 0.5)
     rng = np.random.default_rng(1)
@@ -319,9 +440,9 @@ def test_free_conjugation_of_weyl_is_free_flow_of_argument():
                            + 1j * rng.standard_normal(mb.modes.size))
     t = 0.7
     u0 = expm(-1j * t * free_part(ham) / ham.eps)
-    w_mat = full_weyl(grid, ham.eps, nb, mb, xi1, xi2).to_dense()
+    w_mat = np.kron(*dense_weyl_factors(grid, ham.eps, nb, mb, xi1, xi2))
     xi1_t, xi2_t = free_weyl_argument(grid, params, xi1, xi2, t)
-    w_t = full_weyl(grid, ham.eps, nb, mb, xi1_t, xi2_t).to_dense()
+    w_t = np.kron(*dense_weyl_factors(grid, ham.eps, nb, mb, xi1_t, xi2_t))
     assert np.linalg.norm(u0 @ w_mat @ u0.conj().T - w_t, 2) <= 1e-10
 
 
