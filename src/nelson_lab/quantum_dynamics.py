@@ -90,18 +90,24 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def _lowering_series(op, block, cap):
+def _lowering_series(op, block, basis):
     """Even and odd parts of exp(op) block = sum_k op^k block / k! for an
-    op that lowers the occupation total of a basis capped at `cap`, so
-    that op^k = 0 for k > cap; the sum also ends at a vanishing term."""
+    op that lowers the occupation total of a truncated `basis` by one, so
+    that op^k = 0 for k > cap; the sum also ends at a vanishing term.  The
+    basis is ordered by total, so term k lives on the leading rows, those
+    of total at most cap - k, and each term is built and added there."""
+    cap = basis.cap
+    ends = np.searchsorted(basis.occupations.sum(axis=1), np.arange(cap),
+                           side="right")
     parts = [block.astype(complex), np.zeros(block.shape, dtype=complex)]
     term = block
     for k in range(1, cap + 1):
-        term = op @ term
+        rows = ends[cap - k]
+        term = op[:rows, :term.shape[0]] @ term
         if not term.any():
             break
         term *= 1.0 / k
-        parts[k % 2] += term
+        parts[k % 2][:rows] += term
     return parts
 
 
@@ -126,9 +132,9 @@ def weyl_matrix_elements(grid, eps, nucleon_basis, meson_basis, xi1, xi2,
     vectors = [phi, *chis]
     even1, odd1 = _lowering_series(
         beta * a1, np.hstack([v.reshape(dims) for v in vectors]),
-        nucleon_basis.cap)
+        nucleon_basis)
     even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]),
-                                   meson_basis.cap)
+                                   meson_basis)
     lowered = ((even1[:, :dims[1]] - odd1[:, :dims[1]])
                @ (even2 - odd2).T)
     raised = ((even1 + odd1).reshape(dims[0], len(vectors), dims[1])

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nelson_lab
 from nelson_lab.cli import main
 
 MINIMIZE_CFG = {
@@ -54,6 +57,21 @@ THEOREM2_CFG = {
     "scenario": {"name": "theorem2", "n_values": [1, 2, 3], "meson_cap": 5,
                  "method": "lanczos"},
 }
+
+
+# scipy subpackages that take most of scipy's import time and that no
+# scenario needs
+UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+                "scipy.interpolate")
+
+
+def child_env():
+    """Environment for a child python process that imports the same
+    nelson_lab as the tests, also when only pytest's own path finds it."""
+    src = str(Path(nelson_lab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -200,9 +218,29 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nelson_lab.cli", "validate",
          "--config", str(p)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_run_leaves_unused_scipy_unimported(tmp_path):
+    p = write_cfg(tmp_path, THEOREM1_CFG)
+    script = ("import sys\n"
+              "from nelson_lab import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, *sorted(sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "theorem1", "--config", str(p),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "scipy.sparse.linalg" in modules
+    loaded = [m for m in modules
+              if any(m == name or m.startswith(name + ".")
+                     for name in UNUSED_SCIPY)]
+    assert loaded == []
 
 
 def test_help_lists_scenarios(capsys):

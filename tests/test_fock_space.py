@@ -59,10 +59,16 @@ def test_index_roundtrip_and_miss():
 
 
 def test_occupation_cap_matches_poisson_tail():
-    cap = occupation_cap(2.5, 1e-4)
-    assert poisson.sf(cap, 2.5) <= 1e-4
-    assert poisson.sf(cap - 1, 2.5) > 1e-4
-    assert occupation_cap(0.0, 1e-6) == 0
+    # the smallest cap with poisson.sf(cap, mean) <= budget, read off a
+    # table of scipy.stats tails
+    means = np.concatenate([[0.0, 1e-9], np.arange(0.5, 200.5, 0.5)])
+    caps = np.arange(601)
+    tails = poisson.sf(caps[:, None], means[None, :])
+    for budget in 10.0 ** -np.arange(2, 13):
+        want = np.argmax(tails <= budget, axis=0)
+        assert np.all(tails[want, np.arange(means.size)] <= budget)
+        got = [occupation_cap(mean, budget) for mean in means]
+        assert got == want.tolist()
 
 
 # ---------------------------------------------------------------------------
