@@ -30,7 +30,7 @@ from .quantum_dynamics import (
     propagate,
 )
 from .ground_state import lowest_eigenpair, theorem2_sweep
-from .limit_harness import ehrenfest_track, theorem1_sweep
+from .limit_harness import theorem1_sweep
 from .errors import (
     ConfigInvalid,
     ConvergenceFailure,
@@ -62,7 +62,6 @@ __all__ = [
     "propagate",
     "lowest_eigenpair",
     "theorem2_sweep",
-    "ehrenfest_track",
     "theorem1_sweep",
     "ConfigInvalid",
     "ConvergenceFailure",

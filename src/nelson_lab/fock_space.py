@@ -20,9 +20,8 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv, pdtrc
 
-from .discretization import Grid, ModelParams, coupling_weight, dispersion
-from .errors import (SectorBasisUnsupported, StepSizeRejected,
-                     TruncationInsufficient)
+from .discretization import coupling_weight, dispersion
+from .errors import SectorBasisUnsupported, StepSizeRejected
 
 
 # ---------------------------------------------------------------------------
@@ -377,36 +376,6 @@ class ProductOperator(LinearOperator):
 # states
 
 
-@dataclass
-class QuantumState:
-    """Vector over a nucleon (x) meson product basis."""
-
-    vec: np.ndarray
-    nucleon: FockBasis
-    meson: FockBasis
-    eps: float
-
-    @property
-    def dim(self):
-        return self.vec.shape[0]
-
-    def norm(self):
-        return float(np.linalg.norm(self.vec))
-
-    def normalized(self):
-        return QuantumState(self.vec / np.linalg.norm(self.vec),
-                            self.nucleon, self.meson, self.eps)
-
-    def copy(self):
-        return QuantumState(self.vec.copy(), self.nucleon, self.meson,
-                            self.eps)
-
-
-def tensor_state(nucleon_vec, meson_vec, nucleon_basis, meson_basis, eps):
-    return QuantumState(np.kron(nucleon_vec, meson_vec), nucleon_basis,
-                        meson_basis, eps)
-
-
 def _poisson_amplitudes(alpha, occupations, cap):
     """Product of alpha_m^n / sqrt(n!) down each occupation row."""
     n_modes = alpha.shape[0]
@@ -417,7 +386,7 @@ def _poisson_amplitudes(alpha, occupations, cap):
     return np.prod(table[np.arange(n_modes), occupations], axis=1)
 
 
-def coherent_state(grid, basis, z, eps, deficit_tol=None):
+def coherent_state(grid, basis, z, eps):
     """Coherent (or fixed-number) state at the field configuration z.
 
     Over a truncated basis the product-Poisson amplitudes are cut at the
@@ -440,10 +409,6 @@ def coherent_state(grid, basis, z, eps, deficit_tol=None):
     amps *= np.exp(-0.5 * np.vdot(alpha, alpha).real)
     kept = float(np.vdot(amps, amps).real)
     deficit = max(1.0 - kept, 0.0)
-    if deficit_tol is not None and deficit > deficit_tol:
-        raise TruncationInsufficient(
-            f"coherent mass {deficit:.3e} beyond cap {basis.cap} "
-            f"exceeds budget {deficit_tol:.3e}", deficit=deficit)
     return amps / np.sqrt(kept), deficit
 
 

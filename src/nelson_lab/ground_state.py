@@ -17,8 +17,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .classical_energy import minimize_constrained
 from .discretization import covered_modes
 from .errors import ConvergenceFailure
-from .fock_space import coherent_state, sector_basis, truncated_basis
-from .quantum_dynamics import FactoredHamiltonian
+from .fock_space import sector_basis, truncated_basis
+from .quantum_dynamics import FactoredHamiltonian, coherent_product_state
 
 
 def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
@@ -65,16 +65,6 @@ def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
     return value, vector
 
 
-def coherent_product_state(ham, z1, z2):
-    """The normalised coherent product vector at (z1, z2) on the bases of
-    a `FactoredHamiltonian`: the symmetrised power of z1 on the nucleon
-    sector and the capped coherent state at z2 on the meson factor.  In a
-    standing-wave meson basis it takes the rotated amplitudes."""
-    v1, _ = coherent_state(ham.grid, ham.nucleon_basis, z1, ham.eps)
-    v2, _ = coherent_state(ham.grid, ham.meson_basis, z2, ham.eps)
-    return np.kron(v1, v2)
-
-
 def _rayleigh_quotient(ham, vec):
     return float(np.vdot(vec, ham @ vec).real)
 
@@ -82,7 +72,7 @@ def _rayleigh_quotient(ham, vec):
 def coherent_upper_bound(ham, z1, z2):
     """Rayleigh quotient of the coherent product state at (z1, z2) under a
     `FactoredHamiltonian`; an upper bound on the lowest eigenvalue."""
-    return _rayleigh_quotient(ham, coherent_product_state(ham, z1, z2))
+    return _rayleigh_quotient(ham, coherent_product_state(ham, z1, z2)[0])
 
 
 @dataclass
@@ -123,7 +113,7 @@ def _sector_ground_energy(grid, params, n, meson_cap, method, best):
     eps = params.charge ** 2 / n
     ham = FactoredHamiltonian(grid, params, eps, sector_basis(grid.n_sites, n),
                               active_meson_basis(grid, params, meson_cap))
-    start = coherent_product_state(ham, best.z1, best.z2)
+    start, _ = coherent_product_state(ham, best.z1, best.z2)
     e_coherent = _rayleigh_quotient(ham, start)
     if not np.issubdtype(ham.dtype, np.complexfloating):
         # A real operator takes the real part.  The minimiser fixes the

@@ -6,7 +6,8 @@ freely-pulled-back classical trajectory; the distance between the two
 shrinks with eps.  Since exp(-itH0/eps) W(xi) exp(+itH0/eps) = W(xi_t)
 with xi_t the freely evolved argument, it is <psi(t), W(xi_t) psi(t)>,
 exact by normal ordering (`weyl_matrix_elements`).  First moments of the
-field operators track the classical fields.
+field operators, read from the same evolved states, track the classical
+fields.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical_dynamics import FieldState, flow, free_flow
+from .classical_dynamics import flow, free_flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
-from .fock_space import (coherent_state, ladders, occupation_cap,
-                         tensor_state, truncated_basis)
-from .quantum_dynamics import (FactoredHamiltonian, free_weyl_argument,
-                               propagate, weyl_matrix_elements)
+from .fock_space import ladders, occupation_cap, truncated_basis
+from .quantum_dynamics import (FactoredHamiltonian, coherent_product_state,
+                               free_weyl_argument, propagate,
+                               weyl_matrix_elements)
 
 
 def coherent_target(grid, xi1, xi2, z):
@@ -67,12 +68,14 @@ class CharFnSample:
 
 @dataclass
 class Theorem1Report:
-    """Characteristic-function errors over an eps/time/test-function panel."""
+    """Characteristic-function errors over an eps/time/test-function panel,
+    and the distance of the first moments to the classical fields."""
 
     eps_values: tuple
     t_values: tuple
     n_xi: int
     errors: np.ndarray  # (n_eps, n_t, n_xi)
+    moment_errors: np.ndarray  # (n_eps, n_t + 1), t = 0 first
     samples: list = field(repr=False)
     dims: tuple = ()
     caps: tuple = ()
@@ -91,6 +94,23 @@ def _bases_for(grid, params, eps, z0, tail_budget):
     return nb, mb
 
 
+def _moment_errors(grid, nb, mb, factor_ladders, vectors, traj):
+    """Quadrature distance of (<psi(x)>, <a(k)>) in each vector to the
+    classical fields of `traj` at the same index."""
+    site_ops, mode_ops = factor_ladders
+    mode_mats = [op.T.toarray() for op in mode_ops]
+    q1 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
+    q2 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
+    for i, vec in enumerate(vectors):
+        mat = vec.reshape(nb.dim, mb.dim)
+        for j, op in enumerate(site_ops):
+            q1[i, j] = np.vdot(mat, op @ mat) / np.sqrt(grid.dx)
+        for p, op in enumerate(mode_mats):
+            q2[i, mb.modes[p]] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)
+    return np.sqrt(grid.dx * np.sum(np.abs(q1 - traj.z1) ** 2, axis=1)
+                   + grid.dk * np.sum(np.abs(q2 - traj.z2) ** 2, axis=1))
+
+
 def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                    tail_budget=1e-4, classical_dt=1e-3):
     """Characteristic-function distance to the classical limit.
@@ -98,7 +118,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
     For each eps the coherent state at z0 is evolved, and at each t
     <W(xi_t)> with xi_t = free_weyl_argument(xi, t) is tested against the
     freely-pulled-back classical trajectory on the whole panel; each
-    value is one exact `weyl_matrix_elements` series of the state.
+    value is one exact `weyl_matrix_elements` series of the state.  The
+    same states, and the coherent start at t = 0, give `moment_errors`:
+    the distance of <psi(x)>, <a(k)> to the classical fields at time t.
     """
     t_values = tuple(float(t) for t in t_values)
     if any(t <= 0 for t in t_values) or list(t_values) != sorted(t_values):
@@ -112,26 +134,26 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                        for xi1, xi2 in xi_panel] for t in t_values]
     samples, dims, caps, deficits = [], [], [], []
     errors = np.zeros((len(eps_values), len(t_values), len(xi_panel)))
+    moment_errors = np.zeros((len(eps_values), len(t_values) + 1))
     for a, eps in enumerate(eps_values):
         nb, mb = _bases_for(grid, params, eps, z0, tail_budget)
         ham = FactoredHamiltonian(grid, params, eps, nb, mb)
-        v1, d1 = coherent_state(grid, nb, z0.z1, eps)
-        v2, d2 = coherent_state(grid, mb, z0.z2, eps)
-        deficit = max(d1, d2)
+        psi0, deficit = coherent_product_state(ham, z0.z1, z0.z2)
         if deficit > 10.0 * tail_budget:
             raise TruncationInsufficient(
                 f"coherent tail {deficit:.3e} at eps={eps}", deficit=deficit)
-        state = tensor_state(v1, v2, nb, mb, eps)
         dims.append(ham.dim)
         caps.append((nb.cap, mb.cap))
         deficits.append(deficit)
-        snapshots = propagate(ham, state, list(t_values))
+        snapshots = propagate(ham, psi0, list(t_values))
         factor_ladders = (ladders(nb, eps), ladders(mb, eps))
+        moment_errors[a] = _moment_errors(grid, nb, mb, factor_ladders,
+                                          [psi0, *snapshots], traj)
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
                 value = complex(weyl_matrix_elements(
-                    grid, eps, nb, mb, *evolved_panels[b][c], snap.vec, (),
+                    grid, eps, nb, mb, *evolved_panels[b][c], snap, (),
                     factor_ladders)[0])
                 target = coherent_target(grid, xi1, xi2, pulled_back)
                 err = abs(value - target)
@@ -141,49 +163,5 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                                             error=err))
     return Theorem1Report(eps_values=eps_values, t_values=t_values,
                           n_xi=len(xi_panel), errors=errors, samples=samples,
-                          dims=tuple(dims), caps=tuple(caps),
-                          deficits=tuple(deficits))
-
-
-@dataclass
-class EhrenfestTrack:
-    """First moments of the field operators along the evolution."""
-
-    times: np.ndarray
-    quantum_z1: np.ndarray  # (n_times, n_sites)
-    quantum_z2: np.ndarray  # (n_times, n_sites)
-    classical_z1: np.ndarray
-    classical_z2: np.ndarray
-    errors: np.ndarray  # combined quadrature distance per time
-
-
-def ehrenfest_track(grid, params, eps, z0, times, tail_budget=1e-4,
-                    classical_dt=1e-3):
-    """Track <field> of the evolved coherent state against the classical
-    trajectory started at the same fields."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or times[0] != 0.0:
-        raise ValueError("times must start at 0")
-    nb, mb = _bases_for(grid, params, eps, z0, tail_budget)
-    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
-    v1, _ = coherent_state(grid, nb, z0.z1, eps)
-    v2, _ = coherent_state(grid, mb, z0.z2, eps)
-    state = tensor_state(v1, v2, nb, mb, eps)
-    traj = flow(grid, params, z0, times, classical_dt)
-    site_ops, mode_ops = ladders(nb, eps), ladders(mb, eps)
-    snapshots = ([state] + propagate(ham, state, times[1:])
-                 if times.size > 1 else [state])
-    q1 = np.zeros((times.size, grid.n_sites), dtype=complex)
-    q2 = np.zeros((times.size, grid.n_sites), dtype=complex)
-    for i, snap in enumerate(snapshots):
-        mat = snap.vec.reshape(nb.dim, mb.dim)
-        for j, op in enumerate(site_ops):
-            q1[i, j] = np.vdot(mat, op @ mat) / np.sqrt(grid.dx)
-        for p, op in enumerate(mode_ops):
-            q2[i, mb.modes[p]] = np.vdot(mat, mat @ op.T.toarray()) \
-                / np.sqrt(grid.dk)
-    errors = np.sqrt(grid.dx * np.sum(np.abs(q1 - traj.z1) ** 2, axis=1)
-                     + grid.dk * np.sum(np.abs(q2 - traj.z2) ** 2, axis=1))
-    return EhrenfestTrack(times=times, quantum_z1=q1, quantum_z2=q2,
-                          classical_z1=traj.z1, classical_z2=traj.z2,
-                          errors=errors)
+                          moment_errors=moment_errors, dims=tuple(dims),
+                          caps=tuple(caps), deficits=tuple(deficits))

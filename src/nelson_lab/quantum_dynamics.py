@@ -21,12 +21,12 @@ from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
-from .fock_space import (ProductOperator, QuantumState, _core_projector,
-                         _dense_weyl, _expm_hermitian, _gershgorin_interval,
-                         _site_profiles, _slot_field, coupling_factors,
-                         coupling_weight_on, dgamma_diagonal, ladders,
-                         number_weight_diagonal, second_quantize,
-                         smeared_annihilator)
+from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
+                         _expm_hermitian, _gershgorin_interval,
+                         _site_profiles, _slot_field, coherent_state,
+                         coupling_factors, coupling_weight_on,
+                         dgamma_diagonal, ladders, number_weight_diagonal,
+                         second_quantize, smeared_annihilator)
 
 
 class FactoredHamiltonian(ProductOperator):
@@ -59,10 +59,22 @@ class FactoredHamiltonian(ProductOperator):
                          + coupling, dims)
 
 
-def propagate(ham, state, times):
-    """States exp(-i t H/eps) psi0 at the requested times (increasing,
+def coherent_product_state(ham, z1, z2):
+    """The normalised coherent product vector at (z1, z2) on the bases of
+    a `FactoredHamiltonian`, and the larger of the two factors' capped
+    coherent deficits: the capped coherent state (or, on a nucleon
+    sector, the symmetrised power of z1) on each factor.  In a
+    standing-wave meson basis it takes the rotated amplitudes."""
+    v1, d1 = coherent_state(ham.grid, ham.nucleon_basis, z1, ham.eps)
+    v2, d2 = coherent_state(ham.grid, ham.meson_basis, z2, ham.eps)
+    return np.kron(v1, v2), max(d1, d2)
+
+
+def propagate(ham, psi0, times):
+    """Vectors exp(-i t H/eps) psi0 at the requested times (increasing,
     starting at or after zero), stepped on the CSR matrix `ham.tocsr()`
-    with its Gershgorin interval computed once."""
+    with its Gershgorin interval computed once; a time of zero is psi0
+    itself."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1d array")
@@ -71,14 +83,13 @@ def propagate(ham, state, times):
     h = ham.tocsr()
     interval = _gershgorin_interval(h)
     out = []
-    psi = state.vec.copy()
+    psi = psi0.copy()
     prev = 0.0
     for t in times:
         if t > prev:
             psi = _expm_hermitian(h, (t - prev) / ham.eps, psi, interval)
             prev = t
-        out.append(QuantumState(psi.copy(), ham.nucleon_basis,
-                                ham.meson_basis, ham.eps))
+        out.append(psi.copy())
     return out
 
 
@@ -95,7 +106,10 @@ def _lowering_series(op, block, basis):
     op that lowers the occupation total of a truncated `basis` by one, so
     that op^k = 0 for k > cap; the sum also ends at a vanishing term.  The
     basis is ordered by total, so term k lives on the leading rows, those
-    of total at most cap - k, and each term is built and added there."""
+    of total at most cap - k, and each term is built and added there.  A
+    sparse op is read there from the leading entries of its CSR arrays,
+    without scipy's slicing: those rows reach only columns of total at
+    most cap - k + 1, the rows of term k - 1."""
     cap = basis.cap
     ends = np.searchsorted(basis.occupations.sum(axis=1), np.arange(cap),
                            side="right")
@@ -103,7 +117,14 @@ def _lowering_series(op, block, basis):
     term = block
     for k in range(1, cap + 1):
         rows = ends[cap - k]
-        term = op[:rows, :term.shape[0]] @ term
+        if sp.issparse(op):
+            end = op.indptr[rows]
+            lead = sp.csr_matrix((op.data[:end], op.indices[:end],
+                                  op.indptr[:rows + 1]),
+                                 shape=(rows, term.shape[0]))
+        else:
+            lead = op[:rows, :term.shape[0]]
+        term = lead @ term
         if not term.any():
             break
         term *= 1.0 / k
@@ -243,7 +264,7 @@ class DuhamelReport:
     contributions: tuple
 
 
-def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
+def duhamel_check(ham, psi0, xi1, xi2, t, n_nodes=65):
     """Integral identity for <W(xi)> in the interaction picture.
 
     lhs: <psi(t)|exp(+itH0/eps) W(xi) exp(-itH0/eps)|psi(t)> with
@@ -252,8 +273,9 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     sum_j eps^j int_0^t <psi(s), W(xi(s)) B_j(xi(s)) psi(s)> ds with the
     freely evolved argument xi(s), integrated by composite Simpson;
     the quadrature error is estimated against the half-resolution rule.
-    All values come from one `weyl_matrix_elements` call per node; the
-    first and last nodes give the initial value and lhs.
+    The states at the nodes come from one `propagate` call, and all values
+    from one `weyl_matrix_elements` call per node; the first and last
+    nodes give the initial value and lhs.
     """
     if n_nodes < 5 or (n_nodes - 1) % 4 != 0:
         raise ValueError("n_nodes must be 4k+1 with k >= 1")
@@ -263,16 +285,10 @@ def duhamel_check(ham, state0, xi1, xi2, t, n_nodes=65):
     nb, mb = ham.nucleon_basis, ham.meson_basis
     nodes = np.linspace(0.0, t, n_nodes)
 
-    h = ham.tocsr()
-    interval = _gershgorin_interval(h)
     factor_ladders = (ladders(nb, eps), ladders(mb, eps))
-    psi = state0.vec.copy()
     # rows: <psi, W psi>, then <psi, W B_j psi> for j = 0, 1, 2
     vals = np.zeros((4, n_nodes), dtype=complex)
-    for i, s in enumerate(nodes):
-        if i > 0:
-            psi = _expm_hermitian(h, (nodes[i] - nodes[i - 1]) / eps, psi,
-                                  interval)
+    for i, (s, psi) in enumerate(zip(nodes, propagate(ham, psi0, nodes))):
         z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
         b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s,
                             factor_ladders)

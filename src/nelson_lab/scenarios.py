@@ -11,16 +11,16 @@ import numpy as np
 
 from .classical_dynamics import classical_energy_along, flow
 from .classical_energy import binding_lower_bound, minimize_constrained
-from .config import RunConfig, scenario_option
+from .config import RunConfig, _complex_list, _get, scenario_option
 from .discretization import covered_modes, dispersion
 from .errors import ConfigInvalid
-from .fock_space import (check_relative_bounds, coherent_state,
-                         resolvent_bound_ratio, tensor_state,
+from .fock_space import (check_relative_bounds, resolvent_bound_ratio,
                          truncated_basis, weyl_conjugation_identities)
 from .ground_state import theorem2_sweep
-from .limit_harness import ehrenfest_track, theorem1_sweep
+from .limit_harness import theorem1_sweep
 from .quantum_dynamics import (FactoredHamiltonian, b_expansion_residual,
-                               duhamel_check, gronwall_bound_check)
+                               coherent_product_state, duhamel_check,
+                               gronwall_bound_check)
 
 
 def _reject_unknown(options, known):
@@ -118,25 +118,6 @@ def run_minimize(cfg: RunConfig, seed: int):
     return summary, tables
 
 
-def _xi_from_options(cfg, key, n):
-    values = cfg.options.get(key)
-    if values is None:
-        raise ConfigInvalid(f".scenario.{key}",
-                            f"missing: list of {n} [re, im] pairs")
-    if not isinstance(values, list) or len(values) != n:
-        raise ConfigInvalid(f".scenario.{key}",
-                            f"must be a list of {n} [re, im] pairs")
-    out = np.zeros(n, dtype=complex)
-    for i, pair in enumerate(values):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in pair)):
-            raise ConfigInvalid(f".scenario.{key}[{i}]",
-                                "must be an [re, im] pair")
-        out[i] = pair[0] + 1j * pair[1]
-    return out
-
-
 def run_duhamel(cfg: RunConfig, seed: int):
     _reject_unknown(cfg.options, {"eps", "t", "n_nodes", "nucleon_cap",
                                   "meson_cap", "xi1", "xi2",
@@ -150,20 +131,19 @@ def run_duhamel(cfg: RunConfig, seed: int):
                                 integer=True)
     state0 = _need_initial(cfg)
     grid, params = cfg.grid, cfg.params
-    xi1 = _xi_from_options(cfg, "xi1", grid.n_sites)
-    xi2 = _xi_from_options(cfg, "xi2", grid.n_sites)
+    xi1, xi2 = (_complex_list(_get(cfg.options, key, ".scenario"),
+                              grid.n_sites, f".scenario.{key}")
+                for key in ("xi1", "xi2"))
     modes = covered_modes(grid, params, state0.z2, xi2)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
     ham = FactoredHamiltonian(grid, params, eps, nb, mb)
-    v1, d1 = coherent_state(grid, nb, state0.z1, eps)
-    v2, d2 = coherent_state(grid, mb, state0.z2, eps)
-    state = tensor_state(v1, v2, nb, mb, eps)
-    report = duhamel_check(ham, state, xi1, xi2, t, n_nodes=n_nodes)
+    psi0, deficit = coherent_product_state(ham, state0.z1, state0.z2)
+    report = duhamel_check(ham, psi0, xi1, xi2, t, n_nodes=n_nodes)
     summary = {
         "scenario": "duhamel",
         "eps": eps, "t": t, "n_nodes": n_nodes, "dim": int(ham.dim),
-        "coherent_deficit": float(max(d1, d2)),
+        "coherent_deficit": float(deficit),
         "char_initial_re": report.char_initial.real,
         "char_initial_im": report.char_initial.imag,
         "lhs_re": report.lhs.real, "lhs_im": report.lhs.imag,
@@ -195,6 +175,12 @@ def run_theorem1(cfg: RunConfig, seed: int):
                                lo=1e-12, many=True)
     tail_budget = scenario_option(cfg.options, "tail_budget", 1e-4, lo=1e-12)
     classical_dt = scenario_option(cfg.options, "classical_dt", 1e-3, lo=1e-12)
+    track_eps = cfg.options.get("track_eps")
+    if track_eps is not None:
+        track_eps = scenario_option(cfg.options, "track_eps", 0.1, lo=1e-6)
+        if track_eps not in eps_values:
+            raise ConfigInvalid(".scenario.track_eps",
+                                "must be one of eps_values")
     state0 = _need_initial(cfg)
     report = theorem1_sweep(cfg.grid, cfg.params, state0, eps_values,
                             t_values, tail_budget=tail_budget,
@@ -219,19 +205,14 @@ def run_theorem1(cfg: RunConfig, seed: int):
              "target_im": s.target.imag} for s in report.samples]
     tables = {"char_errors": (["eps", "t", "xi_index", "error", "value_re",
                                "value_im", "target_re", "target_im"], rows)}
-    track_eps = cfg.options.get("track_eps")
     if track_eps is not None:
-        track_eps = scenario_option(cfg.options, "track_eps", 0.1, lo=1e-6)
-        times = np.concatenate([[0.0], t_values])
-        track = ehrenfest_track(cfg.grid, cfg.params, track_eps, state0,
-                                times, tail_budget=tail_budget,
-                                classical_dt=classical_dt)
+        moments = report.moment_errors[eps_values.index(track_eps)]
         summary["ehrenfest_eps"] = track_eps
-        summary["ehrenfest_max_error"] = float(track.errors.max())
+        summary["ehrenfest_max_error"] = float(moments.max())
         tables["ehrenfest"] = (
             ["t", "error"],
-            [{"t": float(track.times[i]), "error": float(track.errors[i])}
-             for i in range(len(track.times))])
+            [{"t": t, "error": float(err)}
+             for t, err in zip([0.0, *report.t_values], moments)])
     return summary, tables
 
 

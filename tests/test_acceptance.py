@@ -30,11 +30,9 @@ from nelson_lab.discretization import (Grid, ModelParams, chi_gaussian,
                                        chi_sharp_band, coupling_weight,
                                        dispersion, one_body_hamiltonian,
                                        potential_preset)
-from nelson_lab.fock_space import (QuantumState, check_relative_bounds,
-                                   coherent_state, occupation_cap,
-                                   resolvent_bound_ratio,
-                                   sector_basis, tensor_state,
-                                   truncated_basis,
+from nelson_lab.fock_space import (check_relative_bounds, coherent_state,
+                                   occupation_cap, resolvent_bound_ratio,
+                                   sector_basis, truncated_basis,
                                    weyl_conjugation_identities)
 from nelson_lab.ground_state import lowest_eigenpair, theorem2_sweep
 from nelson_lab.limit_harness import theorem1_sweep
@@ -74,7 +72,7 @@ def tiny_fields(grid):
 def coherent_product(grid, nb, mb, eps, z1, z2):
     v1, d1 = coherent_state(grid, nb, z1, eps)
     v2, d2 = coherent_state(grid, mb, z2, eps)
-    return tensor_state(v1, v2, nb, mb, eps), max(d1, d2)
+    return np.kron(v1, v2), max(d1, d2)
 
 
 def test_criterion_01_coherent_energy_identity():
@@ -97,7 +95,7 @@ def test_criterion_01_coherent_energy_identity():
         mb = truncated_basis(modes.size, cap, modes=modes)
         ham = FactoredHamiltonian(grid, params, eps, nb, mb)
         state, deficit = coherent_product(grid, nb, mb, eps, z1, z2)
-        e_quantum = float(np.real(np.vdot(state.vec, ham @ state.vec)))
+        e_quantum = float(np.real(np.vdot(state, ham @ state)))
         h_classical = evaluate_h(grid, params, FieldState(z1, z2)).total
         dev = abs(e_quantum - h_classical) / (1.0 + abs(h_classical))
         worst_dev = max(worst_dev, dev)
@@ -133,11 +131,11 @@ def test_criterion_02_conservation_suite():
     grid_q, _, nb, mb, ham = tiny_coupled_system()
     z1q, z2q = tiny_fields(grid_q)
     state, _ = coherent_product(grid_q, nb, mb, ham.eps, z1q, z2q)
-    e0 = float(np.real(np.vdot(state.vec, ham @ state.vec)))
+    e0 = float(np.real(np.vdot(state, ham @ state)))
     norm_drift, q_energy_drift = 0.0, 0.0
     for snap in propagate(ham, state, [0.25, 0.5, 1.0]):
-        norm_drift = max(norm_drift, abs(snap.norm() - 1.0))
-        e_t = float(np.real(np.vdot(snap.vec, ham @ snap.vec)))
+        norm_drift = max(norm_drift, abs(np.linalg.norm(snap) - 1.0))
+        e_t = float(np.real(np.vdot(snap, ham @ snap)))
         q_energy_drift = max(q_energy_drift,
                              abs(e_t - e0) / (1.0 + abs(e0)))
     assert norm_drift <= 1e-10
@@ -377,10 +375,9 @@ def test_criterion_09_numerical_oracles():
     v /= np.linalg.norm(v)
     t = 0.8
     dense = scipy.linalg.expm(-1j * t * h.toarray()) @ v
-    ham = SimpleNamespace(eps=1.0, nucleon_basis=None, meson_basis=None,
-                          tocsr=lambda: h)
-    (evolved,) = propagate(ham, QuantumState(v, None, None, 1.0), [t])
-    propagator_err = float(np.linalg.norm(evolved.vec - dense))
+    ham = SimpleNamespace(eps=1.0, tocsr=lambda: h)
+    (evolved,) = propagate(ham, v, [t])
+    propagator_err = float(np.linalg.norm(evolved - dense))
     assert propagator_err <= 1e-9
 
     # Lanczos lowest eigenpair against dense diagonalization

@@ -47,8 +47,11 @@ THEOREM1_CFG = {
     "model": DUHAMEL_CFG["model"],
     "initial": DUHAMEL_CFG["initial"],
     "scenario": {"name": "theorem1", "eps_values": [0.4, 0.2],
-                 "t_values": [0.25, 0.5]},
+                 "t_values": [0.25, 0.5], "track_eps": 0.2},
 }
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
 
 
 THEOREM2_CFG = {
@@ -168,7 +171,10 @@ def test_reruns_are_byte_identical(tmp_path, cfg, table):
     for out in (out_a, out_b):
         assert main(["run", cfg["scenario"]["name"], "--config", str(p),
                      "--out", str(out), "--seed", "42"]) == 0
-    for name in ("summary.json", table):
+    names = sorted(p.name for p in out_a.iterdir()
+                   if p.name != "manifest.json")
+    assert table in names
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     ma = json.loads((out_a / "manifest.json").read_text())
     mb = json.loads((out_b / "manifest.json").read_text())
@@ -184,6 +190,31 @@ def test_bad_n_values_entry_exits_2(tmp_path, capsys, entry):
     assert main(["run", "theorem2", "--config", str(p),
                  "--out", str(tmp_path / "out")]) == 2
     assert ".scenario.n_values[1]" in capsys.readouterr().err
+
+
+def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
+    data = json.loads(json.dumps(THEOREM1_CFG))
+    data["scenario"]["track_eps"] = 0.3
+    p = write_cfg(tmp_path, data)
+    assert main(["run", "theorem1", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error at .scenario.track_eps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_configs_run(tmp_path, capsys, path):
+    scenario = json.loads(path.read_text())["scenario"]["name"]
+    assert main(["run", scenario, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    written = capsys.readouterr().out.split()
+    assert written[0].endswith("summary.json")
+    assert written[-1].endswith("manifest.json")
+    manifest = json.loads(Path(written[-1]).read_text())
+    assert sorted(Path(w).name for w in written[:-1]) \
+        == sorted(manifest["files"])
+    for name in written:
+        assert Path(name).stat().st_size > 0
 
 
 def test_manifest_records_config_hash(tmp_path):

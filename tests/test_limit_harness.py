@@ -6,8 +6,7 @@ import pytest
 from nelson_lab.classical_dynamics import FieldState
 from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, potential_preset)
-from nelson_lab.limit_harness import (
-    default_xi_panel, ehrenfest_track, theorem1_sweep)
+from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 
 
 def limit_system(chi_amp=0.25):
@@ -74,13 +73,12 @@ def test_free_evolution_error_is_time_independent():
 
 def test_ehrenfest_moments_track_classical_fields():
     grid, params, z0, _ = limit_system()
-    terminal = []
-    for eps in (0.4, 0.2, 0.1):
-        track = ehrenfest_track(grid, params, eps, z0,
-                                np.array([0.0, 0.25, 0.5]))
-        assert track.errors[0] <= 1e-5  # truncation only at t = 0
-        assert track.errors.max() <= 1e-2
-        terminal.append(track.errors[-1])
+    report = theorem1_sweep(grid, params, z0, [0.4, 0.2, 0.1], [0.25, 0.5])
+    assert report.moment_errors.shape == (3, 3)
+    for row in report.moment_errors:
+        assert row[0] <= 1e-5  # truncation only at t = 0
+        assert row.max() <= 1e-2
+    terminal = report.moment_errors[:, -1]
     assert terminal[0] > terminal[1] > terminal[2]
     assert 1.6 <= terminal[0] / terminal[1] <= 2.5
     assert 1.6 <= terminal[1] / terminal[2] <= 2.5
@@ -88,9 +86,8 @@ def test_ehrenfest_moments_track_classical_fields():
 
 def test_ehrenfest_free_case_stays_coherent():
     grid, params, z0, _ = limit_system(chi_amp=0.0)
-    track = ehrenfest_track(grid, params, 0.2, z0,
-                            np.array([0.0, 0.5, 1.0]))
-    assert track.errors.max() <= 1e-6
+    report = theorem1_sweep(grid, params, z0, [0.2], [0.5, 1.0])
+    assert report.moment_errors.max() <= 1e-6
 
 
 def test_panel_and_input_validation():
@@ -105,5 +102,3 @@ def test_panel_and_input_validation():
         theorem1_sweep(grid, params, z0, [0.2], [0.5, 0.25])
     with pytest.raises(ValueError):
         theorem1_sweep(grid, params, z0, [0.2], [-0.5])
-    with pytest.raises(ValueError):
-        ehrenfest_track(grid, params, 0.2, z0, np.array([0.25, 0.5]))

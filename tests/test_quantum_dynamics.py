@@ -17,8 +17,8 @@ from nelson_lab.discretization import (
 from nelson_lab import fock_space, quantum_dynamics
 from nelson_lab.errors import SectorBasisUnsupported, StepSizeRejected
 from nelson_lab.fock_space import (
-    QuantumState, check_relative_bounds, coherent_state, sector_basis,
-    tensor_state, truncated_basis, weyl_generator)
+    check_relative_bounds, coherent_state, sector_basis,
+    smeared_annihilator, truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
     FactoredHamiltonian, b_expansion_residual, b_operators, duhamel_check,
@@ -51,7 +51,7 @@ def tiny_system(eps=0.5, chi_amp=0.3, caps=(8, 10)):
 def coherent_initial(grid, nb, mb, eps, z1, z2):
     v1, d1 = coherent_state(grid, nb, z1, eps)
     v2, d2 = coherent_state(grid, mb, z2, eps)
-    return tensor_state(v1, v2, nb, mb, eps), max(d1, d2)
+    return np.kron(v1, v2), max(d1, d2)
 
 
 def tiny_fields(grid):
@@ -90,12 +90,12 @@ def test_coherent_energy_matches_classical_functional():
     z2[modes] = [0.2 - 0.1j, 0.15j]
     state, deficit = coherent_initial(grid, nb, mb, eps, z1, z2)
     assert deficit <= 1e-10
-    e_quantum = np.vdot(state.vec, ham @ state.vec).real
+    e_quantum = np.vdot(state, ham @ state).real
     e_classical = evaluate_h(grid, params, FieldState(z1, z2)).total
     assert abs(e_quantum - e_classical) <= 1e-6 * (1.0 + abs(e_classical))
     # scaled nucleon number reproduces the classical charge
     n1_diag = np.repeat(eps * nb.occupations.sum(axis=1), mb.dim)
-    n1 = float(n1_diag @ (np.abs(state.vec) ** 2))
+    n1 = float(n1_diag @ (np.abs(state) ** 2))
     charge = grid.dx * np.sum(np.abs(z1) ** 2)
     assert abs(n1 - charge) <= 1e-8
 
@@ -104,10 +104,10 @@ def test_propagation_conserves_norm_and_energy():
     grid, _, nb, mb, ham = tiny_system()
     z1, z2 = tiny_fields(grid)
     state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
-    e0 = np.vdot(state.vec, ham @ state.vec).real
+    e0 = np.vdot(state, ham @ state).real
     for snap in propagate(ham, state, [0.25, 0.5, 1.0]):
-        assert abs(snap.norm() - 1.0) <= 1e-10
-        e_t = np.vdot(snap.vec, ham @ snap.vec).real
+        assert abs(np.linalg.norm(snap) - 1.0) <= 1e-10
+        e_t = np.vdot(snap, ham @ snap).real
         assert abs(e_t - e0) <= 1e-9 * (1.0 + abs(e0))
 
 
@@ -118,9 +118,8 @@ def random_hermitian(rng, n, scale=1.0):
 
 def propagated(h, v, t):
     """exp(-i t h) v by `propagate`, with h standing in for H/eps."""
-    ham = SimpleNamespace(eps=1.0, nucleon_basis=None, meson_basis=None,
-                          tocsr=lambda: sp.csr_matrix(h))
-    return propagate(ham, QuantumState(v, None, None, 1.0), [t])[0].vec
+    ham = SimpleNamespace(eps=1.0, tocsr=lambda: sp.csr_matrix(h))
+    return propagate(ham, v, [t])[0]
 
 
 def test_propagator_matches_dense_exponential():
@@ -195,7 +194,7 @@ def test_propagation_ignores_global_random_state():
     runs = []
     for seed in (0, 12345):
         np.random.seed(seed)
-        runs.append(propagate(ham, state, [1.0])[0].vec.tobytes())
+        runs.append(propagate(ham, state, [1.0])[0].tobytes())
     assert runs[0] == runs[1]
 
 
@@ -238,16 +237,15 @@ def test_ladder_step_at_eps_0025_takes_few_matvecs():
                                        (12, 7), eps)
     assert ham.dim == 65520
     h = CountingCSR(ham.tocsr())
-    counted = SimpleNamespace(eps=eps, nucleon_basis=nb, meson_basis=mb,
-                              tocsr=lambda: h)
+    counted = SimpleNamespace(eps=eps, tocsr=lambda: h)
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
     z2 = np.zeros(4, dtype=complex)
     z2[mb.modes] = [0.1 - 0.05j, 0.07j]
     state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
     CountingCSR.matvecs = 0
-    psi = propagate(counted, state, [0.25])[0].vec
+    psi = propagate(counted, state, [0.25])[0]
     assert 0 < CountingCSR.matvecs <= 60
-    e0 = np.vdot(state.vec, h @ state.vec).real
+    e0 = np.vdot(state, h @ state).real
     assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-12
 
 
@@ -302,7 +300,7 @@ def test_sweep_matches_dense_interaction_picture_route():
     h_total, h_free = ham.toarray(), free_part(ham)
     panel = default_xi_panel(grid, mb.modes)
     for b, t in enumerate(t_values):
-        psi_t = expm(-1j * t * h_total / eps) @ state.vec
+        psi_t = expm(-1j * t * h_total / eps) @ state
         rotated = expm(1j * t * h_free / eps) @ psi_t
         for c, (xi1, xi2) in enumerate(panel):
             value, = dense_reference(grid, eps, nb, mb, xi1, xi2, rotated,
@@ -356,6 +354,24 @@ def test_weyl_matrix_elements_do_not_depend_on_the_cap():
     again = weyl_matrix_elements(grid, ham.eps, big_nb, big_mb, xi1, xi2,
                                  big_phi, [big_chi])
     assert np.abs(got - again).max() <= 1e-13
+
+
+def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
+    # the sparse series reads each term's leading rows from the CSR arrays
+    # directly; the dense operand takes the plain slice op[:rows, :cols]
+    grid = Grid(4, np.pi)
+    nb = truncated_basis(grid.n_sites, 6)
+    rng = np.random.default_rng(21)
+    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    op = (1j / np.sqrt(2.0)) * smeared_annihilator(nb, f, grid.dx, 0.1)
+    block = (rng.standard_normal((nb.dim, 3))
+             + 1j * rng.standard_normal((nb.dim, 3)))
+    parts = quantum_dynamics._lowering_series(op, block, nb)
+    dense = quantum_dynamics._lowering_series(op.toarray(), block, nb)
+    for got, want in zip(parts, dense):
+        assert np.abs(got - want).max() <= 1e-13
+    exact = expm(op.toarray()) @ block
+    assert np.abs(parts[0] + parts[1] - exact).max() <= 1e-12
 
 
 def test_weyl_vacuum_value_is_exact_at_a_low_cap():
@@ -526,7 +542,7 @@ def test_b_operators_agree_across_meson_frames():
         z1, z2 = random_arguments(grid, mb, seed=9)
         state, _ = coherent_initial(grid, nb, mb, ham.eps, 0.5 * z1,
                                     0.5 * z2)
-        values.append([np.vdot(state.vec, b @ state.vec) for b in
+        values.append([np.vdot(state, b @ state) for b in
                        b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)])
     assert np.abs(np.subtract(*values)).max() <= 1e-12
     assert min(abs(v) for v in values[0]) >= 1e-3

@@ -127,6 +127,27 @@ def test_duhamel_runner():
     assert rows[0]["order"] == 0
 
 
+@pytest.mark.parametrize("xis, path", [
+    ({"xi2": [[0.0, 0.0], [0.25, -0.2]]}, ".scenario.xi1"),
+    ({"xi1": [[0.3, 0.1], [-0.2, 0.05]], "xi2": [[0.0, 0.0], [0.25]]},
+     ".scenario.xi2[1]"),
+], ids=["missing-xi1", "malformed-xi2-pair"])
+def test_duhamel_xi_errors_name_their_path(xis, path):
+    cfg = parse_config({
+        "grid": {"n_sites": 2, "half_length": HALF_PI},
+        "model": band_model(0.3, 2.0, 2.0),
+        "initial": {
+            "z1": {"kind": "explicit",
+                   "values": [[0.05, 0.02], [-0.03, 0.01]]},
+            "z2": {"kind": "modes", "entries": [[1, 0.08, -0.03]]},
+        },
+        "scenario": {"name": "duhamel", **xis},
+    })
+    with pytest.raises(ConfigInvalid) as err:
+        run_scenario(cfg, seed=0)
+    assert err.value.path == path
+
+
 def test_theorem1_runner():
     cfg = parse_config({
         "grid": {"n_sites": 4, "half_length": PI},
