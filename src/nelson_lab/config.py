@@ -9,6 +9,7 @@ ConfigInvalid carrying the dotted path of the offending entry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,17 @@ def _get(data, key, path, required=True, default=None):
     return data[key]
 
 
+def _finite(value):
+    """A JSON number that is a finite float: not NaN or +-Infinity, which
+    json accepts, nor an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(value, path, lo=None, hi=None, integer=False, many=False):
     """A finite number in [lo, hi], an integer if asked; with `many`, a
     nonempty list of them, each entry checked at its own path."""
@@ -75,8 +87,7 @@ def _number(value, path, lo=None, hi=None, integer=False, many=False):
             raise ConfigInvalid(path, "must be a nonempty list of numbers")
         return [_number(v, f"{path}[{i}]", lo, hi, integer)
                 for i, v in enumerate(value)]
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok or not np.isfinite(value):
+    if not _finite(value):
         raise ConfigInvalid(path, "must be a finite number")
     if integer and int(value) != value:
         raise ConfigInvalid(path, "must be an integer")
@@ -93,15 +104,24 @@ def scenario_option(options, key, default, **checks):
     return _number(options.get(key, default), f".scenario.{key}", **checks)
 
 
+def _real_list(value, n, path):
+    """n finite numbers, each entry checked at its own path."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigInvalid(path, f"must be {n} numbers")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+
 def _complex_list(value, n, path):
+    """n complex numbers from [re, im] pairs of finite numbers, each entry
+    checked at its own path."""
     if not isinstance(value, list) or len(value) != n:
         raise ConfigInvalid(path, f"must be a list of {n} [re, im] pairs")
     out = np.zeros(n, dtype=complex)
     for i, pair in enumerate(value):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in pair)):
-            raise ConfigInvalid(f"{path}[{i}]", "must be an [re, im] pair")
+                or not all(_finite(v) for v in pair)):
+            raise ConfigInvalid(f"{path}[{i}]",
+                                "must be an [re, im] pair of finite numbers")
         out[i] = pair[0] + 1j * pair[1]
     return out
 
@@ -121,13 +141,8 @@ def _parse_potential(grid, data):
     _expect_object(data, ".model.potential", {"kind", "strength", "values"})
     kind = _get(data, "kind", ".model.potential")
     if kind == "explicit":
-        values = _get(data, "values", ".model.potential")
-        if (not isinstance(values, list) or len(values) != grid.n_sites
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in values)):
-            raise ConfigInvalid(".model.potential.values",
-                                f"must be {grid.n_sites} numbers")
-        return np.asarray(values, dtype=float)
+        return _real_list(_get(data, "values", ".model.potential"),
+                          grid.n_sites, ".model.potential.values")
     strength = _number(_get(data, "strength", ".model.potential",
                             required=False, default=1.0),
                        ".model.potential.strength")
@@ -144,13 +159,8 @@ def _parse_chi(grid, data):
     if kind == "zero":
         return np.zeros(grid.n_sites)
     if kind == "explicit":
-        values = _get(data, "values", ".model.chi")
-        if (not isinstance(values, list) or len(values) != grid.n_sites
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in values)):
-            raise ConfigInvalid(".model.chi.values",
-                                f"must be {grid.n_sites} numbers")
-        return np.asarray(values, dtype=float)
+        return _real_list(_get(data, "values", ".model.chi"),
+                          grid.n_sites, ".model.chi.values")
     amp = _number(_get(data, "amplitude", ".model.chi"),
                   ".model.chi.amplitude")
     if kind == "sharp-band":
@@ -234,10 +244,9 @@ def _parse_z2(grid, params, z1, data):
         z2 = np.zeros(grid.n_sites, dtype=complex)
         for i, entry in enumerate(entries):
             if (not isinstance(entry, list) or len(entry) != 3
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool) for v in entry)):
+                    or not all(_finite(v) for v in entry)):
                 raise ConfigInvalid(f".initial.z2.entries[{i}]",
-                                    "must be [mode, re, im]")
+                                    "must be [mode, re, im] of finite numbers")
             m = int(entry[0])
             if entry[0] != m or not 0 <= m < grid.n_sites:
                 raise ConfigInvalid(f".initial.z2.entries[{i}]",

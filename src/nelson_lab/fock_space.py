@@ -20,7 +20,6 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv, pdtrc
 
-from .discretization import coupling_weight, dispersion
 from .errors import SectorBasisUnsupported, StepSizeRejected
 
 
@@ -225,73 +224,15 @@ def ladders(basis, eps):
     return [ladder(basis, m, eps) for m in range(basis.n_modes)]
 
 
-def smeared_annihilator(basis, f, quad, eps, mode_ladders=None):
-    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m on the basis modes.
-    `mode_ladders`, the `ladders(basis, eps)`, are re-weighted instead of
-    rebuilt when given."""
+def smeared_annihilator(annihilators, f, quad):
+    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m, re-weighting the
+    `annihilators` a_m = sqrt(eps) b_m of `ladders(basis, eps)`."""
     f = np.asarray(f, dtype=complex)
-    out = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for m in range(basis.n_modes):
-        if f[m] == 0:
-            continue
-        a_m = (ladder(basis, m, eps) if mode_ladders is None
-               else mode_ladders[m])
-        out = out + np.sqrt(quad) * np.conj(f[m]) * a_m
+    out = sp.csr_matrix(annihilators[0].shape, dtype=complex)
+    for f_m, a_m in zip(f, annihilators):
+        if f_m != 0:
+            out = out + np.sqrt(quad) * np.conj(f_m) * a_m
     return out.tocsr()
-
-
-def coupling_weight_on(grid, params, meson_basis):
-    """The coupling weight w = chi/sqrt(omega), checked to vanish off the
-    modes the meson basis carries."""
-    if meson_basis.modes is None:
-        raise ValueError("meson basis must carry grid mode indices")
-    w = coupling_weight(grid, params)
-    covered = np.zeros(grid.n_sites, dtype=bool)
-    covered[meson_basis.modes] = True
-    if np.any(w[~covered] != 0):
-        raise ValueError("coupling weight is nonzero outside the meson basis")
-    return w
-
-
-def _site_profiles(grid, w, basis):
-    """g[p, j]: the coupling profile of meson slot p at site x_j.
-
-    A plane-wave slot of mode m carries w_m e^{-i k_m x_j}, real at k = 0
-    and Nyquist.  A standing pair (p, q) with k = k_p carries
-    c: (w_p e^{-ikx} + w_q e^{ikx})/sqrt2 and
-    s: -i (w_p e^{-ikx} - w_q e^{ikx})/sqrt2, which are sqrt2 w cos(kx)
-    and -sqrt2 w sin(kx) when w_p = w_q.  Real whenever every imaginary
-    part vanishes exactly.
-    """
-    modes = basis.modes
-    theta = np.outer(grid.k[modes], grid.x)
-    cos, sin = np.cos(theta), np.sin(theta)
-    sin[(2 * modes) % grid.n_sites == 0] = 0.0  # sin(k x_j) = 0 exactly
-    wm = w[modes][:, None]
-    re, im = wm * cos, -wm * sin
-    for p, q in (standing_wave_pairs(grid, modes) if basis.standing else ()):
-        plus = (w[modes[p]] + w[modes[q]]) / np.sqrt(2.0)
-        minus = (w[modes[p]] - w[modes[q]]) / np.sqrt(2.0)
-        re[p], im[p] = plus * cos[p], -minus * sin[p]
-        re[q], im[q] = -plus * sin[p], -minus * cos[p]
-    return re + 1j * im if np.any(im) else re
-
-
-def coupling_factors(grid, params, eps, nucleon_basis, meson_basis):
-    """The coupling as H_c = sum_p diag(rho_p) (x) a_p* + h.c.
-
-    Returns the coupled meson slots p, the nucleon profiles rho (one row
-    per coupled slot, rho_p(n) = sqrt(dk) eps sum_j n_j g_p(x_j) with g
-    from `_site_profiles`) and the meson annihilators a_p.  The profiles
-    are real when the slot profiles are, so in a standing-wave basis for
-    a coupling even in k.
-    """
-    w = coupling_weight_on(grid, params, meson_basis)
-    g = _site_profiles(grid, w, meson_basis)
-    slots = np.nonzero(np.any(g != 0, axis=1))[0]
-    occ = nucleon_basis.occupations
-    return (slots, np.sqrt(grid.dk) * eps * (g[slots] @ occ.T),
-            [ladder(meson_basis, p, eps) for p in slots])
 
 
 def _apply_pair(stack, left, right_t):
@@ -502,16 +443,13 @@ def _expm_hermitian(h, tau, v, interval):
 # Weyl generators
 
 
-def weyl_generator(grid, basis, xi, eps, mode_ladders=None):
+def weyl_generator(grid, basis, xi, eps):
     """Anti-Hermitian X with W(xi) = exp(X) on a single Fock factor:
     X = (i/sqrt(2)) (a*(xi) + a(xi)) with the smeared annihilator
-    a(xi) = sum_m sqrt(quad * eps) conj(xi_m) b_m.  `mode_ladders`, the
-    `ladders(basis, eps)`, are re-weighted instead of rebuilt when given."""
-    if basis.kind == "sector":
-        raise SectorBasisUnsupported(
-            "Weyl displacements leave no fixed-total sector invariant")
+    a(xi) = sum_m sqrt(quad * eps) conj(xi_m) b_m.  A sector basis raises
+    SectorBasisUnsupported, as its ladders do."""
     quad, xi_sel = _slot_field(grid, basis, xi, "argument")
-    a_xi = smeared_annihilator(basis, xi_sel, quad, eps, mode_ladders)
+    a_xi = smeared_annihilator(ladders(basis, eps), xi_sel, quad)
     return ((1j / np.sqrt(2.0)) * (a_xi.getH() + a_xi)).tocsr()
 
 
@@ -523,76 +461,6 @@ def _dense_weyl(grid, basis, xi, eps):
 
 # ---------------------------------------------------------------------------
 # property checkers
-
-
-def number_weight_diagonal(nucleon_basis, meson_basis, eps):
-    """Diagonal of N1^2 + N2 + eps on the product basis."""
-    n1 = eps * nucleon_basis.occupations.sum(axis=1).astype(float)
-    n2 = eps * meson_basis.occupations.sum(axis=1).astype(float)
-    return (np.repeat(n1 ** 2, meson_basis.dim)
-            + np.tile(n2, nucleon_basis.dim) + eps)
-
-
-def check_relative_bounds(grid, params, eps, nucleon_basis, meson_basis,
-                          n_samples=500, seed=0):
-    """Max ratios over random states for the coupling-term bounds.
-
-    The coupling annihilation half acts blockwise as a(f) with the
-    configuration-dependent smearing f(n) whose slot amplitudes are the
-    `coupling_factors` profiles over sqrt(dk); sup norms run over the
-    nucleon occupations in the basis.  Returns {name: max ratio}, each
-    bounded by 1 when the inequality holds.
-    """
-    slots, profiles, slot_ladders = coupling_factors(
-        grid, params, eps, nucleon_basis, meson_basis)
-    dims = (nucleon_basis.dim, meson_basis.dim)
-    creation = ProductOperator(zip(profiles, [a.T for a in slot_ladders]),
-                               dims)
-    annihilation = ProductOperator(zip(profiles.conj(), slot_ladders), dims)
-    omega = dispersion(grid.k, params.meson_mass)[meson_basis.modes]
-    # dk |f(n)_p|^2 = |rho_p(n)|^2, and omega is even in k, so a
-    # standing pair shares the omega of its modes
-    f_sq = np.abs(profiles) ** 2
-    sup_fw = np.sqrt(np.max(np.sum(f_sq / omega[slots, None], axis=0)))
-    sup_f = np.sqrt(np.max(np.sum(f_sq, axis=0)))
-    w = coupling_weight(grid, params)
-    chi_norm = np.sqrt(grid.dk * np.sum(w ** 2))
-
-    dim_n = nucleon_basis.dim
-    n2 = eps * meson_basis.occupations.sum(axis=1).astype(float)
-    h02 = dgamma_diagonal(meson_basis, omega, eps)
-    h02_half = np.sqrt(np.tile(h02, dim_n))
-    n2_half = np.sqrt(np.tile(n2, dim_n))
-    n2_shift_half = np.sqrt(np.tile(n2, dim_n) + eps)
-    t_diag = number_weight_diagonal(nucleon_basis, meson_basis, eps)
-
-    rng = np.random.default_rng(seed)
-    dim = creation.dim
-    out = {"annihilation_energy": 0.0, "creation_energy": 0.0,
-           "annihilation_number": 0.0, "creation_number": 0.0,
-           "coupling_total": 0.0}
-    for _ in range(n_samples):
-        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        phi /= np.linalg.norm(phi)
-        an_phi, cr_phi = annihilation @ phi, creation @ phi
-        an, cr = np.linalg.norm(an_phi), np.linalg.norm(cr_phi)
-        h_phi = np.linalg.norm(h02_half * phi)
-        out["annihilation_energy"] = max(
-            out["annihilation_energy"], an ** 2 / (sup_fw ** 2 * h_phi ** 2))
-        out["creation_energy"] = max(
-            out["creation_energy"],
-            cr ** 2 / (sup_fw ** 2 * h_phi ** 2 + eps * sup_f ** 2))
-        out["annihilation_number"] = max(
-            out["annihilation_number"],
-            an / (sup_f * np.linalg.norm(n2_half * phi)))
-        out["creation_number"] = max(
-            out["creation_number"],
-            cr / (sup_f * np.linalg.norm(n2_shift_half * phi)))
-        out["coupling_total"] = max(
-            out["coupling_total"],
-            np.linalg.norm(an_phi + cr_phi)
-            / (chi_norm * np.linalg.norm(t_diag * phi)))
-    return out
 
 
 def resolvent_bound_ratio(y1, y2, cap, eps):
@@ -637,12 +505,12 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
     cannot reach).  Returns {name: residual}."""
     if basis.kind != "truncated":
         raise ValueError("identity checks need a truncated basis")
-    quad = grid.dx if basis.modes is None else grid.dk
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     y_matrix = np.asarray(y_matrix, dtype=complex)
-    xi_sel = xi if basis.modes is None else xi[basis.modes]
-    eta_sel = eta if basis.modes is None else eta[basis.modes]
+    quad, xi_sel = _slot_field(grid, basis, xi, "argument")
+    _, eta_sel = _slot_field(grid, basis, eta, "argument")
+    annihilators = ladders(basis, eps)
 
     w_xi = _dense_weyl(grid, basis, xi, eps)
     w_eta = _dense_weyl(grid, basis, eta, eps)
@@ -654,7 +522,7 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
 
     dgam = second_quantize(basis, y_matrix, eps).toarray()
     y_xi = y_matrix @ xi_sel
-    a_yxi = smeared_annihilator(basis, y_xi, quad, eps).toarray()
+    a_yxi = smeared_annihilator(annihilators, y_xi, quad).toarray()
     pairing = quad * np.vdot(xi_sel, y_xi)
     rhs = (dgam
            + (1j * eps / np.sqrt(2.0)) * (a_yxi.conj().T - a_yxi)
@@ -664,8 +532,8 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
 
     shift = 1j * eps / np.sqrt(2.0) * np.sqrt(quad)
     worst = 0.0
-    for m in range(basis.n_modes):
-        a_m = ladder(basis, m, eps).toarray()
+    for m, a_m in enumerate(annihilators):
+        a_m = a_m.toarray()
         res = w_xi.conj().T @ a_m @ w_xi - a_m \
             - shift * xi_sel[m] * np.eye(basis.dim)
         worst = max(worst, core_norm(res))

@@ -65,16 +65,6 @@ def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
     return value, vector
 
 
-def _rayleigh_quotient(ham, vec):
-    return float(np.vdot(vec, ham @ vec).real)
-
-
-def coherent_upper_bound(ham, z1, z2):
-    """Rayleigh quotient of the coherent product state at (z1, z2) under a
-    `FactoredHamiltonian`; an upper bound on the lowest eigenvalue."""
-    return _rayleigh_quotient(ham, coherent_product_state(ham, z1, z2)[0])
-
-
 @dataclass
 class GroundStateRecord:
     """Energies at one nucleon number."""
@@ -106,25 +96,28 @@ def active_meson_basis(grid, params, cap):
     return truncated_basis(modes.size, cap, modes=modes, standing=True)
 
 
-def _sector_ground_energy(grid, params, n, meson_cap, method, best):
-    """The sector Hamiltonian, its ground energy and the coherent bound at
-    the classical minimiser `best`.  The coherent product vector is also
-    the Lanczos start: by Theorem 2 it is close to the ground state."""
+def _sector_hamiltonian(grid, params, n, meson_cap):
+    """H on the n-nucleon sector, eps = lambda^2 / n, over the active
+    standing-wave meson basis."""
     eps = params.charge ** 2 / n
-    ham = FactoredHamiltonian(grid, params, eps, sector_basis(grid.n_sites, n),
-                              active_meson_basis(grid, params, meson_cap))
-    start, _ = coherent_product_state(ham, best.z1, best.z2)
-    e_coherent = _rayleigh_quotient(ham, start)
+    return FactoredHamiltonian(grid, params, eps, sector_basis(grid.n_sites, n),
+                               active_meson_basis(grid, params, meson_cap))
+
+
+def _ground_energy(ham, start, method):
+    """Lowest eigenvalue of `ham`, with the Lanczos iteration started at
+    the coherent product vector `start`: by Theorem 2 it is close to the
+    ground state."""
     if not np.issubdtype(ham.dtype, np.complexfloating):
         # A real operator takes the real part.  The minimiser fixes the
         # global phase of z1, which leaves it real to within its gradient
         # tolerance (relative imaginary norm ~1e-9); dropping that part
         # only moves the Krylov start, and the eigenpair residual check
-        # still guards the result.  The copy frees the complex vector
-        # before the solve.
+        # still guards the result.  The copy lets the complex vector go
+        # before the solve when the caller keeps no reference to it, as
+        # in the cap-shift solve, the largest.
         start = start.real.copy()
-    value, _ = lowest_eigenpair(ham, method=method, v0=start)
-    return ham, value, e_coherent
+    return lowest_eigenpair(ham, method=method, v0=start)[0]
 
 
 def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
@@ -147,14 +140,17 @@ def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
     e_classical = best.energy
     records = []
     for n in n_values:
-        ham, e_quantum, e_coherent = _sector_ground_energy(
-            grid, params, n, meson_cap, method, best)
+        ham = _sector_hamiltonian(grid, params, n, meson_cap)
+        start, _ = coherent_product_state(ham, best.z1, best.z2)
+        e_coherent = float(np.vdot(start, ham @ start).real)
+        e_quantum = _ground_energy(ham, start, method)
         records.append(GroundStateRecord(
             n=n, eps=ham.eps, dim=ham.shape[0], e_quantum=e_quantum,
             e_coherent=e_coherent, gap=abs(e_quantum - e_classical)))
-    _, deeper, _ = _sector_ground_energy(grid, params, max(n_values),
-                                         meson_cap + cap_check_shift, method,
-                                         best)
+    ham = _sector_hamiltonian(grid, params, max(n_values),
+                              meson_cap + cap_check_shift)
+    deeper = _ground_energy(
+        ham, coherent_product_state(ham, best.z1, best.z2)[0], method)
     cap_shift = abs(deeper - records[n_values.index(max(n_values))].e_quantum)
     return SweepReport(lambda_coupling=params.charge,
                        e_classical=e_classical, records=records,

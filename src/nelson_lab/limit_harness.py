@@ -19,7 +19,7 @@ import numpy as np
 from .classical_dynamics import flow, free_flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
-from .fock_space import ladders, occupation_cap, truncated_basis
+from .fock_space import occupation_cap, truncated_basis
 from .quantum_dynamics import (FactoredHamiltonian, coherent_product_state,
                                free_weyl_argument, propagate,
                                weyl_matrix_elements)
@@ -94,19 +94,19 @@ def _bases_for(grid, params, eps, z0, tail_budget):
     return nb, mb
 
 
-def _moment_errors(grid, nb, mb, factor_ladders, vectors, traj):
+def _moment_errors(ham, vectors, traj):
     """Quadrature distance of (<psi(x)>, <a(k)>) in each vector to the
     classical fields of `traj` at the same index."""
-    site_ops, mode_ops = factor_ladders
-    mode_mats = [op.T.toarray() for op in mode_ops]
+    grid, dims, modes = ham.grid, ham.dims, ham.meson_basis.modes
+    mode_mats = [op.T.toarray() for op in ham.meson_ladders]
     q1 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
     q2 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
     for i, vec in enumerate(vectors):
-        mat = vec.reshape(nb.dim, mb.dim)
-        for j, op in enumerate(site_ops):
+        mat = vec.reshape(dims)
+        for j, op in enumerate(ham.nucleon_ladders):
             q1[i, j] = np.vdot(mat, op @ mat) / np.sqrt(grid.dx)
         for p, op in enumerate(mode_mats):
-            q2[i, mb.modes[p]] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)
+            q2[i, modes[p]] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)
     return np.sqrt(grid.dx * np.sum(np.abs(q1 - traj.z1) ** 2, axis=1)
                    + grid.dk * np.sum(np.abs(q2 - traj.z2) ** 2, axis=1))
 
@@ -146,15 +146,12 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         caps.append((nb.cap, mb.cap))
         deficits.append(deficit)
         snapshots = propagate(ham, psi0, list(t_values))
-        factor_ladders = (ladders(nb, eps), ladders(mb, eps))
-        moment_errors[a] = _moment_errors(grid, nb, mb, factor_ladders,
-                                          [psi0, *snapshots], traj)
+        moment_errors[a] = _moment_errors(ham, [psi0, *snapshots], traj)
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
             for c, (xi1, xi2) in enumerate(xi_panel):
                 value = complex(weyl_matrix_elements(
-                    grid, eps, nb, mb, *evolved_panels[b][c], snap, (),
-                    factor_ladders)[0])
+                    ham, *evolved_panels[b][c], snap, ())[0])
                 target = coherent_target(grid, xi1, xi2, pulled_back)
                 err = abs(value - target)
                 errors[a, b, c] = err

@@ -12,44 +12,98 @@ with the freely evolved argument xi(s); both are built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .classical_dynamics import FieldState, free_flow
+from .classical_energy import density_fourier
 from .discretization import (coupling_weight, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
-                         _expm_hermitian, _gershgorin_interval,
-                         _site_profiles, _slot_field, coherent_state,
-                         coupling_factors, coupling_weight_on,
-                         dgamma_diagonal, ladders, number_weight_diagonal,
-                         second_quantize, smeared_annihilator)
+                         _expm_hermitian, _gershgorin_interval, _slot_field,
+                         coherent_state, dgamma_diagonal, ladders,
+                         second_quantize, smeared_annihilator,
+                         standing_wave_pairs)
+
+
+def coupling_weight_on(grid, params, meson_basis):
+    """The coupling weight w = chi/sqrt(omega), checked to vanish off the
+    modes the meson basis carries."""
+    if meson_basis.modes is None:
+        raise ValueError("meson basis must carry grid mode indices")
+    w = coupling_weight(grid, params)
+    covered = np.zeros(grid.n_sites, dtype=bool)
+    covered[meson_basis.modes] = True
+    if np.any(w[~covered] != 0):
+        raise ValueError("coupling weight is nonzero outside the meson basis")
+    return w
+
+
+def _site_profiles(grid, w, basis):
+    """g[p, j]: the coupling profile of meson slot p at site x_j.
+
+    A plane-wave slot of mode m carries w_m e^{-i k_m x_j}, real at k = 0
+    and Nyquist.  A standing pair (p, q) with k = k_p carries
+    c: (w_p e^{-ikx} + w_q e^{ikx})/sqrt2 and
+    s: -i (w_p e^{-ikx} - w_q e^{ikx})/sqrt2, which are sqrt2 w cos(kx)
+    and -sqrt2 w sin(kx) when w_p = w_q.  Real whenever every imaginary
+    part vanishes exactly.
+    """
+    modes = basis.modes
+    theta = np.outer(grid.k[modes], grid.x)
+    cos, sin = np.cos(theta), np.sin(theta)
+    sin[(2 * modes) % grid.n_sites == 0] = 0.0  # sin(k x_j) = 0 exactly
+    wm = w[modes][:, None]
+    re, im = wm * cos, -wm * sin
+    for p, q in (standing_wave_pairs(grid, modes) if basis.standing else ()):
+        plus = (w[modes[p]] + w[modes[q]]) / np.sqrt(2.0)
+        minus = (w[modes[p]] - w[modes[q]]) / np.sqrt(2.0)
+        re[p], im[p] = plus * cos[p], -minus * sin[p]
+        re[q], im[q] = -plus * sin[p], -minus * cos[p]
+    return re + 1j * im if np.any(im) else re
 
 
 class FactoredHamiltonian(ProductOperator):
     """H = dGamma1(h1) (x) I + I (x) diag(eps n.omega) + H_c as a
-    `ProductOperator`.  With rho_p = r_p + i s_p and real ladders, the
-    coupling H_c = sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p) (x) a_p]
-    is kept as the pairs (r_p, a_p + a_p^T) and, for complex profiles,
-    (i s_p, a_p^T - a_p); `coupling` is H_c alone.  The dtype is that of
-    the factors: real in a standing-wave meson basis for a coupling even
-    in k."""
+    `ProductOperator`, and the owner of the nucleon (x) meson space it
+    acts on.  Built once with it: the meson annihilators `meson_ladders`,
+    the coupling weight w = chi/sqrt(omega) (`weight`), the coupled meson
+    slots `slots` with their site profiles `slot_profiles` (rows of
+    `_site_profiles`), and the nucleon profiles `profiles`, rho_p(n) =
+    sqrt(dk) eps sum_j n_j g_p(x_j), one row per coupled slot.  The
+    nucleon annihilators `nucleon_ladders` are built on first use, so a
+    nucleon sector raises SectorBasisUnsupported only when they are asked
+    for.
+
+    The coupling is H_c = sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p)
+    (x) a_p].  With rho_p = r_p + i s_p and real ladders it is kept as the
+    pairs (r_p, a_p + a_p^T) and, for complex profiles, (i s_p, a_p^T -
+    a_p); `coupling` is H_c alone.  The profiles are real when the slot
+    profiles are, so the dtype is real in a standing-wave meson basis for
+    a coupling even in k."""
 
     def __init__(self, grid, params, eps, nucleon_basis, meson_basis):
         self.grid, self.params, self.eps = grid, params, eps
         self.nucleon_basis, self.meson_basis = nucleon_basis, meson_basis
+        self.weight = coupling_weight_on(grid, params, meson_basis)
+        g = _site_profiles(grid, self.weight, meson_basis)
+        self.slots = np.nonzero(np.any(g != 0, axis=1))[0]
+        self.slot_profiles = g[self.slots]
+        self.profiles = np.sqrt(grid.dk) * eps * (
+            self.slot_profiles @ nucleon_basis.occupations.T)
+        self.meson_ladders = ladders(meson_basis, eps)
         omega = dispersion(grid.k, params.meson_mass)
         self.dg1 = second_quantize(
             nucleon_basis, one_body_hamiltonian(grid, params), eps)
         self.meson_diag = dgamma_diagonal(meson_basis,
                                           omega[meson_basis.modes], eps)
-        _, self.profiles, self.ladders = coupling_factors(
-            grid, params, eps, nucleon_basis, meson_basis)
         coupling = []
-        for rho, a in zip(self.profiles, self.ladders):
+        for rho, p in zip(self.profiles, self.slots):
+            a = self.meson_ladders[p]
             coupling.append((rho.real, a + a.T))
             if np.iscomplexobj(rho):
                 coupling.append((1j * rho.imag, a.T - a))
@@ -57,6 +111,10 @@ class FactoredHamiltonian(ProductOperator):
         self.coupling = ProductOperator(coupling, dims)
         super().__init__([(self.dg1, None), (None, self.meson_diag)]
                          + coupling, dims)
+
+    @cached_property
+    def nucleon_ladders(self):
+        return ladders(self.nucleon_basis, self.eps)
 
 
 def coherent_product_state(ham, z1, z2):
@@ -132,43 +190,38 @@ def _lowering_series(op, block, basis):
     return parts
 
 
-def weyl_matrix_elements(grid, eps, nucleon_basis, meson_basis, xi1, xi2,
-                         phi, chis, factor_ladders=(None, None)):
+def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     """<phi, W(xi1, xi2) phi>, then <phi, W chi> for each chi in `chis`,
-    exactly as the untruncated W acts on capped states.  With beta =
-    i/sqrt2 and A = a1(xi1) (x) I + I (x) a2(xi2), normal ordering gives
-    <phi, W chi> = e^{-eps|xi|^2/4} <e^{-beta A} phi, e^{beta A} chi>, and
-    A only lowers, so each exponential is a finite series.  On P (dimN x
-    dimM) it is e^{beta a1} P (e^{beta a2})^T: one sparse nucleon series
-    on all vectors at once, whose even and odd parts give both signs, and
-    the meson series on the identity.  `factor_ladders` are re-weighted
-    (see `b_operators`); sector ladders raise SectorBasisUnsupported."""
-    dims = (nucleon_basis.dim, meson_basis.dim)
+    on the product space of `ham`, exactly as the untruncated W acts on
+    capped states.  With beta = i/sqrt2 and A = a1(xi1) (x) I + I (x)
+    a2(xi2), normal ordering gives <phi, W chi> = e^{-eps|xi|^2/4}
+    <e^{-beta A} phi, e^{beta A} chi>, and A only lowers, so each
+    exponential is a finite series.  On P (dimN x dimM) it is e^{beta a1}
+    P (e^{beta a2})^T: one sparse nucleon series on all vectors at once,
+    whose even and odd parts give both signs, and the meson series on the
+    identity.  A nucleon sector raises SectorBasisUnsupported."""
+    nb, mb, dims = ham.nucleon_basis, ham.meson_basis, ham.dims
     beta = 1j / np.sqrt(2.0)
-    quad1, z1 = _slot_field(grid, nucleon_basis, xi1, "argument")
-    quad2, z2 = _slot_field(grid, meson_basis, xi2, "argument")
-    a1 = smeared_annihilator(nucleon_basis, z1, quad1, eps,
-                             factor_ladders[0])
-    a2 = smeared_annihilator(meson_basis, z2, quad2, eps, factor_ladders[1])
+    quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
+    quad2, z2 = _slot_field(ham.grid, mb, xi2, "argument")
+    a1 = smeared_annihilator(ham.nucleon_ladders, z1, quad1)
+    a2 = smeared_annihilator(ham.meson_ladders, z2, quad2)
     vectors = [phi, *chis]
     even1, odd1 = _lowering_series(
-        beta * a1, np.hstack([v.reshape(dims) for v in vectors]),
-        nucleon_basis)
-    even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]),
-                                   meson_basis)
+        beta * a1, np.hstack([v.reshape(dims) for v in vectors]), nb)
+    even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]), mb)
     lowered = ((even1[:, :dims[1]] - odd1[:, :dims[1]])
                @ (even2 - odd2).T)
     raised = ((even1 + odd1).reshape(dims[0], len(vectors), dims[1])
               @ (even2 + odd2).T)
     norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
-    return np.exp(-eps * norm_sq / 4.0) * np.einsum(
+    return np.exp(-ham.eps * norm_sq / 4.0) * np.einsum(
         "ik,ijk->j", lowered.conj(), raised)
 
 
-def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2,
-                factor_ladders=None):
-    """Coefficients of the Weyl-conjugated coupling, as product operators:
-    W(xi)* H_c W(xi) = H_c - i eps (B0 + eps B1 + eps^2 B2).
+def b_operators(ham, xi1, xi2):
+    """Coefficients of the Weyl-conjugated coupling of `ham`, as product
+    operators: W(xi)* H_c W(xi) = H_c - i eps (B0 + eps B1 + eps^2 B2).
 
     With G_p = sqrt(dk) g_p the site profile of meson slot p (see
     `_site_profiles`), B0 = -(1/sqrt2) [sum_p (L_p (x) a_p* - L_p* (x) a_p)
@@ -177,65 +230,53 @@ def b_operators(grid, params, eps, nucleon_basis, meson_basis, xi1, xi2,
     + conj(mu_p) a_p)] with mu_p = dx sum_j G_p(x_j) |xi1_j|^2.  Both are
     linear in the slot profile, so they hold in plane-wave and
     standing-wave meson bases alike.  All three are anti-Hermitian; B2 is
-    a purely imaginary scalar.  `factor_ladders`, the pair
-    (`ladders(nucleon_basis, eps)`, `ladders(meson_basis, eps)`), lets
-    repeated calls on the same bases re-weight one set of ladders.
+    a purely imaginary scalar.  They re-weight the ladders of `ham`.
     """
-    if factor_ladders is None:
-        factor_ladders = (ladders(nucleon_basis, eps),
-                          ladders(meson_basis, eps))
-    nucleon_ladders, meson_ladders = factor_ladders
+    grid, eps, nb, mb = ham.grid, ham.eps, ham.nucleon_basis, ham.meson_basis
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
-    w = coupling_weight_on(grid, params, meson_basis)
-    g = np.sqrt(grid.dk) * _site_profiles(grid, w, meson_basis)
-    phases = grid.phases
+    w = ham.weight
+    g = np.sqrt(grid.dk) * ham.slot_profiles
     # site profile S_j = sum_m dk w_m (xi2_m e^{+i k_m x_j} - c.c.)
-    s_plus = grid.dk * (w * xi2) @ np.conj(phases)
+    s_plus = grid.dk * (w * xi2) @ np.conj(grid.phases)
     s_site = s_plus - np.conj(s_plus)
-    # Fourier transform of |xi1|^2 at the grid modes
-    rho_xi = grid.dx * (phases @ (np.abs(xi1) ** 2))
 
     def psi(f):
-        return smeared_annihilator(nucleon_basis, f, grid.dx, eps,
-                                   nucleon_ladders)
+        return smeared_annihilator(ham.nucleon_ladders, f, grid.dx)
 
     scale = -1.0 / np.sqrt(2.0)
-    b0 = [(scale * dgamma_diagonal(nucleon_basis, s_site, eps), None)]
-    third = sp.csr_matrix((meson_basis.dim, meson_basis.dim), dtype=complex)
-    for p in np.nonzero(np.any(g != 0, axis=1))[0]:
-        a_p = meson_ladders[p]
-        left = scale * (psi(xi1 * g[p]).getH() - psi(xi1 * np.conj(g[p])))
+    b0 = [(scale * dgamma_diagonal(nb, s_site, eps), None)]
+    third = sp.csr_matrix((mb.dim, mb.dim), dtype=complex)
+    for g_p, p in zip(g, ham.slots):
+        a_p = ham.meson_ladders[p]
+        left = scale * (psi(xi1 * g_p).getH() - psi(xi1 * np.conj(g_p)))
         b0 += [(left, a_p.T), (-left.getH(), a_p)]
-        mu = grid.dx * (g[p] @ np.abs(xi1) ** 2)
+        mu = grid.dx * (g_p @ np.abs(xi1) ** 2)
         third = third + mu * a_p.T + np.conj(mu) * a_p
     field = psi(s_site * xi1)
     b1 = [(-0.5j * (field.getH() + field), None), (None, 0.5j * third)]
     b2_scalar = -(1j / np.sqrt(2.0)) * np.imag(
-        grid.dk * np.sum(w * xi2 * np.conj(rho_xi)))
-    b2 = [(np.full(nucleon_basis.dim, b2_scalar), None)]
-    dims = (nucleon_basis.dim, meson_basis.dim)
-    return tuple(ProductOperator(terms, dims) for terms in (b0, b1, b2))
+        grid.dk * np.sum(w * xi2 * np.conj(density_fourier(grid, xi1))))
+    b2 = [(np.full(nb.dim, b2_scalar), None)]
+    return tuple(ProductOperator(terms, ham.dims) for terms in (b0, b1, b2))
 
 
-def b_expansion_residual(grid, params, eps, nucleon_basis, meson_basis,
-                         xi1, xi2, core_margin=(8, 10)):
+def b_expansion_residual(ham, xi1, xi2, core_margin=(8, 10)):
     """Operator-norm residual of the conjugation expansion on the core.
 
-    Compares (i/eps)(W* H_c W - H_c) against B0 + eps B1 + eps^2 B2 with
-    everything dense, projected onto states at least `core_margin` quanta
-    below the caps in each factor.
+    Compares (i/eps)(W* H_c W - H_c) for the coupling H_c of `ham` against
+    B0 + eps B1 + eps^2 B2 with everything dense, projected onto states at
+    least `core_margin` quanta below the caps in each factor.
     """
-    w_full = np.kron(_dense_weyl(grid, nucleon_basis, xi1, eps),
-                     _dense_weyl(grid, meson_basis, xi2, eps))
-    h_c = FactoredHamiltonian(grid, params, eps, nucleon_basis,
-                              meson_basis).coupling.toarray()
-    b0, b1, b2 = b_operators(grid, params, eps, nucleon_basis, meson_basis,
-                             xi1, xi2)
+    grid, eps, nb, mb = ham.grid, ham.eps, ham.nucleon_basis, ham.meson_basis
+    w_full = np.kron(_dense_weyl(grid, nb, xi1, eps),
+                     _dense_weyl(grid, mb, xi2, eps))
+    h_c = ham.coupling.toarray()
+    b0, b1, b2 = b_operators(ham, xi1, xi2)
     lhs = (1j / eps) * (w_full.conj().T @ h_c @ w_full - h_c)
     rhs = b0.toarray() + eps * b1.toarray() + eps ** 2 * b2.toarray()
-    core = np.kron(_core_projector(nucleon_basis, core_margin[0]),
-                   _core_projector(meson_basis, core_margin[1]))
+    core = np.kron(_core_projector(nb, core_margin[0]),
+                   _core_projector(mb, core_margin[1]))
     res = core[:, None] * (lhs - rhs) * core[None, :]
     return float(np.linalg.norm(res, 2))
 
@@ -281,20 +322,15 @@ def duhamel_check(ham, psi0, xi1, xi2, t, n_nodes=65):
         raise ValueError("n_nodes must be 4k+1 with k >= 1")
     if t <= 0:
         raise StepSizeRejected(f"need a positive time, got {t}")
-    grid, params, eps = ham.grid, ham.params, ham.eps
-    nb, mb = ham.nucleon_basis, ham.meson_basis
+    eps = ham.eps
     nodes = np.linspace(0.0, t, n_nodes)
 
-    factor_ladders = (ladders(nb, eps), ladders(mb, eps))
     # rows: <psi, W psi>, then <psi, W B_j psi> for j = 0, 1, 2
     vals = np.zeros((4, n_nodes), dtype=complex)
     for i, (s, psi) in enumerate(zip(nodes, propagate(ham, psi0, nodes))):
-        z1s, z2s = free_weyl_argument(grid, params, xi1, xi2, s)
-        b_ops = b_operators(grid, params, eps, nb, mb, z1s, z2s,
-                            factor_ladders)
-        vals[:, i] = weyl_matrix_elements(grid, eps, nb, mb, z1s, z2s, psi,
-                                          [b @ psi for b in b_ops],
-                                          factor_ladders)
+        z1s, z2s = free_weyl_argument(ham.grid, ham.params, xi1, xi2, s)
+        vals[:, i] = weyl_matrix_elements(
+            ham, z1s, z2s, psi, [b @ psi for b in b_operators(ham, z1s, z2s)])
     char_initial, lhs = complex(vals[0, 0]), complex(vals[0, -1])
 
     h = t / (n_nodes - 1)
@@ -321,12 +357,10 @@ def gronwall_bound_check(ham, delta, t, n_samples=200, seed=0,
     if ham.dim > dense_limit:
         raise ValueError(f"dense check limited to dim {dense_limit}")
     eps = ham.eps
-    grid, params = ham.grid, ham.params
-    w = coupling_weight(grid, params)
-    chi_norm = np.sqrt(grid.dk * np.sum(w ** 2))
+    chi_norm = np.sqrt(ham.grid.dk * np.sum(ham.weight ** 2))
     m_delta = max(2.0 + eps, 1.0 + (1.0 + eps) ** delta)
     bound = np.exp(m_delta * np.sqrt(eps) * abs(delta) * abs(t) * chi_norm)
-    tvec = number_weight_diagonal(ham.nucleon_basis, ham.meson_basis, eps)
+    tvec = number_weight_diagonal(ham)
     u = expm(-1j * t * ham.toarray() / eps)
     weighted = (tvec ** delta)[:, None] * u * (tvec ** -delta)[None, :]
     op_ratio = float(np.linalg.norm(weighted, 2)) / bound
@@ -340,3 +374,69 @@ def gronwall_bound_check(ham, delta, t, n_samples=200, seed=0,
             "max_vector_ratio": worst / bound,
             "bound": float(bound),
             "m_delta": float(m_delta)}
+
+
+def number_weight_diagonal(ham):
+    """Diagonal of N1^2 + N2 + eps on the product basis of `ham`."""
+    nb, mb, eps = ham.nucleon_basis, ham.meson_basis, ham.eps
+    n1 = eps * nb.occupations.sum(axis=1).astype(float)
+    n2 = eps * mb.occupations.sum(axis=1).astype(float)
+    return np.repeat(n1 ** 2, mb.dim) + np.tile(n2, nb.dim) + eps
+
+
+def check_relative_bounds(ham, n_samples=500, seed=0):
+    """Max ratios over random states for the coupling-term bounds of `ham`.
+
+    The coupling annihilation half acts blockwise as a(f) with the
+    configuration-dependent smearing f(n) whose slot amplitudes are the
+    nucleon profiles of `ham` over sqrt(dk); sup norms run over the
+    nucleon occupations in the basis.  Returns {name: max ratio}, each
+    bounded by 1 when the inequality holds.
+    """
+    grid, eps, profiles = ham.grid, ham.eps, ham.profiles
+    slot_ladders = [ham.meson_ladders[p] for p in ham.slots]
+    creation = ProductOperator(zip(profiles, [a.T for a in slot_ladders]),
+                               ham.dims)
+    annihilation = ProductOperator(zip(profiles.conj(), slot_ladders),
+                                   ham.dims)
+    omega = dispersion(grid.k, ham.params.meson_mass)[ham.meson_basis.modes]
+    # dk |f(n)_p|^2 = |rho_p(n)|^2, and omega is even in k, so a
+    # standing pair shares the omega of its modes
+    f_sq = np.abs(profiles) ** 2
+    sup_fw = np.sqrt(np.max(np.sum(f_sq / omega[ham.slots, None], axis=0)))
+    sup_f = np.sqrt(np.max(np.sum(f_sq, axis=0)))
+    chi_norm = np.sqrt(grid.dk * np.sum(ham.weight ** 2))
+
+    dim_n = ham.nucleon_basis.dim
+    n2 = eps * ham.meson_basis.occupations.sum(axis=1).astype(float)
+    h02_half = np.sqrt(np.tile(ham.meson_diag, dim_n))
+    n2_half = np.sqrt(np.tile(n2, dim_n))
+    n2_shift_half = np.sqrt(np.tile(n2, dim_n) + eps)
+    t_diag = number_weight_diagonal(ham)
+
+    rng = np.random.default_rng(seed)
+    out = {"annihilation_energy": 0.0, "creation_energy": 0.0,
+           "annihilation_number": 0.0, "creation_number": 0.0,
+           "coupling_total": 0.0}
+    for _ in range(n_samples):
+        phi = rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim)
+        phi /= np.linalg.norm(phi)
+        an_phi, cr_phi = annihilation @ phi, creation @ phi
+        an, cr = np.linalg.norm(an_phi), np.linalg.norm(cr_phi)
+        h_phi = np.linalg.norm(h02_half * phi)
+        out["annihilation_energy"] = max(
+            out["annihilation_energy"], an ** 2 / (sup_fw ** 2 * h_phi ** 2))
+        out["creation_energy"] = max(
+            out["creation_energy"],
+            cr ** 2 / (sup_fw ** 2 * h_phi ** 2 + eps * sup_f ** 2))
+        out["annihilation_number"] = max(
+            out["annihilation_number"],
+            an / (sup_f * np.linalg.norm(n2_half * phi)))
+        out["creation_number"] = max(
+            out["creation_number"],
+            cr / (sup_f * np.linalg.norm(n2_shift_half * phi)))
+        out["coupling_total"] = max(
+            out["coupling_total"],
+            np.linalg.norm(an_phi + cr_phi)
+            / (chi_norm * np.linalg.norm(t_diag * phi)))
+    return out

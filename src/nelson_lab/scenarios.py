@@ -14,13 +14,13 @@ from .classical_energy import binding_lower_bound, minimize_constrained
 from .config import RunConfig, _complex_list, _get, scenario_option
 from .discretization import covered_modes, dispersion
 from .errors import ConfigInvalid
-from .fock_space import (check_relative_bounds, resolvent_bound_ratio,
-                         truncated_basis, weyl_conjugation_identities)
+from .fock_space import (resolvent_bound_ratio, truncated_basis,
+                         weyl_conjugation_identities)
 from .ground_state import theorem2_sweep
 from .limit_harness import theorem1_sweep
 from .quantum_dynamics import (FactoredHamiltonian, b_expansion_residual,
-                               coherent_product_state, duhamel_check,
-                               gronwall_bound_check)
+                               check_relative_bounds, coherent_product_state,
+                               duhamel_check, gronwall_bound_check)
 
 
 def _reject_unknown(options, known):
@@ -35,10 +35,6 @@ def _need_initial(cfg):
         raise ConfigInvalid(".initial",
                             f"scenario {cfg.scenario!r} needs an initial block")
     return cfg.initial
-
-
-def _pair_list(values):
-    return [[float(np.real(v)), float(np.imag(v))] for v in values]
 
 
 def _field_rows(grid, prefix, values, coords, coord_name):
@@ -160,8 +156,9 @@ def run_duhamel(cfg: RunConfig, seed: int):
         # independent of the propagation truncation above
         nb_x = truncated_basis(grid.n_sites, max(nucleon_cap, 12))
         mb_x = truncated_basis(modes.size, max(meson_cap, 16), modes=modes)
-        res = b_expansion_residual(grid, params, eps, nb_x, mb_x, xi1, xi2,
-                                   core_margin=(nb_x.cap - 4, mb_x.cap - 6))
+        res = b_expansion_residual(
+            FactoredHamiltonian(grid, params, eps, nb_x, mb_x), xi1, xi2,
+            core_margin=(nb_x.cap - 4, mb_x.cap - 6))
         summary["expansion_residual"] = float(res)
     return summary, tables
 
@@ -275,6 +272,7 @@ def run_property_suite(cfg: RunConfig, seed: int):
     modes = covered_modes(grid, params)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
+    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
 
     checks = []
 
@@ -282,8 +280,7 @@ def run_property_suite(cfg: RunConfig, seed: int):
         checks.append({"name": name, "value": float(value),
                        "threshold": float(threshold), "ok": bool(ok)})
 
-    bounds = check_relative_bounds(grid, params, eps, nb, mb,
-                                   n_samples=n_samples, seed=seed)
+    bounds = check_relative_bounds(ham, n_samples=n_samples, seed=seed)
     for name, ratio in bounds.items():
         record(f"bound_{name}", ratio, 1.0 + 1e-9, ratio <= 1.0 + 1e-9)
 
@@ -312,7 +309,6 @@ def run_property_suite(cfg: RunConfig, seed: int):
         record(f"bound_resolvent_{trial}", ratio, 1.0 + 1e-9,
                ratio <= 1.0 + 1e-9)
 
-    ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     gronwall = gronwall_bound_check(ham, delta, t, n_samples=n_samples,
                                     seed=seed)
     record("gronwall_operator_ratio", gronwall["operator_ratio"], 1.01,

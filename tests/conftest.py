@@ -1,0 +1,35 @@
+"""Shared test fixtures."""
+
+import numpy as np
+import pytest
+
+from nelson_lab import fock_space
+from nelson_lab.discretization import ModelParams
+from nelson_lab.quantum_dynamics import FactoredHamiltonian
+
+
+@pytest.fixture
+def free_ham():
+    """A function making a coupling-free (chi = 0) `FactoredHamiltonian`
+    on the given bases: the owner of the product space for purely
+    kinematic Weyl values, which do not depend on the model."""
+    def build(grid, eps, nucleon_basis, meson_basis):
+        params = ModelParams(mass=1.0, meson_mass=1.0, charge=1.0,
+                             potential=np.zeros(grid.n_sites),
+                             chi=np.zeros(grid.n_sites))
+        return FactoredHamiltonian(grid, params, eps, nucleon_basis,
+                                   meson_basis)
+    return build
+
+
+@pytest.fixture
+def ladder_builds(monkeypatch):
+    """(basis, mode, eps) of each `fock_space.ladder` build in the test."""
+    built, original = [], fock_space.ladder
+
+    def counted(basis, mode, eps):
+        built.append((basis, mode, eps))
+        return original(basis, mode, eps)
+
+    monkeypatch.setattr(fock_space, "ladder", counted)
+    return built

@@ -30,14 +30,15 @@ from nelson_lab.discretization import (Grid, ModelParams, chi_gaussian,
                                        chi_sharp_band, coupling_weight,
                                        dispersion, one_body_hamiltonian,
                                        potential_preset)
-from nelson_lab.fock_space import (check_relative_bounds, coherent_state,
-                                   occupation_cap, resolvent_bound_ratio,
-                                   sector_basis, truncated_basis,
+from nelson_lab.fock_space import (coherent_state, occupation_cap,
+                                   resolvent_bound_ratio, sector_basis,
+                                   truncated_basis,
                                    weyl_conjugation_identities)
 from nelson_lab.ground_state import lowest_eigenpair, theorem2_sweep
 from nelson_lab.limit_harness import theorem1_sweep
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
-                                         b_expansion_residual, duhamel_check,
+                                         b_expansion_residual,
+                                         check_relative_bounds, duhamel_check,
                                          gronwall_bound_check, propagate)
 
 
@@ -159,8 +160,9 @@ def test_criterion_03_integral_identity_and_expansion():
 
     nb_x = truncated_basis(grid.n_sites, 12)
     mb_x = truncated_basis(mb.n_modes, 16, modes=mb.modes)
-    expansion = b_expansion_residual(grid, params, ham.eps, nb_x, mb_x,
-                                     xi1, xi2, core_margin=(8, 10))
+    expansion = b_expansion_residual(
+        FactoredHamiltonian(grid, params, ham.eps, nb_x, mb_x), xi1, xi2,
+        core_margin=(8, 10))
     assert expansion <= 1e-8
     print(f"criterion 3 PASS: integral-identity residual "
           f"{report.residual:.2e} at dim {ham.dim} (tol 1e-06), "
@@ -173,8 +175,8 @@ def test_criterion_04_operator_inequality_suite():
     modes = np.nonzero(coupling_weight(grid, params) != 0)[0]
     nb = truncated_basis(grid.n_sites, 3)
     mb = truncated_basis(modes.size, 3, modes=modes)
-    ratios = check_relative_bounds(grid, params, 0.5, nb, mb,
-                                   n_samples=500, seed=0)
+    ratios = check_relative_bounds(
+        FactoredHamiltonian(grid, params, 0.5, nb, mb), n_samples=500, seed=0)
     for name, ratio in ratios.items():
         assert ratio <= 1.0 + 1e-9, f"{name}: {ratio}"
 

@@ -7,6 +7,7 @@ import pytest
 
 from nelson_lab.config import SCENARIOS, load_config, parse_config
 from nelson_lab.errors import ConfigInvalid
+from nelson_lab.scenarios import run_scenario
 
 
 def minimal_config(scenario="minimize", **scenario_opts):
@@ -234,3 +235,60 @@ def test_example_configs_parse():
         cfg = load_config(path)
         names.add(cfg.scenario)
     assert names == set(SCENARIOS)
+
+
+def initial_config(z1_values, z2):
+    data = minimal_config("classical-flow")
+    data["initial"] = {"z1": {"kind": "explicit", "values": z1_values},
+                       "z2": z2}
+    return data
+
+
+def nonfinite_case(path, bad):
+    """A config whose explicit list at `path` holds `bad` in entry 1."""
+    finite_z1 = [[0.1, 0.0]] * 4
+    if path == ".model.potential.values":
+        data = minimal_config()
+        data["model"]["potential"] = {"kind": "explicit",
+                                      "values": [0.0, bad, 1.0, 0.0]}
+    elif path == ".model.chi.values":
+        data = minimal_config()
+        data["model"]["chi"] = {"kind": "explicit",
+                                "values": [0.0, bad, 0.0, 0.3]}
+    elif path == ".initial.z1.values":
+        data = initial_config([[0.1, 0.0], [0.0, bad], [0.1, 0.1],
+                               [0.0, 0.0]], {"kind": "zero"})
+    elif path == ".initial.z2.values":
+        data = initial_config(finite_z1, {
+            "kind": "explicit",
+            "values": [[0.0, 0.0], [bad, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+    else:  # .initial.z2.entries, with the bad value as the mode
+        data = initial_config(finite_z1, {
+            "kind": "modes", "entries": [[1, 0.2, 0.0], [bad, 0.1, 0.0]]})
+    return data
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("path", [
+    ".model.potential.values", ".model.chi.values", ".initial.z1.values",
+    ".initial.z2.values", ".initial.z2.entries"])
+def test_nonfinite_list_entry_rejected_at_its_path(path, bad):
+    # json reads NaN and Infinity as floats, and integers of any size;
+    # each explicit list rejects them at the entry that holds them
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(nonfinite_case(path, bad))
+    assert err.value.path == f"{path}[1]"
+
+
+@pytest.mark.parametrize("key", ["xi1", "xi2"])
+def test_nonfinite_weyl_argument_rejected_at_its_path(key):
+    data = initial_config([[0.1, 0.0]] * 4, {"kind": "zero"})
+    data["scenario"] = {"name": "duhamel",
+                        "xi1": [[0.1, 0.0]] * 4, "xi2": [[0.0, 0.0]] * 4}
+    data["scenario"][key][2] = [0.0, float("nan")]
+    cfg = parse_config(data)
+    with pytest.raises(ConfigInvalid) as err:
+        run_scenario(cfg, 0)
+    assert err.value.path == f".scenario.{key}[2]"

@@ -15,7 +15,8 @@ from nelson_lab.discretization import (
     potential_preset,
 )
 from nelson_lab.errors import DegenerateDispersion
-from nelson_lab.fock_space import _site_profiles, truncated_basis
+from nelson_lab.fock_space import truncated_basis
+from nelson_lab.quantum_dynamics import _site_profiles
 
 
 def make_params(grid, **kw):

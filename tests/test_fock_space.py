@@ -14,11 +14,12 @@ from nelson_lab.errors import (
     NelsonLabError, SectorBasisUnsupported, StepSizeRejected)
 from nelson_lab.fock_space import (
     FockBasis, ProductOperator, _expm_hermitian, _gershgorin_interval,
-    check_relative_bounds, coherent_state, coupling_factors,
-    dgamma_diagonal, ladder, ladders, occupation_cap, resolvent_bound_ratio,
-    second_quantize, sector_basis, smeared_annihilator, truncated_basis,
-    weyl_conjugation_identities, weyl_generator)
+    coherent_state, dgamma_diagonal, ladder, ladders, occupation_cap,
+    resolvent_bound_ratio, second_quantize, sector_basis,
+    smeared_annihilator, truncated_basis, weyl_conjugation_identities,
+    weyl_generator)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
+                                         check_relative_bounds,
                                          weyl_matrix_elements)
 
 
@@ -212,7 +213,7 @@ def test_interaction_requires_covering_modes():
     nb = truncated_basis(grid.n_sites, 1)
     mb = truncated_basis(1, 2, modes=np.array([0]))  # k=0 mode carries no chi
     with pytest.raises(ValueError):
-        coupling_factors(grid, params, 0.5, nb, mb)
+        FactoredHamiltonian(grid, params, 0.5, nb, mb)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def test_weyl_unitary_and_vacuum_characteristic_function():
     assert abs(got - np.exp(-eps * norm_sq / 4.0)) <= 1e-10
 
 
-def test_weyl_displaces_vacuum_to_coherent_state():
+def test_weyl_displaces_vacuum_to_coherent_state(free_ham):
     grid = Grid(4, np.pi)
     eps = 0.4
     modes = np.array([1, 3])
@@ -336,8 +337,9 @@ def test_weyl_displaces_vacuum_to_coherent_state():
     no_xi1 = np.zeros(grid.n_sites, dtype=complex)
     vac = np.zeros(basis.dim)
     vac[0] = 1.0
-    got = np.conj(weyl_matrix_elements(grid, eps, nucleon, basis, no_xi1,
-                                       -xi, vac, np.eye(basis.dim))[1:])
+    got = np.conj(weyl_matrix_elements(free_ham(grid, eps, nucleon, basis),
+                                       no_xi1, -xi, vac,
+                                       np.eye(basis.dim))[1:])
     want, deficit = coherent_state(grid, basis, z2, eps)
     assert deficit <= 1e-12
     assert np.linalg.norm(got - want) <= 1e-12
@@ -361,42 +363,43 @@ def test_weyl_generator_from_cached_ladders_matches_rebuilt():
                   truncated_basis(2, 6, modes=modes, standing=True),
                   truncated_basis(grid.n_sites, 3)):
         arg = xi if basis.modes is not None else 0.5 * xi[::-1] + 0.2
-        rebuilt = weyl_generator(grid, basis, arg, eps).toarray()
-        cached = weyl_generator(grid, basis, arg, eps,
-                                ladders(basis, eps)).toarray()
-        assert np.abs(rebuilt).max() >= 0.1
-        assert np.abs(cached - rebuilt).max() <= 1e-15
-        assert np.abs(rebuilt + rebuilt.conj().T).max() <= 1e-15
+        gen = weyl_generator(grid, basis, arg, eps).toarray()
+        assert np.abs(gen).max() >= 0.1
+        assert np.abs(gen + gen.conj().T).max() <= 1e-15
 
 
 def test_weyl_conjugation_identities_small_residuals():
     # the cap-induced leakage scales like the Poisson tail of the
     # displacement over the core margin, amplified by dGamma(y) at the
-    # cap, so a deep cap and a wide margin isolate the identity itself
+    # cap, so a deep cap and a wide margin isolate the identity itself;
+    # in the standing-wave frame the arguments are rotated to the slots,
+    # on which y acts
     grid = Grid(4, np.pi)
     eps = 0.5
     modes = np.array([1, 3])
-    basis = truncated_basis(2, 24, modes=modes)
-    rng = np.random.default_rng(3)
     omega = dispersion(grid.k, 1.0)
-    for trial in range(3):
-        xi = np.zeros(grid.n_sites, dtype=complex)
-        eta = np.zeros(grid.n_sites, dtype=complex)
-        xi[modes] = 0.25 * (rng.standard_normal(2)
-                            + 1j * rng.standard_normal(2))
-        eta[modes] = 0.25 * (rng.standard_normal(2)
-                             + 1j * rng.standard_normal(2))
-        if trial == 0:
-            y = np.diag(omega[modes])
-        else:
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            y = m @ m.conj().T
-        out = weyl_conjugation_identities(grid, basis, xi, eta, y, eps,
-                                          core_margin=12)
-        assert out["unitarity"] <= 1e-12
-        assert out["dgamma_conjugation"] <= 1e-8
-        assert out["ladder_displacement"] <= 1e-8
-        assert out["composition"] <= 1e-8
+    for standing in (False, True):
+        basis = truncated_basis(2, 24, modes=modes, standing=standing)
+        rng = np.random.default_rng(3)
+        for trial in range(3):
+            xi = np.zeros(grid.n_sites, dtype=complex)
+            eta = np.zeros(grid.n_sites, dtype=complex)
+            xi[modes] = 0.25 * (rng.standard_normal(2)
+                                + 1j * rng.standard_normal(2))
+            eta[modes] = 0.25 * (rng.standard_normal(2)
+                                 + 1j * rng.standard_normal(2))
+            if trial == 0:
+                y = np.diag(omega[modes])
+            else:
+                m = rng.standard_normal((2, 2)) \
+                    + 1j * rng.standard_normal((2, 2))
+                y = m @ m.conj().T
+            out = weyl_conjugation_identities(grid, basis, xi, eta, y, eps,
+                                              core_margin=12)
+            assert out["unitarity"] <= 1e-12
+            assert out["dgamma_conjugation"] <= 1e-8
+            assert out["ladder_displacement"] <= 1e-8
+            assert out["composition"] <= 1e-8
 
 
 def test_weyl_identities_on_position_factor():
@@ -426,7 +429,7 @@ def test_relative_bounds_hold_on_random_states():
     w = coupling_weight(grid, params)
     modes = np.nonzero(w != 0)[0]
     mb = truncated_basis(modes.size, 3, modes=modes)
-    out = check_relative_bounds(grid, params, eps, nb, mb,
+    out = check_relative_bounds(FactoredHamiltonian(grid, params, eps, nb, mb),
                                 n_samples=200, seed=1)
     for name, ratio in out.items():
         assert ratio <= 1.0 + 1e-9, f"{name}: {ratio}"
@@ -439,7 +442,7 @@ def test_smeared_annihilator_matches_ladder_sum():
     eps = 0.5
     basis = truncated_basis(2, 3, modes=np.array([1, 3]))
     f = np.array([0.5 - 0.1j, 0.2j])
-    got = smeared_annihilator(basis, f, grid.dk, eps).toarray()
+    got = smeared_annihilator(ladders(basis, eps), f, grid.dk).toarray()
     want = np.zeros((basis.dim, basis.dim), dtype=complex)
     for m in range(2):
         want += np.sqrt(grid.dk) * np.conj(f[m]) * ladder(basis, m,

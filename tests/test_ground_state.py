@@ -15,8 +15,7 @@ from nelson_lab.errors import ConvergenceFailure
 from nelson_lab.fock_space import (coherent_state, sector_basis,
                                    truncated_basis)
 from nelson_lab.ground_state import (
-    active_meson_basis, coherent_upper_bound, lowest_eigenpair,
-    theorem2_sweep)
+    active_meson_basis, lowest_eigenpair, theorem2_sweep)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
                                          coherent_product_state)
 
@@ -152,7 +151,18 @@ def test_coherent_upper_bound_dominates_ground_energy():
         z2 = np.zeros(4, dtype=complex)
         z2[ham.meson_basis.modes] = 0.3 * (
             rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert coherent_upper_bound(ham, z1, z2) >= e_q - 1e-10
+        phi, _ = coherent_product_state(ham, z1, z2)
+        assert np.vdot(phi, ham @ phi).real >= e_q - 1e-10
+
+
+def test_sector_solves_build_no_nucleon_ladder(ladder_builds):
+    # Theorem 2 reads only the Hamiltonian of each sector, which builds its
+    # nucleon ladders, impossible on a sector, only when asked for them
+    grid, params = harmonic_system(0.5)
+    theorem2_sweep(grid, params, [1, 2], meson_cap=3)
+    # two meson ladders for each of the three solves, cap-shift included
+    assert [basis.modes is None for basis, _, _ in ladder_builds] == \
+        [False] * 6
 
 
 def test_theorem2_sweep_validates_input():
@@ -214,7 +224,8 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
         v2, _ = coherent_state(grid, plane.meson_basis, z2, plane.eps)
         phi = np.kron(v1, v2)
         want = np.vdot(phi, h_plane @ phi).real
-        assert abs(coherent_upper_bound(op, z1, z2) - want) <= 1e-12
+        rotated, _ = coherent_product_state(op, z1, z2)
+        assert abs(np.vdot(rotated, op @ rotated).real - want) <= 1e-12
 
 
 def test_sweep_solves_a_real_operator_without_kron(monkeypatch):

@@ -1,5 +1,7 @@
 """Quantum-to-classical convergence of characteristic functions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,16 @@ def test_panel_and_input_validation():
         theorem1_sweep(grid, params, z0, [0.2], [0.5, 0.25])
     with pytest.raises(ValueError):
         theorem1_sweep(grid, params, z0, [0.2], [-0.5])
+
+
+def test_sweep_builds_each_ladder_once(ladder_builds):
+    # the Hamiltonian of each rung owns its ladders: its coupling, the
+    # moments and every Weyl value re-weight them, and none is rebuilt
+    grid, params, z0, modes = limit_system()
+    eps_values = (0.4, 0.2)
+    theorem1_sweep(grid, params, z0, eps_values, [0.25])
+    built = Counter((eps, basis.modes is None, mode)
+                    for basis, mode, eps in ladder_builds)
+    assert built == Counter(
+        [(eps, True, j) for eps in eps_values for j in range(grid.n_sites)]
+        + [(eps, False, p) for eps in eps_values for p in range(modes.size)])

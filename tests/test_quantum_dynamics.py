@@ -17,13 +17,14 @@ from nelson_lab.discretization import (
 from nelson_lab import fock_space, quantum_dynamics
 from nelson_lab.errors import SectorBasisUnsupported, StepSizeRejected
 from nelson_lab.fock_space import (
-    check_relative_bounds, coherent_state, sector_basis,
-    smeared_annihilator, truncated_basis, weyl_generator)
+    coherent_state, ladders, sector_basis, smeared_annihilator,
+    truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
-    FactoredHamiltonian, b_expansion_residual, b_operators, duhamel_check,
-    free_weyl_argument, gronwall_bound_check, number_weight_diagonal,
-    propagate, weyl_matrix_elements)
+    FactoredHamiltonian, b_expansion_residual, b_operators,
+    check_relative_bounds, duhamel_check, free_weyl_argument,
+    gronwall_bound_check, number_weight_diagonal, propagate,
+    weyl_matrix_elements)
 
 
 def make_system(n_sites, half_length, chi_amp, band, caps, eps):
@@ -323,7 +324,8 @@ def random_weyl_case(rng, grid, nb, mb, scale):
 
 
 @pytest.mark.parametrize("standing", [False, True])
-def test_weyl_matrix_elements_match_dense_reference_at_raised_caps(standing):
+def test_weyl_matrix_elements_match_dense_reference_at_raised_caps(
+        standing, free_ham):
     # random states reach the caps, where the exponential of the capped
     # generator is furthest from P W P; caps raised by 8 push that
     # difference below 1e-13
@@ -337,22 +339,23 @@ def test_weyl_matrix_elements_match_dense_reference_at_raised_caps(standing):
     mb = truncated_basis(modes.size, caps[1], modes=modes, standing=standing)
     rng = np.random.default_rng(5)
     xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.3)
-    got = weyl_matrix_elements(grid, eps, nb, mb, xi1, xi2, phi, [chi])
+    got = weyl_matrix_elements(free_ham(grid, eps, nb, mb), xi1, xi2, phi,
+                               [chi])
     want = dense_reference(grid, eps, nb, mb, xi1, xi2, phi, [phi, chi], 8)
     assert abs(got[0]) >= 0.1 and abs(got[1]) >= 0.01
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_weyl_matrix_elements_do_not_depend_on_the_cap():
-    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    grid, params, nb, mb, ham = tiny_system(caps=(4, 5))
     rng = np.random.default_rng(8)
     xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
-    got = weyl_matrix_elements(grid, ham.eps, nb, mb, xi1, xi2, phi, [chi])
+    got = weyl_matrix_elements(ham, xi1, xi2, phi, [chi])
     big_nb, big_mb = raised_caps(nb, mb, 2)
     big_phi, big_chi = (embedded(v, nb, mb, big_nb, big_mb).ravel()
                         for v in (phi, chi))
-    again = weyl_matrix_elements(grid, ham.eps, big_nb, big_mb, xi1, xi2,
-                                 big_phi, [big_chi])
+    big = FactoredHamiltonian(grid, params, ham.eps, big_nb, big_mb)
+    again = weyl_matrix_elements(big, xi1, xi2, big_phi, [big_chi])
     assert np.abs(got - again).max() <= 1e-13
 
 
@@ -363,7 +366,8 @@ def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     nb = truncated_basis(grid.n_sites, 6)
     rng = np.random.default_rng(21)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    op = (1j / np.sqrt(2.0)) * smeared_annihilator(nb, f, grid.dx, 0.1)
+    op = (1j / np.sqrt(2.0)) * smeared_annihilator(ladders(nb, 0.1), f,
+                                                   grid.dx)
     block = (rng.standard_normal((nb.dim, 3))
              + 1j * rng.standard_normal((nb.dim, 3)))
     parts = quantum_dynamics._lowering_series(op, block, nb)
@@ -374,7 +378,7 @@ def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     assert np.abs(parts[0] + parts[1] - exact).max() <= 1e-12
 
 
-def test_weyl_vacuum_value_is_exact_at_a_low_cap():
+def test_weyl_vacuum_value_is_exact_at_a_low_cap(free_ham):
     grid = Grid(4, np.pi)
     eps = 0.5
     modes = np.array([1, 3])
@@ -386,7 +390,8 @@ def test_weyl_vacuum_value_is_exact_at_a_low_cap():
     xi2[3] = 0.4j
     vac = np.zeros(nb.dim * mb.dim)
     vac[0] = 1.0
-    got, = weyl_matrix_elements(grid, eps, nb, mb, xi1, xi2, vac, [])
+    got, = weyl_matrix_elements(free_ham(grid, eps, nb, mb), xi1, xi2, vac,
+                                [])
     norm_sq = (grid.dx * np.sum(np.abs(xi1) ** 2)
                + grid.dk * np.sum(np.abs(xi2[modes]) ** 2))
     assert abs(got - np.exp(-eps * norm_sq / 4.0)) <= 1e-14
@@ -403,23 +408,24 @@ def test_weyl_matrix_elements_build_no_product_matrix(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(sp, "kron", no_kron)
         patched.setattr(np, "kron", no_kron)
-        got = weyl_matrix_elements(grid, ham.eps, nb, mb, xi1, xi2, phi,
-                                   [chi])
+        got = weyl_matrix_elements(ham, xi1, xi2, phi, [chi])
     want = dense_reference(grid, ham.eps, nb, mb, xi1, xi2, phi, [phi, chi],
                            12)
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_weyl_matrix_elements_reject_a_sector_basis():
-    grid, _, nb, mb, _ = tiny_system(caps=(2, 2))
+    # a nucleon sector raises when its ladders are asked for, a meson
+    # sector already when the Hamiltonian builds its ladders
+    grid, params, nb, mb, _ = tiny_system(caps=(2, 2))
     xi1 = np.array([0.3, 0.2j])
     xi2 = np.zeros(2, dtype=complex)
     xi2[mb.modes] = 0.25
     for bases in ((sector_basis(grid.n_sites, 1), mb),
                   (nb, sector_basis(mb.n_modes, 1, modes=mb.modes))):
         with pytest.raises(SectorBasisUnsupported):
-            weyl_matrix_elements(grid, 0.5, *bases, xi1, xi2,
-                                 np.ones(bases[0].dim * bases[1].dim), [])
+            ham = FactoredHamiltonian(grid, params, 0.5, *bases)
+            weyl_matrix_elements(ham, xi1, xi2, np.ones(ham.dim), [])
 
 
 def test_gershgorin_interval_once_per_propagation(monkeypatch):
@@ -463,12 +469,12 @@ def test_free_conjugation_of_weyl_is_free_flow_of_argument():
 
 
 def test_b_operators_anti_hermitian_and_scalar_tail():
-    grid, params, nb, mb, ham = tiny_system(caps=(3, 4))
+    grid, _, _, mb, ham = tiny_system(caps=(3, 4))
     rng = np.random.default_rng(2)
     xi1 = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     xi2 = np.zeros(2, dtype=complex)
     xi2[mb.modes] = 0.5 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
-    b0, b1, b2 = b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)
+    b0, b1, b2 = b_operators(ham, xi1, xi2)
     for b in (b0, b1, b2):
         dense = b.toarray()
         assert np.abs(dense + dense.conj().T).max() <= 1e-12
@@ -515,8 +521,8 @@ def random_arguments(grid, mb, seed):
                          INVARIANT_CASES)
 def test_product_operator_invariants(n_sites, half_length, band, caps,
                                      standing):
-    grid, params, nb, mb, ham = invariant_system(n_sites, half_length, band,
-                                                 caps, standing)
+    grid, _, nb, mb, ham = invariant_system(n_sites, half_length, band,
+                                            caps, standing)
     dense = ham.toarray()
     assert np.abs(dense - dense.conj().T).max() <= 1e-13
     # H conserves the nucleon number N1 (x) I exactly
@@ -524,7 +530,7 @@ def test_product_operator_invariants(n_sites, half_length, band, caps,
     assert np.abs(dense * n1[None, :] - n1[:, None] * dense).max() == 0.0
     assert np.abs(ham.tocsr().toarray() - dense).max() <= 1e-14
     xi1, xi2 = random_arguments(grid, mb, seed=4)
-    for b in b_operators(grid, params, ham.eps, nb, mb, xi1, xi2):
+    for b in b_operators(ham, xi1, xi2):
         b_dense = b.toarray()
         assert np.abs(b_dense + b_dense.conj().T).max() <= 1e-13
         assert np.abs(b.tocsr().toarray() - b_dense).max() <= 1e-14
@@ -536,57 +542,52 @@ def test_b_operators_agree_across_meson_frames():
     # B2 built from the slot profiles must give it the same expectations
     values = []
     for standing in (False, True):
-        grid, params, nb, mb, ham = invariant_system(
+        grid, _, nb, mb, ham = invariant_system(
             4, np.pi, (1.0, 1.0), (2, 3), standing)
         xi1, xi2 = random_arguments(grid, mb, seed=8)
         z1, z2 = random_arguments(grid, mb, seed=9)
         state, _ = coherent_initial(grid, nb, mb, ham.eps, 0.5 * z1,
                                     0.5 * z2)
         values.append([np.vdot(state, b @ state) for b in
-                       b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)])
+                       b_operators(ham, xi1, xi2)])
     assert np.abs(np.subtract(*values)).max() <= 1e-12
     assert min(abs(v) for v in values[0]) >= 1e-3
 
 
 def test_b_operators_and_relative_bounds_build_no_product_matrix(
         monkeypatch):
-    grid, params, nb, mb, ham = tiny_system(caps=(3, 4))
+    grid, _, _, mb, ham = tiny_system(caps=(3, 4))
     xi1, xi2 = random_arguments(grid, mb, seed=2)
-    want = [b.tocsr() for b in b_operators(grid, params, ham.eps, nb, mb,
-                                           xi1, xi2)]
-    bounds = check_relative_bounds(grid, params, ham.eps, nb, mb,
-                                   n_samples=20, seed=1)
+    want = [b.tocsr() for b in b_operators(ham, xi1, xi2)]
+    bounds = check_relative_bounds(ham, n_samples=20, seed=1)
     v = np.random.default_rng(6).standard_normal(ham.dim) + 0j
 
     def no_kron(*args, **kwargs):
         raise AssertionError("scipy.sparse.kron called")
 
     monkeypatch.setattr(sp, "kron", no_kron)
-    got = b_operators(grid, params, ham.eps, nb, mb, xi1, xi2)
+    got = b_operators(ham, xi1, xi2)
     for b, mat in zip(got, want):
         assert np.linalg.norm(b @ v - mat @ v) <= 1e-14 * np.linalg.norm(v)
-    assert check_relative_bounds(grid, params, ham.eps, nb, mb,
-                                 n_samples=20, seed=1) == bounds
+    assert check_relative_bounds(ham, n_samples=20, seed=1) == bounds
 
 
 def test_expansion_residual_rejects_an_empty_core():
-    grid, params, nb, mb, ham = tiny_system(caps=(3, 4))
+    grid, _, _, mb, ham = tiny_system(caps=(3, 4))
     xi1, xi2 = random_arguments(grid, mb, seed=2)
     with pytest.raises(ValueError, match="core margin"):
-        b_expansion_residual(grid, params, ham.eps, nb, mb, xi1, xi2,
-                             core_margin=(2, 5))
+        b_expansion_residual(ham, xi1, xi2, core_margin=(2, 5))
 
 
 def test_conjugated_coupling_expansion_matches_matrix_route():
     # dual route: the Weyl-conjugated coupling assembled as a matrix
     # product against the closed-form eps expansion, on the leakage core
-    grid, params, nb, mb, ham = make_system(
+    _, _, _, mb, ham = make_system(
         2, np.pi / 2, 0.3, (2.0, 2.0), (12, 16), 0.5)
     xi1 = np.array([0.12 - 0.04j, 0.08 + 0.1j])
     xi2 = np.zeros(2, dtype=complex)
     xi2[mb.modes] = 0.2 + 0.15j
-    res = b_expansion_residual(grid, params, ham.eps, nb, mb, xi1, xi2,
-                               core_margin=(8, 10))
+    res = b_expansion_residual(ham, xi1, xi2, core_margin=(8, 10))
     assert res <= 1e-8
 
 
@@ -651,7 +652,7 @@ def test_gronwall_weighted_propagator_bound():
 
 def test_number_weight_diagonal_values():
     _, _, nb, mb, ham = tiny_system(caps=(2, 2))
-    diag = number_weight_diagonal(nb, mb, ham.eps)
+    diag = number_weight_diagonal(ham)
     eps = ham.eps
     k = 0
     for occ1 in nb.occupations:
