@@ -11,12 +11,14 @@ so that a coherent state at z has <psi(x)> = z1(x) and <a(k)> = z2(k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import factorial, lgamma, log, log1p
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv, pdtrc
 
@@ -219,20 +221,40 @@ def second_quantize(basis, a_matrix, eps):
     return mat.tocsr()
 
 
+class Ladders(tuple):
+    """The annihilators a_m = sqrt(eps) b_m of every mode of a basis, in
+    mode order (`ladders`).  Their patterns are disjoint, because a_m
+    alone lowers mode m, so their sum has one fixed CSR pattern whose
+    entries each belong to one mode: `union`, built on first use."""
+
+    @cached_property
+    def union(self):
+        """(indptr, indices, amplitudes, mode of each entry) of sum_m a_m.
+        The sums of the ladders and of their indicators times m + 1 merge
+        the same disjoint patterns, so they share one canonical pattern."""
+        amplitudes = sum(self[1:], self[0])
+        labels = sum((m + 1) * (a != 0) for m, a in enumerate(self))
+        return (amplitudes.indptr, amplitudes.indices, amplitudes.data,
+                labels.data - 1)
+
+
 def ladders(basis, eps):
-    """The annihilators a_m of every mode of the basis, in mode order."""
-    return [ladder(basis, m, eps) for m in range(basis.n_modes)]
+    """The annihilators a_m of every mode of the basis, as `Ladders`."""
+    return Ladders(ladder(basis, m, eps) for m in range(basis.n_modes))
 
 
 def smeared_annihilator(annihilators, f, quad):
     """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m, re-weighting the
-    `annihilators` a_m = sqrt(eps) b_m of `ladders(basis, eps)`."""
-    f = np.asarray(f, dtype=complex)
-    out = sp.csr_matrix(annihilators[0].shape, dtype=complex)
-    for f_m, a_m in zip(f, annihilators):
-        if f_m != 0:
-            out = out + np.sqrt(quad) * np.conj(f_m) * a_m
-    return out.tocsr()
+    `Ladders` a_m = sqrt(eps) b_m on their union pattern.  Entries of a
+    mode with f_m = 0 are left out, so the result is the per-mode sum
+    entry for entry, and it owns all its arrays."""
+    indptr, indices, amplitudes, mode = annihilators.union
+    weight = (np.sqrt(quad) * np.conj(np.asarray(f, dtype=complex)))[mode]
+    keep = weight != 0
+    kept = np.concatenate(([0], np.cumsum(keep, dtype=indptr.dtype)))
+    return sp.csr_matrix(
+        (weight[keep] * amplitudes[keep], indices[keep], kept[indptr]),
+        shape=annihilators[0].shape)
 
 
 def _apply_pair(stack, left, right_t):
@@ -360,8 +382,6 @@ def coherent_state(grid, basis, z, eps):
 _CHEBYSHEV_TAIL = 1e-15
 # relative change of the norm beyond which a propagated vector is rejected
 _NORM_TOLERANCE = 1e-10
-# (-i)^k for k mod 4, exactly
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _gershgorin_interval(h):
@@ -389,53 +409,84 @@ def _chebyshev_length(radius):
         k += 1
 
 
-def _expm_hermitian(h, tau, v, interval):
-    """exp(-i tau h) v for a Hermitian CSR h and a 1d v or a 2d block v
-    (each column propagated), by the Chebyshev series of Tal-Ezer and
+def _chebyshev_sums(h, v, center, half, coeffs):
+    """sum_k coeffs[j, k] T_k(X) v, X = (h - center)/half, over even and
+    over odd k, for each row j of `coeffs`: an array (2, n_rows) +
+    v.shape.  T_k(X) v runs the three-term recurrence with the shift and
+    scale applied to the vectors, so no second matrix is built, and each
+    T_k(X) v serves every row."""
+    sums = np.zeros((2, coeffs.shape[0]) + v.shape, dtype=v.dtype)
+    # y += a x and x *= a by BLAS on flat views: every array here is
+    # contiguous and of the dtype of v, so BLAS writes through the view
+    axpy, scal = get_blas_funcs(("axpy", "scal"), (v,))
+    prev, cur = None, v
+    for k in range(coeffs.shape[1]):
+        if k > 0:
+            nxt = h @ cur
+            flat = nxt.reshape(-1)
+            axpy(cur.reshape(-1), flat, a=-center)
+            if prev is None:  # T_1 = X T_0
+                scal(1.0 / half, flat)
+            else:  # T_{k+1} = 2 X T_k - T_{k-1}
+                scal(2.0 / half, flat)
+                axpy(prev.reshape(-1), flat, a=-1.0)
+            prev, cur = cur, nxt
+        for j in np.nonzero(coeffs[:, k])[0]:
+            axpy(cur.reshape(-1), sums[k % 2, j].reshape(-1), a=coeffs[j, k])
+    return sums
+
+
+def _expm_hermitian(h, taus, v, interval):
+    """exp(-i tau h) v for every tau in `taus`, for a Hermitian CSR h and
+    a 1d v or a 2d block v (each column propagated), as an array
+    (len(taus),) + v.shape, by the Chebyshev series of Tal-Ezer and
     Kosloff.  With the spectrum of h in [c - d, c + d] = `interval`
     (`_gershgorin_interval(h)`, computed once per h) and X = (h - c)/d,
 
         exp(-i tau h) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
                         J_k(tau d) T_k(X),
 
-    cut after `_chebyshev_length(tau d)` terms; T_k(X) v runs the
-    three-term recurrence with the shift and scale applied to the vectors,
-    so no second matrix is built.  A zero-width interval gives the phase
-    alone.  The bound holds only for a Hermitian h: a non-finite interval,
-    or a result that is not finite or whose norm differs from that of v by
+    each tau cut after its own `_chebyshev_length(|tau| d)` terms, and
+    one recurrence serves all taus.  As (-i)^k is (-1)^{k//2} for even k
+    and -i (-1)^{k//2} for odd k, the sum is E - i O, with real
+    coefficients in the even part E and the odd part O.  A real h runs
+    in real arithmetic, on the real and the imaginary part of v in turn.
+    A tau of zero, or a zero-width interval, gives the phase alone.  The
+    bound holds only for a Hermitian h: a non-finite interval, or a
+    result that is not finite or whose norm differs from that of v by
     more than _NORM_TOLERANCE relative, raises StepSizeRejected."""
     v = np.asarray(v, dtype=complex)
+    taus = np.asarray(taus, dtype=float)
     lo, hi = interval
     center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    if not np.isfinite(tau * half):
+    radii = np.abs(taus) * half
+    if not np.all(np.isfinite(radii)):
         raise StepSizeRejected(
-            f"no finite Chebyshev interval: tau={tau}, spectrum in "
+            f"no finite Chebyshev interval: taus={taus}, spectrum in "
             f"[{lo}, {hi}]")
-    phase = np.exp(-1j * tau * center)
-    if tau * half == 0.0:
-        out = phase * v
+    lengths = np.array([_chebyshev_length(r) if r > 0 else 1 for r in radii])
+    k = np.arange(lengths.max())
+    coeffs = np.where(k < lengths[:, None],
+                      (-1.0) ** (k // 2) * jv(k, (taus * half)[:, None]), 0.0)
+    coeffs[:, 1:] *= 2.0
+    if np.iscomplexobj(h):
+        even, odd = _chebyshev_sums(h, v, center, half, coeffs)
+        out = even - 1j * odd
     else:
-        k = np.arange(_chebyshev_length(abs(tau) * half))
-        coeffs = phase * _MINUS_I_POWERS[k % 4] * jv(k, tau * half)
-        coeffs[1:] *= 2.0
-        out = coeffs[0] * v
-        prev, cur = None, v
-        scratch = np.empty_like(out)
-        for coeff in coeffs[1:]:
-            nxt = h @ cur
-            nxt -= np.multiply(cur, center, out=scratch)
-            if prev is None:  # T_1 = X T_0
-                nxt *= 1.0 / half
-            else:  # T_{k+1} = 2 X T_k - T_{k-1}
-                nxt *= 2.0 / half
-                nxt -= prev
-            out += np.multiply(nxt, coeff, out=scratch)
-            prev, cur = cur, nxt
-    norm_in, norm_out = np.linalg.norm(v), np.linalg.norm(out)
-    if not abs(norm_out - norm_in) <= _NORM_TOLERANCE * norm_in:
-        raise StepSizeRejected(
-            f"Chebyshev propagation changed the norm from {norm_in:.6e} to "
-            f"{norm_out:.6e}: the generator is not Hermitian")
+        (even_re, odd_re), (even_im, odd_im) = (
+            _chebyshev_sums(h, np.ascontiguousarray(part), center, half,
+                            coeffs) for part in (v.real, v.imag))
+        # E - i O = (E_re + O_im) + i (E_im - O_re)
+        out = np.empty(taus.shape + v.shape, dtype=complex)
+        out.real = even_re + odd_im
+        out.imag = even_im - odd_re
+    out *= np.exp(-1j * taus * center).reshape((-1,) + (1,) * v.ndim)
+    norm_in = np.linalg.norm(v)
+    for norm_out in np.linalg.norm(out.reshape(len(taus), -1), axis=1):
+        if not abs(norm_out - norm_in) <= _NORM_TOLERANCE * norm_in:
+            raise StepSizeRejected(
+                f"Chebyshev propagation changed the norm from {norm_in:.6e} "
+                f"to {norm_out:.6e}: the generator is not Hermitian")
     return out
 
 

@@ -15,10 +15,10 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .classical_energy import minimize_constrained
-from .discretization import covered_modes
 from .errors import ConvergenceFailure
-from .fock_space import sector_basis, truncated_basis
-from .quantum_dynamics import FactoredHamiltonian, coherent_product_state
+from .fock_space import sector_basis
+from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
+                               coherent_product_state)
 
 
 def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
@@ -87,13 +87,6 @@ class SweepReport:
     cap_shift: float
     z1_min: np.ndarray
     z2_min: np.ndarray
-
-
-def active_meson_basis(grid, params, cap):
-    """Truncated standing-wave meson basis over the modes the coupling
-    reaches."""
-    modes = covered_modes(grid, params)
-    return truncated_basis(modes.size, cap, modes=modes, standing=True)
 
 
 def _sector_hamiltonian(grid, params, n, meson_cap):

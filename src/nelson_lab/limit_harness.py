@@ -19,10 +19,10 @@ import numpy as np
 from .classical_dynamics import flow, free_flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
-from .fock_space import occupation_cap, truncated_basis
-from .quantum_dynamics import (FactoredHamiltonian, coherent_product_state,
-                               free_weyl_argument, propagate,
-                               weyl_matrix_elements)
+from .fock_space import _slot_field, occupation_cap, truncated_basis
+from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
+                               coherent_product_state, free_weyl_argument,
+                               propagate, weyl_matrix_elements)
 
 
 def coherent_target(grid, xi1, xi2, z):
@@ -83,32 +83,36 @@ class Theorem1Report:
 
 
 def _bases_for(grid, params, eps, z0, tail_budget):
-    modes = covered_modes(grid, params, z0.z2)
+    """Nucleon basis over the sites and standing-wave meson basis, with
+    caps from the coherent occupations of z0."""
     mean_n = grid.norm_x(z0.z1) ** 2 / eps
     mean_m = grid.norm_k(z0.z2) ** 2 / eps
     # one extra rung of headroom for occupation pumped by the coupling
     cap_n = occupation_cap(mean_n, tail_budget) + 2
     cap_m = occupation_cap(mean_m, tail_budget) + 2
-    nb = truncated_basis(grid.n_sites, cap_n)
-    mb = truncated_basis(modes.size, cap_m, modes=modes)
-    return nb, mb
+    return (truncated_basis(grid.n_sites, cap_n),
+            active_meson_basis(grid, params, cap_m, z0.z2))
 
 
 def _moment_errors(ham, vectors, traj):
-    """Quadrature distance of (<psi(x)>, <a(k)>) in each vector to the
-    classical fields of `traj` at the same index."""
-    grid, dims, modes = ham.grid, ham.dims, ham.meson_basis.modes
+    """Quadrature distance of (<psi(x)>, <a>) in each vector to the
+    classical fields of `traj` at the same index.  The meson moments are
+    read at the basis slots and compared with the slot amplitudes of z2
+    (`_slot_field`); the standing-wave rotation is unitary, so the
+    distance is that of the plane-wave moments."""
+    grid, dims, mb = ham.grid, ham.dims, ham.meson_basis
     mode_mats = [op.T.toarray() for op in ham.meson_ladders]
+    z2 = np.array([_slot_field(grid, mb, z, "field")[1] for z in traj.z2])
     q1 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
-    q2 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
+    q2 = np.zeros((len(vectors), mb.n_modes), dtype=complex)
     for i, vec in enumerate(vectors):
         mat = vec.reshape(dims)
         for j, op in enumerate(ham.nucleon_ladders):
             q1[i, j] = np.vdot(mat, op @ mat) / np.sqrt(grid.dx)
         for p, op in enumerate(mode_mats):
-            q2[i, modes[p]] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)
+            q2[i, p] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)
     return np.sqrt(grid.dx * np.sum(np.abs(q1 - traj.z1) ** 2, axis=1)
-                   + grid.dk * np.sum(np.abs(q2 - traj.z2) ** 2, axis=1))
+                   + grid.dk * np.sum(np.abs(q2 - z2) ** 2, axis=1))
 
 
 def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
@@ -123,8 +127,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
     the distance of <psi(x)>, <a(k)> to the classical fields at time t.
     """
     t_values = tuple(float(t) for t in t_values)
-    if any(t <= 0 for t in t_values) or list(t_values) != sorted(t_values):
-        raise ValueError("t_values must be positive and increasing")
+    if any(t <= 0 for t in t_values) or any(
+            b <= a for a, b in zip(t_values, t_values[1:])):
+        raise ValueError("t_values must be positive and strictly increasing")
     eps_values = tuple(float(e) for e in eps_values)
     traj = flow(grid, params, z0, np.concatenate([[0.0], t_values]),
                 classical_dt)

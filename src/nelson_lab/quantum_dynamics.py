@@ -20,14 +20,22 @@ from scipy.linalg import expm
 
 from .classical_dynamics import FieldState, free_flow
 from .classical_energy import density_fourier
-from .discretization import (coupling_weight, dispersion,
+from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
                          _expm_hermitian, _gershgorin_interval, _slot_field,
                          coherent_state, dgamma_diagonal, ladders,
                          second_quantize, smeared_annihilator,
-                         standing_wave_pairs)
+                         standing_wave_pairs, truncated_basis)
+
+
+def active_meson_basis(grid, params, cap, *fields):
+    """Truncated standing-wave meson basis over the modes the coupling and
+    the given mode fields reach (`covered_modes`).  For a coupling even in
+    k the Hamiltonian on it is real."""
+    modes = covered_modes(grid, params, *fields)
+    return truncated_basis(modes.size, cap, modes=modes, standing=True)
 
 
 def coupling_weight_on(grid, params, meson_basis):
@@ -130,25 +138,17 @@ def coherent_product_state(ham, z1, z2):
 
 def propagate(ham, psi0, times):
     """Vectors exp(-i t H/eps) psi0 at the requested times (increasing,
-    starting at or after zero), stepped on the CSR matrix `ham.tocsr()`
-    with its Gershgorin interval computed once; a time of zero is psi0
-    itself."""
+    starting at or after zero), all from one Chebyshev recurrence on the
+    CSR matrix `ham.tocsr()` and its Gershgorin interval; a time of zero
+    gives psi0 itself."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     h = ham.tocsr()
-    interval = _gershgorin_interval(h)
-    out = []
-    psi = psi0.copy()
-    prev = 0.0
-    for t in times:
-        if t > prev:
-            psi = _expm_hermitian(h, (t - prev) / ham.eps, psi, interval)
-            prev = t
-        out.append(psi.copy())
-    return out
+    return list(_expm_hermitian(h, times / ham.eps, psi0,
+                                _gershgorin_interval(h)))
 
 
 def free_weyl_argument(grid, params, xi1, xi2, t):

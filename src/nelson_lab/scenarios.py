@@ -121,6 +121,8 @@ def run_duhamel(cfg: RunConfig, seed: int):
     eps = scenario_option(cfg.options, "eps", 0.5, lo=1e-6)
     t = scenario_option(cfg.options, "t", 0.5, lo=1e-12)
     n_nodes = scenario_option(cfg.options, "n_nodes", 65, lo=5, integer=True)
+    if (n_nodes - 1) % 4 != 0:
+        raise ConfigInvalid(".scenario.n_nodes", "must be 4k+1 with k >= 1")
     nucleon_cap = scenario_option(cfg.options, "nucleon_cap", 8, lo=1,
                                   integer=True)
     meson_cap = scenario_option(cfg.options, "meson_cap", 10, lo=1,
@@ -170,6 +172,10 @@ def run_theorem1(cfg: RunConfig, seed: int):
                                  [0.4, 0.2, 0.1, 0.05], lo=1e-6, many=True)
     t_values = scenario_option(cfg.options, "t_values", [0.25, 0.5],
                                lo=1e-12, many=True)
+    for i, (prev, t) in enumerate(zip(t_values, t_values[1:]), 1):
+        if t <= prev:
+            raise ConfigInvalid(f".scenario.t_values[{i}]",
+                                "must exceed the entry before it")
     tail_budget = scenario_option(cfg.options, "tail_budget", 1e-4, lo=1e-12)
     classical_dt = scenario_option(cfg.options, "classical_dt", 1e-3, lo=1e-12)
     track_eps = cfg.options.get("track_eps")

@@ -192,6 +192,26 @@ def test_bad_n_values_entry_exits_2(tmp_path, capsys, entry):
     assert ".scenario.n_values[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_values", [[0.25, 0.25], [0.5, 0.25]])
+def test_unordered_t_values_exit_2(tmp_path, capsys, t_values):
+    data = json.loads(json.dumps(THEOREM1_CFG))
+    data["scenario"]["t_values"] = t_values
+    p = write_cfg(tmp_path, data)
+    assert main(["run", "theorem1", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error at .scenario.t_values[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_nodes", [6, 10])
+def test_duhamel_nodes_off_4k_plus_1_exit_2(tmp_path, capsys, n_nodes):
+    data = json.loads(json.dumps(DUHAMEL_CFG))
+    data["scenario"]["n_nodes"] = n_nodes
+    p = write_cfg(tmp_path, data)
+    assert main(["run", "duhamel", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error at .scenario.n_nodes" in capsys.readouterr().err
+
+
 def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
     data = json.loads(json.dumps(THEOREM1_CFG))
     data["scenario"]["track_eps"] = 0.3

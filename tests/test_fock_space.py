@@ -450,6 +450,37 @@ def test_smeared_annihilator_matches_ladder_sum():
     assert np.allclose(got, want)
 
 
+def per_mode_sum(annihilators, f, quad):
+    """a(f) by adding the weighted ladders of the modes with f_m != 0."""
+    out = sp.csr_matrix(annihilators[0].shape, dtype=complex)
+    for f_m, a_m in zip(f, annihilators):
+        if f_m != 0:
+            out = out + np.sqrt(quad) * np.conj(f_m) * a_m
+    return out
+
+
+@pytest.mark.parametrize("frame", ["plane", "standing", "sites"])
+def test_smeared_annihilator_is_the_per_mode_sum_exactly(frame):
+    # six sites: modes 1 and 5 form a standing pair, 3 (Nyquist) stays a
+    # plane wave; the middle weight is zero
+    basis = (truncated_basis(3, 4) if frame == "sites" else
+             truncated_basis(3, 4, modes=np.array([1, 3, 5]),
+                             standing=frame == "standing"))
+    annihilators = ladders(basis, 0.3)
+    f = np.array([0.4 - 0.2j, 0.0, 0.3j])
+    got = smeared_annihilator(annihilators, f, 0.7)
+    want = per_mode_sum(annihilators, f, 0.7)
+    assert got.nnz == want.nnz > 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # a caller may change its result in place without touching the next
+    got.data[:] = 0.0
+    got.eliminate_zeros()
+    again = smeared_annihilator(annihilators, f, 0.7)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(again, name), getattr(want, name))
+
+
 def test_resolvent_bound_ratio_below_one():
     rng = np.random.default_rng(23)
     for eps in (1.0, 0.5, 0.1):
@@ -500,9 +531,55 @@ def test_chebyshev_propagator_matches_dense_exponential(complex_entries):
         u = expm(-1j * tau * h)
         for shape in ((n,), (n, 3)):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = _expm_hermitian(sp.csr_matrix(h), tau, v, (lo, hi))
+            got = _expm_hermitian(sp.csr_matrix(h), [tau], v, (lo, hi))[0]
             assert got.shape == shape
             assert np.linalg.norm(got - u @ v) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_chebyshev_propagator_serves_several_times_in_one_call(
+        complex_entries):
+    rng = np.random.default_rng(29 + complex_entries)
+    n = 24
+    h = random_hermitian(rng, n, complex_entries) + 1.5 * np.eye(n)
+    interval = _gershgorin_interval(sp.csr_matrix(h))
+    taus = [0.0, 0.05, 0.4, 1.3, 6.0, -2.0]
+    for shape in ((n,), (n, 3)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _expm_hermitian(sp.csr_matrix(h), taus, v, interval)
+        assert got.shape == (len(taus),) + shape
+        assert np.array_equal(got[0], v)
+        for tau, g in zip(taus, got):
+            assert np.linalg.norm(g - expm(-1j * tau * h) @ v) \
+                <= 1e-12 * np.linalg.norm(v)
+
+
+class RecordingCSR(sp.csr_matrix):
+    """CSR matrix that records the dtype of each dense operand."""
+
+    def __matmul__(self, other):
+        self.operands.append(other.dtype)
+        return super().__matmul__(other)
+
+
+def test_chebyshev_propagator_runs_a_real_generator_in_real_arithmetic():
+    rng = np.random.default_rng(31)
+    n = 20
+    h = random_hermitian(rng, n, False)
+    recording = RecordingCSR(h)
+    recording.operands = []
+    interval = _gershgorin_interval(recording)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    taus = [0.3, 2.0]
+    got = _expm_hermitian(recording, taus, v, interval)
+    assert recording.operands
+    assert all(dtype == np.float64 for dtype in recording.operands)
+    as_complex = _expm_hermitian(sp.csr_matrix(h.astype(complex)), taus, v,
+                                 interval)
+    for tau, g, c in zip(taus, got, as_complex):
+        assert np.linalg.norm(g - expm(-1j * tau * h) @ v) \
+            <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(g - c) <= 1e-13 * np.linalg.norm(v)
 
 
 def test_chebyshev_interval_holds_the_spectrum():
@@ -518,12 +595,12 @@ def test_chebyshev_propagator_on_zero_width_intervals():
     v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     scalar = sp.csr_matrix(2.5 * np.eye(6))
     assert _gershgorin_interval(scalar) == (2.5, 2.5)
-    got = _expm_hermitian(scalar, 0.7, v, (2.5, 2.5))
+    got = _expm_hermitian(scalar, [0.7], v, (2.5, 2.5))[0]
     assert np.linalg.norm(got - np.exp(-1.75j) * v) <= 1e-15
     zero = sp.csr_matrix((6, 6))
     interval = _gershgorin_interval(zero)
-    assert np.array_equal(_expm_hermitian(zero, 3.0, v, interval), v)
-    assert np.array_equal(_expm_hermitian(zero, 3.0, v[:, 0], interval),
+    assert np.array_equal(_expm_hermitian(zero, [3.0], v, interval)[0], v)
+    assert np.array_equal(_expm_hermitian(zero, [3.0], v[:, 0], interval)[0],
                           v[:, 0])
 
 
@@ -535,5 +612,5 @@ def test_chebyshev_propagator_rejects_a_non_hermitian_generator():
               np.array([[1.0, np.nan], [np.nan, 0.0]])):
         h = sp.csr_matrix(h)
         with pytest.raises(StepSizeRejected) as info:
-            _expm_hermitian(h, 1.0, v, _gershgorin_interval(h))
+            _expm_hermitian(h, [1.0], v, _gershgorin_interval(h))
         assert isinstance(info.value, NelsonLabError)

@@ -5,10 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nelson_lab import limit_harness
 from nelson_lab.classical_dynamics import FieldState
 from nelson_lab.discretization import (
-    Grid, ModelParams, chi_sharp_band, coupling_weight, potential_preset)
-from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
+    Grid, ModelParams, chi_sharp_band, coupling_weight, covered_modes,
+    potential_preset)
+from nelson_lab.fock_space import truncated_basis
+from nelson_lab.limit_harness import (_bases_for, default_xi_panel,
+                                      theorem1_sweep)
+from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
 def limit_system(chi_amp=0.25):
@@ -117,3 +122,32 @@ def test_sweep_builds_each_ladder_once(ladder_builds):
     assert built == Counter(
         [(eps, True, j) for eps in eps_values for j in range(grid.n_sites)]
         + [(eps, False, p) for eps in eps_values for p in range(modes.size)])
+
+
+def test_t1_hamiltonian_is_real():
+    # the standing-wave meson basis makes the coupling real for a chi
+    # even in k, so the propagator runs in real arithmetic
+    grid, params, z0, _ = limit_system()
+    ham = FactoredHamiltonian(grid, params, 0.2,
+                              *_bases_for(grid, params, 0.2, z0, 1e-4))
+    assert ham.meson_basis.standing
+    assert ham.tocsr().dtype == np.float64
+
+
+def test_plane_and_standing_meson_frames_agree(monkeypatch):
+    grid, params, z0, _ = limit_system()
+    args = (grid, params, z0, (0.4, 0.2), (0.25, 0.5))
+    standing = theorem1_sweep(*args)
+
+    def plane_basis(grid, params, cap, *fields):
+        modes = covered_modes(grid, params, *fields)
+        return truncated_basis(modes.size, cap, modes=modes)
+
+    monkeypatch.setattr(limit_harness, "active_meson_basis", plane_basis)
+    plane = theorem1_sweep(*args)
+    assert standing.dims == plane.dims and standing.caps == plane.caps
+    assert np.max(np.abs(standing.moment_errors - plane.moment_errors)) \
+        <= 1e-12
+    assert max(abs(a.value - b.value) for a, b
+               in zip(standing.samples, plane.samples)) <= 1e-12
+    assert np.max(np.abs(standing.errors - plane.errors)) <= 1e-12
