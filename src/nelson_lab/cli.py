@@ -102,9 +102,6 @@ def main(argv=None):
     started = time.monotonic()
     try:
         summary, tables = run_scenario(cfg, args.seed)
-    except ConfigInvalid as exc:
-        print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
-        return 2
     except NelsonLabError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

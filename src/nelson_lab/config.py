@@ -2,8 +2,10 @@
 
 A config file has four blocks: "grid", "model", "initial" (optional), and
 "scenario".  Field presets keep configs small; explicit per-entry values
-are always possible.  Anything unknown, missing, or out of range raises
-ConfigInvalid carrying the dotted path of the offending entry.
+are always possible.  Each scenario's options are declared once, with
+their defaults and checks, in OPTIONS.  Anything unknown, missing, or out
+of range raises ConfigInvalid carrying the dotted path of the offending
+entry, at load.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .discretization import (Grid, ModelParams, chi_gaussian, chi_sharp_band,
                              potential_preset)
 from .errors import ConfigInvalid
 
-SCENARIOS = ("classical-flow", "minimize", "duhamel", "theorem1", "theorem2",
-             "property-suite")
-
 
 @dataclass
 class RunConfig:
-    """Validated configuration ready to run."""
+    """Validated configuration ready to run: `options` holds every option
+    of the scenario, checked, with the defaults of `OPTIONS` filled in."""
 
     grid: Grid
     params: ModelParams
@@ -60,11 +60,9 @@ def _expect_object(data, path, allowed):
                                 f"unknown key (allowed: {sorted(allowed)})")
 
 
-def _get(data, key, path, required=True, default=None):
+def _get(data, key, path):
     if key not in data:
-        if required:
-            raise ConfigInvalid(f"{path}.{key}", "missing")
-        return default
+        raise ConfigInvalid(f"{path}.{key}", "missing")
     return data[key]
 
 
@@ -96,12 +94,6 @@ def _number(value, path, lo=None, hi=None, integer=False, many=False):
     if hi is not None and value > hi:
         raise ConfigInvalid(path, f"must be <= {hi}")
     return int(value) if integer else float(value)
-
-
-def scenario_option(options, key, default, **checks):
-    """Scenario option `key` (`default` when absent), checked by
-    `_number` under the path .scenario.<key>."""
-    return _number(options.get(key, default), f".scenario.{key}", **checks)
 
 
 def _real_list(value, n, path):
@@ -143,9 +135,7 @@ def _parse_potential(grid, data):
     if kind == "explicit":
         return _real_list(_get(data, "values", ".model.potential"),
                           grid.n_sites, ".model.potential.values")
-    strength = _number(_get(data, "strength", ".model.potential",
-                            required=False, default=1.0),
-                       ".model.potential.strength")
+    strength = _number(data.get("strength", 1.0), ".model.potential.strength")
     try:
         return potential_preset(grid, kind, strength)
     except ValueError as exc:
@@ -206,20 +196,17 @@ def _parse_z1(grid, params, data):
     elif kind == "gaussian-bump":
         amp = _number(_get(data, "amplitude", ".initial.z1"),
                       ".initial.z1.amplitude")
-        width = _number(_get(data, "width", ".initial.z1", required=False,
-                             default=1.0), ".initial.z1.width")
+        width = _number(data.get("width", 1.0), ".initial.z1.width")
         if width <= 0:
             raise ConfigInvalid(".initial.z1.width", "must be positive")
-        wavenumber = _number(_get(data, "wavenumber", ".initial.z1",
-                                  required=False, default=0.0),
+        wavenumber = _number(data.get("wavenumber", 0.0),
                              ".initial.z1.wavenumber")
         z1 = amp * np.exp(-grid.x ** 2 / (2.0 * width ** 2)) \
             * np.exp(1j * wavenumber * grid.x)
     else:
         raise ConfigInvalid(".initial.z1.kind",
                             "must be gaussian-bump or explicit")
-    if _get(data, "normalize_charge", ".initial.z1", required=False,
-            default=False):
+    if data.get("normalize_charge", False):
         nrm = grid.norm_x(z1)
         if nrm == 0:
             raise ConfigInvalid(".initial.z1", "cannot normalise a zero field")
@@ -265,14 +252,101 @@ def _parse_initial(grid, params, data):
     return FieldState(z1, z2)
 
 
+# Scenario options: name -> {option: (default, check)}.  A check takes
+# (value, path) and returns the value to run with; defaults pass it too.
+# Options without a check are kept as given and checked, like the rules
+# that span options or blocks, in `_parse_options`.
+
+
+def _num(default, **checks):
+    return default, lambda value, path: _number(value, path, **checks)
+
+
+_REQUIRED = object()
+OPTIONS = {
+    "classical-flow": {"t_final": _num(2.0, lo=1e-12),
+                       "n_samples": _num(41, lo=2, integer=True),
+                       "dt": _num(1e-3, lo=1e-12)},
+    "minimize": {"n_starts": _num(3, lo=1, integer=True),
+                 "max_iter": _num(5000, lo=1, integer=True),
+                 "grad_tol": _num(1e-7, lo=0.0)},
+    "duhamel": {"eps": _num(0.5, lo=1e-6), "t": _num(0.5, lo=1e-12),
+                "n_nodes": _num(65, lo=5, integer=True),
+                "nucleon_cap": _num(8, lo=1, integer=True),
+                "meson_cap": _num(10, lo=1, integer=True),
+                "xi1": (_REQUIRED, None), "xi2": (_REQUIRED, None),
+                "expansion_check": (False, None)},
+    "theorem1": {"eps_values": _num([0.4, 0.2, 0.1, 0.05], lo=1e-6,
+                                    many=True),
+                 "t_values": _num([0.25, 0.5], lo=1e-12, many=True),
+                 "tail_budget": _num(1e-4, lo=1e-12),
+                 "classical_dt": _num(1e-3, lo=1e-12),
+                 "track_eps": (None, None)},
+    "theorem2": {"n_values": _num([1, 2, 3, 4, 5], lo=1, integer=True,
+                                  many=True),
+                 "meson_cap": _num(7, lo=0, integer=True),
+                 "cap_check_shift": _num(3, lo=1, integer=True),
+                 "method": ("auto", None)},
+    "property-suite": {"eps": _num(0.5, lo=1e-6),
+                       "nucleon_cap": _num(6, lo=1, integer=True),
+                       "meson_cap": _num(8, lo=1, integer=True),
+                       "n_samples": _num(200, lo=1, integer=True),
+                       "delta": _num(1.0), "t": _num(1.0, lo=1e-12),
+                       "xi_scale": _num(0.2, lo=1e-12),
+                       "identity_cap": _num(22, lo=4, integer=True),
+                       "identity_margin": _num(11, lo=1, integer=True)},
+}
+SCENARIOS = tuple(OPTIONS)
+_NEEDS_INITIAL = ("classical-flow", "duhamel", "theorem1")
+
+
+def _parse_options(name, block, grid, initial):
+    table = OPTIONS[name]
+    for key in block:
+        if key != "name" and key not in table:
+            raise ConfigInvalid(f".scenario.{key}",
+                                f"unknown option (allowed: {sorted(table)})")
+    opts = {}
+    for key, (default, check) in table.items():
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigInvalid(f".scenario.{key}", "missing")
+        opts[key] = check(value, f".scenario.{key}") if check else value
+    t_values = opts.get("t_values", [])
+    for i in range(1, len(t_values)):
+        if t_values[i] <= t_values[i - 1]:
+            raise ConfigInvalid(f".scenario.t_values[{i}]",
+                                "must exceed the entry before it")
+    if "n_nodes" in opts and (opts["n_nodes"] - 1) % 4 != 0:
+        raise ConfigInvalid(".scenario.n_nodes", "must be 4k+1 with k >= 1")
+    for key in ("xi1", "xi2"):  # n [re, im] pairs, kept as given
+        if key in opts:
+            _complex_list(opts[key], grid.n_sites, f".scenario.{key}")
+    if not isinstance(opts.get("expansion_check", False), bool):
+        raise ConfigInvalid(".scenario.expansion_check",
+                            "must be true or false")
+    if opts.get("track_eps") is not None:
+        opts["track_eps"] = _number(opts["track_eps"], ".scenario.track_eps",
+                                    lo=1e-6)
+        if opts["track_eps"] not in opts["eps_values"]:
+            raise ConfigInvalid(".scenario.track_eps",
+                                "must be one of eps_values")
+    if opts.get("method", "auto") not in ("auto", "dense", "lanczos"):
+        raise ConfigInvalid(".scenario.method",
+                            "must be auto, dense, or lanczos")
+    if initial is None and name in _NEEDS_INITIAL:
+        raise ConfigInvalid(".initial",
+                            f"scenario {name!r} needs an initial block")
+    return opts
+
+
 def parse_config(data):
     """Validate a parsed JSON document into a RunConfig."""
     _expect_object(data, "$", {"grid", "model", "initial", "scenario"})
     grid = _parse_grid(_get(data, "grid", "$"))
     params = _parse_model(grid, _get(data, "model", "$"))
-    initial = None
-    if "initial" in data:
-        initial = _parse_initial(grid, params, data["initial"])
+    initial = (_parse_initial(grid, params, data["initial"])
+               if "initial" in data else None)
     scenario_block = _get(data, "scenario", "$")
     if not isinstance(scenario_block, dict):
         raise ConfigInvalid(".scenario", "must be a JSON object")
@@ -280,6 +354,6 @@ def parse_config(data):
     if name not in SCENARIOS:
         raise ConfigInvalid(".scenario.name",
                             f"must be one of {list(SCENARIOS)}")
-    options = {k: v for k, v in scenario_block.items() if k != "name"}
+    options = _parse_options(name, scenario_block, grid, initial)
     return RunConfig(grid=grid, params=params, initial=initial,
                      scenario=name, options=options, raw=data)

@@ -409,13 +409,12 @@ def _chebyshev_length(radius):
         k += 1
 
 
-def _chebyshev_sums(h, v, center, half, coeffs):
-    """sum_k coeffs[j, k] T_k(X) v, X = (h - center)/half, over even and
-    over odd k, for each row j of `coeffs`: an array (2, n_rows) +
-    v.shape.  T_k(X) v runs the three-term recurrence with the shift and
-    scale applied to the vectors, so no second matrix is built, and each
+def _chebyshev_sums(h, v, center, half, coeffs, planes, parities):
+    """Add sum_k f_k coeffs[j, k] T_k(X) v, X = (h - center)/half, into
+    planes[p, j] for each row j of `coeffs`, (f_k, p) = parities[k % 2].
+    T_k(X) v runs the three-term recurrence with the shift and scale
+    applied to the vectors, so no second matrix is built, and each
     T_k(X) v serves every row."""
-    sums = np.zeros((2, coeffs.shape[0]) + v.shape, dtype=v.dtype)
     # y += a x and x *= a by BLAS on flat views: every array here is
     # contiguous and of the dtype of v, so BLAS writes through the view
     axpy, scal = get_blas_funcs(("axpy", "scal"), (v,))
@@ -431,17 +430,17 @@ def _chebyshev_sums(h, v, center, half, coeffs):
                 scal(2.0 / half, flat)
                 axpy(prev.reshape(-1), flat, a=-1.0)
             prev, cur = cur, nxt
+        factor, plane = parities[k % 2]
         for j in np.nonzero(coeffs[:, k])[0]:
-            axpy(cur.reshape(-1), sums[k % 2, j].reshape(-1), a=coeffs[j, k])
-    return sums
+            axpy(cur.reshape(-1), planes[plane, j], a=factor * coeffs[j, k])
 
 
-def _expm_hermitian(h, taus, v, interval):
+def _expm_hermitian(h, taus, v):
     """exp(-i tau h) v for every tau in `taus`, for a Hermitian CSR h and
     a 1d v or a 2d block v (each column propagated), as an array
     (len(taus),) + v.shape, by the Chebyshev series of Tal-Ezer and
-    Kosloff.  With the spectrum of h in [c - d, c + d] = `interval`
-    (`_gershgorin_interval(h)`, computed once per h) and X = (h - c)/d,
+    Kosloff.  With the spectrum of h in [c - d, c + d] (the
+    `_gershgorin_interval` of h) and X = (h - c)/d,
 
         exp(-i tau h) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
                         J_k(tau d) T_k(X),
@@ -457,7 +456,7 @@ def _expm_hermitian(h, taus, v, interval):
     more than _NORM_TOLERANCE relative, raises StepSizeRejected."""
     v = np.asarray(v, dtype=complex)
     taus = np.asarray(taus, dtype=float)
-    lo, hi = interval
+    lo, hi = _gershgorin_interval(h)
     center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     radii = np.abs(taus) * half
     if not np.all(np.isfinite(radii)):
@@ -470,24 +469,28 @@ def _expm_hermitian(h, taus, v, interval):
                       (-1.0) ** (k // 2) * jv(k, (taus * half)[:, None]), 0.0)
     coeffs[:, 1:] *= 2.0
     if np.iscomplexobj(h):
-        even, odd = _chebyshev_sums(h, v, center, half, coeffs)
-        out = even - 1j * odd
+        planes = np.zeros((1, len(taus), v.size), dtype=complex)
+        _chebyshev_sums(h, v, center, half, coeffs, planes,
+                        ((1.0, 0), (-1j, 0)))
+        out = planes[0]
     else:
-        (even_re, odd_re), (even_im, odd_im) = (
+        # (E - i O)(v_re + i v_im) = (E v_re + O v_im) + i (E v_im - O v_re),
+        # summed in contiguous planes (BLAS adds into strided ones slower)
+        planes = np.zeros((2, len(taus), v.size))
+        for part, parities in ((v.real, ((1.0, 0), (-1.0, 1))),
+                               (v.imag, ((1.0, 1), (1.0, 0)))):
             _chebyshev_sums(h, np.ascontiguousarray(part), center, half,
-                            coeffs) for part in (v.real, v.imag))
-        # E - i O = (E_re + O_im) + i (E_im - O_re)
-        out = np.empty(taus.shape + v.shape, dtype=complex)
-        out.real = even_re + odd_im
-        out.imag = even_im - odd_re
-    out *= np.exp(-1j * taus * center).reshape((-1,) + (1,) * v.ndim)
+                            coeffs, planes, parities)
+        out = np.empty(planes.shape[1:], dtype=complex)
+        out.real, out.imag = planes
+    out *= np.exp(-1j * taus * center)[:, None]
     norm_in = np.linalg.norm(v)
-    for norm_out in np.linalg.norm(out.reshape(len(taus), -1), axis=1):
+    for norm_out in np.linalg.norm(out, axis=1):
         if not abs(norm_out - norm_in) <= _NORM_TOLERANCE * norm_in:
             raise StepSizeRejected(
                 f"Chebyshev propagation changed the norm from {norm_in:.6e} "
                 f"to {norm_out:.6e}: the generator is not Hermitian")
-    return out
+    return out.reshape(taus.shape + v.shape)
 
 
 # ---------------------------------------------------------------------------

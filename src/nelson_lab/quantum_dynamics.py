@@ -24,10 +24,10 @@ from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
-                         _expm_hermitian, _gershgorin_interval, _slot_field,
-                         coherent_state, dgamma_diagonal, ladders,
-                         second_quantize, smeared_annihilator,
-                         standing_wave_pairs, truncated_basis)
+                         _expm_hermitian, _slot_field, coherent_state,
+                         dgamma_diagonal, ladders, second_quantize,
+                         smeared_annihilator, standing_wave_pairs,
+                         truncated_basis)
 
 
 def active_meson_basis(grid, params, cap, *fields):
@@ -146,9 +146,7 @@ def propagate(ham, psi0, times):
         raise ValueError("times must be a nonempty 1d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
-    h = ham.tocsr()
-    return list(_expm_hermitian(h, times / ham.eps, psi0,
-                                _gershgorin_interval(h)))
+    return list(_expm_hermitian(ham.tocsr(), times / ham.eps, psi0))
 
 
 def free_weyl_argument(grid, params, xi1, xi2, t):
@@ -232,7 +230,7 @@ def b_operators(ham, xi1, xi2):
     standing-wave meson bases alike.  All three are anti-Hermitian; B2 is
     a purely imaginary scalar.  They re-weight the ladders of `ham`.
     """
-    grid, eps, nb, mb = ham.grid, ham.eps, ham.nucleon_basis, ham.meson_basis
+    grid, eps, nb = ham.grid, ham.eps, ham.nucleon_basis
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     w = ham.weight
@@ -246,13 +244,15 @@ def b_operators(ham, xi1, xi2):
 
     scale = -1.0 / np.sqrt(2.0)
     b0 = [(scale * dgamma_diagonal(nb, s_site, eps), None)]
-    third = sp.csr_matrix((mb.dim, mb.dim), dtype=complex)
     for g_p, p in zip(g, ham.slots):
         a_p = ham.meson_ladders[p]
         left = scale * (psi(xi1 * g_p).getH() - psi(xi1 * np.conj(g_p)))
         b0 += [(left, a_p.T), (-left.getH(), a_p)]
-        mu = grid.dx * (g_p @ np.abs(xi1) ** 2)
-        third = third + mu * a_p.T + np.conj(mu) * a_p
+    # sum_p (mu_p a_p* + conj(mu_p) a_p) = a(mu)* + a(mu)
+    mu = np.zeros(len(ham.meson_ladders), dtype=complex)
+    mu[ham.slots] = grid.dx * (g @ np.abs(xi1) ** 2)
+    lower = smeared_annihilator(ham.meson_ladders, mu, 1.0)
+    third = lower.getH() + lower
     field = psi(s_site * xi1)
     b1 = [(-0.5j * (field.getH() + field), None), (None, 0.5j * third)]
     b2_scalar = -(1j / np.sqrt(2.0)) * np.imag(

@@ -11,9 +11,8 @@ import numpy as np
 
 from .classical_dynamics import classical_energy_along, flow
 from .classical_energy import binding_lower_bound, minimize_constrained
-from .config import RunConfig, _complex_list, _get, scenario_option
+from .config import RunConfig
 from .discretization import covered_modes, dispersion
-from .errors import ConfigInvalid
 from .fock_space import (resolvent_bound_ratio, truncated_basis,
                          weyl_conjugation_identities)
 from .ground_state import theorem2_sweep
@@ -21,20 +20,6 @@ from .limit_harness import theorem1_sweep
 from .quantum_dynamics import (FactoredHamiltonian, b_expansion_residual,
                                check_relative_bounds, coherent_product_state,
                                duhamel_check, gronwall_bound_check)
-
-
-def _reject_unknown(options, known):
-    for key in options:
-        if key not in known:
-            raise ConfigInvalid(f".scenario.{key}",
-                                f"unknown option (allowed: {sorted(known)})")
-
-
-def _need_initial(cfg):
-    if cfg.initial is None:
-        raise ConfigInvalid(".initial",
-                            f"scenario {cfg.scenario!r} needs an initial block")
-    return cfg.initial
 
 
 def _field_rows(grid, prefix, values, coords, coord_name):
@@ -45,13 +30,9 @@ def _field_rows(grid, prefix, values, coords, coord_name):
 
 
 def run_classical_flow(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"t_final", "n_samples", "dt"})
-    t_final = scenario_option(cfg.options, "t_final", 2.0, lo=1e-12)
-    n_samples = scenario_option(cfg.options, "n_samples", 41, lo=2,
-                                integer=True)
-    dt = scenario_option(cfg.options, "dt", 1e-3, lo=1e-12)
-    state0 = _need_initial(cfg)
-    grid, params = cfg.grid, cfg.params
+    t_final, n_samples, dt = (cfg.options[key]
+                              for key in ("t_final", "n_samples", "dt"))
+    grid, params, state0 = cfg.grid, cfg.params, cfg.initial
     times = np.linspace(0.0, t_final, n_samples)
     traj = flow(grid, params, state0, times, dt)
     energies = classical_energy_along(grid, params, traj)
@@ -82,14 +63,10 @@ def run_classical_flow(cfg: RunConfig, seed: int):
 
 
 def run_minimize(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"n_starts", "max_iter", "grad_tol"})
-    n_starts = scenario_option(cfg.options, "n_starts", 3, lo=1, integer=True)
-    max_iter = scenario_option(cfg.options, "max_iter", 5000, lo=1,
-                               integer=True)
-    grad_tol = scenario_option(cfg.options, "grad_tol", 1e-7, lo=0.0)
-    grid, params = cfg.grid, cfg.params
+    grid, params, n_starts = cfg.grid, cfg.params, cfg.options["n_starts"]
     result = minimize_constrained(grid, params, seed=seed, n_starts=n_starts,
-                                  max_iter=max_iter, grad_tol=grad_tol)
+                                  max_iter=cfg.options["max_iter"],
+                                  grad_tol=cfg.options["grad_tol"])
     bound = binding_lower_bound(grid, params)
     summary = {
         "scenario": "minimize",
@@ -115,23 +92,12 @@ def run_minimize(cfg: RunConfig, seed: int):
 
 
 def run_duhamel(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"eps", "t", "n_nodes", "nucleon_cap",
-                                  "meson_cap", "xi1", "xi2",
-                                  "expansion_check"})
-    eps = scenario_option(cfg.options, "eps", 0.5, lo=1e-6)
-    t = scenario_option(cfg.options, "t", 0.5, lo=1e-12)
-    n_nodes = scenario_option(cfg.options, "n_nodes", 65, lo=5, integer=True)
-    if (n_nodes - 1) % 4 != 0:
-        raise ConfigInvalid(".scenario.n_nodes", "must be 4k+1 with k >= 1")
-    nucleon_cap = scenario_option(cfg.options, "nucleon_cap", 8, lo=1,
-                                  integer=True)
-    meson_cap = scenario_option(cfg.options, "meson_cap", 10, lo=1,
-                                integer=True)
-    state0 = _need_initial(cfg)
-    grid, params = cfg.grid, cfg.params
-    xi1, xi2 = (_complex_list(_get(cfg.options, key, ".scenario"),
-                              grid.n_sites, f".scenario.{key}")
-                for key in ("xi1", "xi2"))
+    eps, t, n_nodes, nucleon_cap, meson_cap = (
+        cfg.options[key]
+        for key in ("eps", "t", "n_nodes", "nucleon_cap", "meson_cap"))
+    grid, params, state0 = cfg.grid, cfg.params, cfg.initial
+    # [re, im] pairs -> complex
+    xi1, xi2 = (np.array(cfg.options[key]) @ [1, 1j] for key in ("xi1", "xi2"))
     modes = covered_modes(grid, params, state0.z2, xi2)
     nb = truncated_basis(grid.n_sites, nucleon_cap)
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
@@ -152,7 +118,7 @@ def run_duhamel(cfg: RunConfig, seed: int):
     rows = [{"order": j, "re": c.real, "im": c.imag, "abs": abs(c)}
             for j, c in enumerate(report.contributions)]
     tables = {"contributions": (["order", "re", "im", "abs"], rows)}
-    if cfg.options.get("expansion_check", False):
+    if cfg.options["expansion_check"]:
         # the conjugation expansion is an operator identity; check it on
         # dedicated bases deep enough that the core sits far below the caps,
         # independent of the propagation truncation above
@@ -166,30 +132,13 @@ def run_duhamel(cfg: RunConfig, seed: int):
 
 
 def run_theorem1(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"eps_values", "t_values", "tail_budget",
-                                  "classical_dt", "track_eps"})
-    eps_values = scenario_option(cfg.options, "eps_values",
-                                 [0.4, 0.2, 0.1, 0.05], lo=1e-6, many=True)
-    t_values = scenario_option(cfg.options, "t_values", [0.25, 0.5],
-                               lo=1e-12, many=True)
-    for i, (prev, t) in enumerate(zip(t_values, t_values[1:]), 1):
-        if t <= prev:
-            raise ConfigInvalid(f".scenario.t_values[{i}]",
-                                "must exceed the entry before it")
-    tail_budget = scenario_option(cfg.options, "tail_budget", 1e-4, lo=1e-12)
-    classical_dt = scenario_option(cfg.options, "classical_dt", 1e-3, lo=1e-12)
-    track_eps = cfg.options.get("track_eps")
-    if track_eps is not None:
-        track_eps = scenario_option(cfg.options, "track_eps", 0.1, lo=1e-6)
-        if track_eps not in eps_values:
-            raise ConfigInvalid(".scenario.track_eps",
-                                "must be one of eps_values")
-    state0 = _need_initial(cfg)
-    report = theorem1_sweep(cfg.grid, cfg.params, state0, eps_values,
-                            t_values, tail_budget=tail_budget,
-                            classical_dt=classical_dt)
-    monotone = bool(np.all(np.diff(report.errors, axis=0) < 0)) \
-        if len(eps_values) > 1 else True
+    eps_values, track_eps = cfg.options["eps_values"], cfg.options["track_eps"]
+    report = theorem1_sweep(cfg.grid, cfg.params, cfg.initial, eps_values,
+                            cfg.options["t_values"],
+                            tail_budget=cfg.options["tail_budget"],
+                            classical_dt=cfg.options["classical_dt"])
+    # True for a single eps: there is no step to compare
+    monotone = bool(np.all(np.diff(report.errors, axis=0) < 0))
     summary = {
         "scenario": "theorem1",
         "eps_values": list(report.eps_values),
@@ -220,20 +169,10 @@ def run_theorem1(cfg: RunConfig, seed: int):
 
 
 def run_theorem2(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"n_values", "meson_cap", "cap_check_shift",
-                                  "method"})
-    n_values = scenario_option(cfg.options, "n_values", [1, 2, 3, 4, 5],
-                               lo=1, integer=True, many=True)
-    meson_cap = scenario_option(cfg.options, "meson_cap", 7, lo=0,
-                                integer=True)
-    cap_shift = scenario_option(cfg.options, "cap_check_shift", 3, lo=1,
-                                integer=True)
-    method = cfg.options.get("method", "auto")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ConfigInvalid(".scenario.method",
-                            "must be auto, dense, or lanczos")
-    report = theorem2_sweep(cfg.grid, cfg.params, n_values, meson_cap,
-                            method=method, cap_check_shift=cap_shift,
+    meson_cap = cfg.options["meson_cap"]
+    report = theorem2_sweep(cfg.grid, cfg.params, cfg.options["n_values"],
+                            meson_cap, method=cfg.options["method"],
+                            cap_check_shift=cfg.options["cap_check_shift"],
                             seed=seed)
     gaps = [r.gap for r in report.records]
     summary = {
@@ -257,26 +196,11 @@ def run_theorem2(cfg: RunConfig, seed: int):
 
 
 def run_property_suite(cfg: RunConfig, seed: int):
-    _reject_unknown(cfg.options, {"eps", "nucleon_cap", "meson_cap",
-                                  "n_samples", "delta", "t", "xi_scale",
-                                  "identity_cap", "identity_margin"})
-    eps = scenario_option(cfg.options, "eps", 0.5, lo=1e-6)
-    nucleon_cap = scenario_option(cfg.options, "nucleon_cap", 6, lo=1,
-                                  integer=True)
-    meson_cap = scenario_option(cfg.options, "meson_cap", 8, lo=1,
-                                integer=True)
-    n_samples = scenario_option(cfg.options, "n_samples", 200, lo=1,
-                                integer=True)
-    delta = scenario_option(cfg.options, "delta", 1.0)
-    t = scenario_option(cfg.options, "t", 1.0, lo=1e-12)
-    xi_scale = scenario_option(cfg.options, "xi_scale", 0.2, lo=1e-12)
-    identity_cap = scenario_option(cfg.options, "identity_cap", 22, lo=4,
-                                   integer=True)
-    identity_margin = scenario_option(cfg.options, "identity_margin", 11,
-                                      lo=1, integer=True)
-    grid, params = cfg.grid, cfg.params
+    opts, grid, params = cfg.options, cfg.grid, cfg.params
+    eps, meson_cap = opts["eps"], opts["meson_cap"]
+    n_samples = opts["n_samples"]
     modes = covered_modes(grid, params)
-    nb = truncated_basis(grid.n_sites, nucleon_cap)
+    nb = truncated_basis(grid.n_sites, opts["nucleon_cap"])
     mb = truncated_basis(modes.size, meson_cap, modes=modes)
     ham = FactoredHamiltonian(grid, params, eps, nb, mb)
 
@@ -291,16 +215,16 @@ def run_property_suite(cfg: RunConfig, seed: int):
         record(f"bound_{name}", ratio, 1.0 + 1e-9, ratio <= 1.0 + 1e-9)
 
     rng = np.random.default_rng(seed)
-    idb = truncated_basis(modes.size, identity_cap, modes=modes)
+    idb = truncated_basis(modes.size, opts["identity_cap"], modes=modes)
     xi = np.zeros(grid.n_sites, dtype=complex)
     eta = np.zeros(grid.n_sites, dtype=complex)
-    xi[modes] = xi_scale * (rng.standard_normal(modes.size)
-                            + 1j * rng.standard_normal(modes.size))
-    eta[modes] = xi_scale * (rng.standard_normal(modes.size)
-                             + 1j * rng.standard_normal(modes.size))
+    xi[modes] = opts["xi_scale"] * (rng.standard_normal(modes.size)
+                                    + 1j * rng.standard_normal(modes.size))
+    eta[modes] = opts["xi_scale"] * (rng.standard_normal(modes.size)
+                                     + 1j * rng.standard_normal(modes.size))
     y = np.diag(dispersion(grid.k, params.meson_mass)[modes])
-    identities = weyl_conjugation_identities(grid, idb, xi, eta, y, eps,
-                                             core_margin=identity_margin)
+    identities = weyl_conjugation_identities(
+        grid, idb, xi, eta, y, eps, core_margin=opts["identity_margin"])
     for name, resid in identities.items():
         thr = 1e-12 if name == "unitarity" else 1e-8
         record(f"identity_{name}", resid, thr, resid <= thr)
@@ -315,6 +239,7 @@ def run_property_suite(cfg: RunConfig, seed: int):
         record(f"bound_resolvent_{trial}", ratio, 1.0 + 1e-9,
                ratio <= 1.0 + 1e-9)
 
+    delta, t = opts["delta"], opts["t"]
     gronwall = gronwall_bound_check(ham, delta, t, n_samples=n_samples,
                                     seed=seed)
     record("gronwall_operator_ratio", gronwall["operator_ratio"], 1.01,

@@ -222,6 +222,55 @@ def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def edited(base, drop=(), **options):
+    """A copy of `base` without the top-level blocks in `drop` and with
+    `options` set in its scenario block; an option set to None is
+    removed."""
+    data = json.loads(json.dumps(base))
+    for block in drop:
+        del data[block]
+    for key, value in options.items():
+        if value is None:
+            del data["scenario"][key]
+        else:
+            data["scenario"][key] = value
+    return data
+
+
+REJECTED_AT_LOAD = {
+    "theorem1-unknown-option": (edited(THEOREM1_CFG, eps_valuez=[0.4]),
+                                ".scenario.eps_valuez"),
+    "theorem1-negative-eps": (edited(THEOREM1_CFG, eps_values=[-1]),
+                              ".scenario.eps_values[0]"),
+    "theorem1-decreasing-t": (edited(THEOREM1_CFG, t_values=[0.5, 0.25]),
+                              ".scenario.t_values[1]"),
+    "theorem1-off-ladder-track-eps": (edited(THEOREM1_CFG, track_eps=0.3),
+                                      ".scenario.track_eps"),
+    "duhamel-no-initial": (edited(DUHAMEL_CFG, drop=["initial"]),
+                           ".initial"),
+    "duhamel-no-xi1": (edited(DUHAMEL_CFG, xi1=None), ".scenario.xi1"),
+    "duhamel-expansion-check-no": (edited(DUHAMEL_CFG, expansion_check="no"),
+                                   ".scenario.expansion_check"),
+    "duhamel-expansion-check-1": (edited(DUHAMEL_CFG, expansion_check=1),
+                                  ".scenario.expansion_check"),
+    "theorem2-method-qr": (edited(THEOREM2_CFG, method="qr"),
+                           ".scenario.method"),
+}
+
+
+@pytest.mark.parametrize("data, path", REJECTED_AT_LOAD.values(),
+                         ids=list(REJECTED_AT_LOAD))
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, data, path):
+    p = write_cfg(tmp_path, data)
+    assert main(["validate", "--config", str(p)]) == 2
+    validate_err = capsys.readouterr().err
+    assert validate_err.startswith(f"config error at {path}: ")
+    assert main(["run", data["scenario"]["name"], "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == validate_err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_configs_run(tmp_path, capsys, path):
     scenario = json.loads(path.read_text())["scenario"]["name"]

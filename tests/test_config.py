@@ -7,7 +7,6 @@ import pytest
 
 from nelson_lab.config import SCENARIOS, load_config, parse_config
 from nelson_lab.errors import ConfigInvalid
-from nelson_lab.scenarios import run_scenario
 
 
 def minimal_config(scenario="minimize", **scenario_opts):
@@ -32,12 +31,17 @@ def test_minimal_config_parses():
     assert cfg.grid.n_sites == 4
     assert cfg.params.charge == 1.0
     assert cfg.initial is None
-    assert cfg.options == {}
+    assert cfg.options == {"n_starts": 3, "max_iter": 5000, "grad_tol": 1e-7}
 
 
 def test_all_scenario_names_accepted():
     for name in SCENARIOS:
-        cfg = parse_config(minimal_config(name))
+        data = initial_config([[0.1, 0.0]] * 4, {"kind": "zero"})
+        data["scenario"] = {"name": name}
+        if name == "duhamel":
+            data["scenario"].update(xi1=[[0.1, 0.0]] * 4,
+                                    xi2=[[0.0, 0.0]] * 4)
+        cfg = parse_config(data)
         assert cfg.scenario == name
 
 
@@ -49,7 +53,7 @@ def test_unknown_scenario_rejected():
 
 def test_scenario_options_passed_through():
     cfg = parse_config(minimal_config("minimize", n_starts=5, max_iter=100))
-    assert cfg.options == {"n_starts": 5, "max_iter": 100}
+    assert cfg.options == {"n_starts": 5, "max_iter": 100, "grad_tol": 1e-7}
 
 
 def test_unknown_top_level_key_rejected():
@@ -288,7 +292,6 @@ def test_nonfinite_weyl_argument_rejected_at_its_path(key):
     data["scenario"] = {"name": "duhamel",
                         "xi1": [[0.1, 0.0]] * 4, "xi2": [[0.0, 0.0]] * 4}
     data["scenario"][key][2] = [0.0, float("nan")]
-    cfg = parse_config(data)
     with pytest.raises(ConfigInvalid) as err:
-        run_scenario(cfg, 0)
+        parse_config(data)
     assert err.value.path == f".scenario.{key}[2]"

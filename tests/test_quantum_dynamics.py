@@ -469,8 +469,6 @@ def test_gershgorin_interval_once_per_propagation(monkeypatch):
         calls.append(h.shape)
         return original(h)
 
-    # each module looks the name up in its own namespace
-    monkeypatch.setattr(quantum_dynamics, "_gershgorin_interval", counted)
     monkeypatch.setattr(fock_space, "_gershgorin_interval", counted)
     grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
     z1, z2 = tiny_fields(grid)

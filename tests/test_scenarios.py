@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from nelson_lab.config import parse_config
+from nelson_lab.config import OPTIONS, parse_config
 from nelson_lab.errors import ConfigInvalid
-from nelson_lab.scenarios import run_scenario
+from nelson_lab.scenarios import RUNNERS, run_scenario
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -63,13 +63,12 @@ def test_classical_flow_runner():
 
 
 def test_classical_flow_needs_initial():
-    cfg = parse_config({
-        "grid": {"n_sites": 8, "half_length": PI},
-        "model": band_model(0.5, 1.0, 1.0),
-        "scenario": {"name": "classical-flow"},
-    })
     with pytest.raises(ConfigInvalid) as err:
-        run_scenario(cfg, seed=0)
+        parse_config({
+            "grid": {"n_sites": 8, "half_length": PI},
+            "model": band_model(0.5, 1.0, 1.0),
+            "scenario": {"name": "classical-flow"},
+        })
     assert err.value.path == ".initial"
 
 
@@ -133,18 +132,17 @@ def test_duhamel_runner():
      ".scenario.xi2[1]"),
 ], ids=["missing-xi1", "malformed-xi2-pair"])
 def test_duhamel_xi_errors_name_their_path(xis, path):
-    cfg = parse_config({
-        "grid": {"n_sites": 2, "half_length": HALF_PI},
-        "model": band_model(0.3, 2.0, 2.0),
-        "initial": {
-            "z1": {"kind": "explicit",
-                   "values": [[0.05, 0.02], [-0.03, 0.01]]},
-            "z2": {"kind": "modes", "entries": [[1, 0.08, -0.03]]},
-        },
-        "scenario": {"name": "duhamel", **xis},
-    })
     with pytest.raises(ConfigInvalid) as err:
-        run_scenario(cfg, seed=0)
+        parse_config({
+            "grid": {"n_sites": 2, "half_length": HALF_PI},
+            "model": band_model(0.3, 2.0, 2.0),
+            "initial": {
+                "z1": {"kind": "explicit",
+                       "values": [[0.05, 0.02], [-0.03, 0.01]]},
+                "z2": {"kind": "modes", "entries": [[1, 0.08, -0.03]]},
+            },
+            "scenario": {"name": "duhamel", **xis},
+        })
     assert err.value.path == path
 
 
@@ -208,34 +206,35 @@ def test_property_suite_runner():
 
 
 def test_unknown_option_rejected():
-    cfg = parse_config({
-        "grid": {"n_sites": 8, "half_length": PI},
-        "model": band_model(0.5, 1.0, 1.0),
-        "scenario": {"name": "minimize", "n_startz": 2},
-    })
     with pytest.raises(ConfigInvalid) as err:
-        run_scenario(cfg, seed=0)
+        parse_config({
+            "grid": {"n_sites": 8, "half_length": PI},
+            "model": band_model(0.5, 1.0, 1.0),
+            "scenario": {"name": "minimize", "n_startz": 2},
+        })
     assert "n_startz" in err.value.path
 
 
 def test_bad_option_value_rejected():
-    cfg = parse_config({
-        "grid": {"n_sites": 8, "half_length": PI},
-        "model": band_model(0.5, 1.0, 1.0),
-        "scenario": {"name": "theorem2", "n_values": [0, 1]},
-    })
     with pytest.raises(ConfigInvalid):
-        run_scenario(cfg, seed=0)
+        parse_config({
+            "grid": {"n_sites": 8, "half_length": PI},
+            "model": band_model(0.5, 1.0, 1.0),
+            "scenario": {"name": "theorem2", "n_values": [0, 1]},
+        })
 
 
 @pytest.mark.parametrize("entry", [2.5, float("nan"), float("inf")],
                          ids=["fraction", "nan", "infinity"])
 def test_n_values_entries_must_be_finite_integers(entry):
-    cfg = parse_config({
-        "grid": {"n_sites": 4, "half_length": PI},
-        "model": band_model(0.5, 1.0, 1.0),
-        "scenario": {"name": "theorem2", "n_values": [1, entry]},
-    })
     with pytest.raises(ConfigInvalid) as err:
-        run_scenario(cfg, seed=0)
+        parse_config({
+            "grid": {"n_sites": 4, "half_length": PI},
+            "model": band_model(0.5, 1.0, 1.0),
+            "scenario": {"name": "theorem2", "n_values": [1, entry]},
+        })
     assert err.value.path == ".scenario.n_values[1]"
+
+
+def test_every_scenario_has_options_and_a_runner():
+    assert set(OPTIONS) == set(RUNNERS)
