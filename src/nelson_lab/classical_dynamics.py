@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .classical_energy import (
-    EnergyBreakdown,
-    density_fourier,
-    evaluate_h,
-    field_profile,
-)
+from .classical_energy import EnergyBreakdown, density_fourier, evaluate_h
 from .discretization import Grid, ModelParams, coupling_weight, dispersion, one_body_hamiltonian
 from .errors import StepSizeRejected
 
@@ -71,28 +66,6 @@ def free_flow(grid: Grid, params: ModelParams, state: FieldState, t: float) -> F
     omega = dispersion(grid.k, params.meson_mass)
     z2 = np.exp(-1j * t * omega) * state.z2
     return FieldState(z1, z2)
-
-
-def interaction_field(
-    grid: Grid, params: ModelParams, state: FieldState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling part of the vector field: (dz1/dt, dz2/dt) = (-i Phi1, -i Phi2).
-
-    Phi1(x) = A(x; z2) z1(x) and Phi2(k) = (chi/sqrt(omega)) rho(z1).
-    """
-    prof = field_profile(grid, params, state.z2)
-    phi1 = prof * state.z1
-    phi2 = coupling_weight(grid, params) * density_fourier(grid, state.z1)
-    return -1j * phi1, -1j * phi2
-
-
-def interaction_field_bound(grid: Grid, params: ModelParams, state: FieldState) -> float:
-    """A priori bound 2 |chi/sqrt(omega)|_k |z1|_x (|z1|_x + |z2|_k) on the
-    combined quadrature norm of (Phi1, Phi2)."""
-    wnorm = grid.norm_k(coupling_weight(grid, params))
-    n1 = grid.norm_x(state.z1)
-    n2 = grid.norm_k(state.z2)
-    return 2.0 * wnorm * n1 * (n1 + n2)
 
 
 def _coupling_step(grid, weight, z1, z2, dt):

@@ -11,7 +11,10 @@ where A(x; z2) = 2 Re sum_m dk (chi/sqrt(omega))_m z2_m e^{i k_m x} is the
 
 Minimising h over z2 at fixed z1 is explicit (eliminate_meson); the
 remaining functional of z1 alone is minimised over the sphere |z1|_x =
-lambda by projected gradient descent with Armijo backtracking.
+lambda by the Hartree fixed point: z1 becomes the lowest eigenvector of
+the Hartree operator h_H = h1 + diag(A(.; z2*(z1))), scaled to charge
+lambda.  The reduced energy is concave in the density matrix |z1><z1|
+and h_H is its gradient, so every step lowers it and needs no damping.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .discretization import Grid, ModelParams, coupling_weight, dispersion, one_body_hamiltonian
 from .errors import MaxIterationsExceeded
@@ -83,15 +87,11 @@ def eliminate_meson(grid: Grid, params: ModelParams, z1: np.ndarray) -> np.ndarr
     return -weight * density_fourier(grid, z1) / omega
 
 
-def reduced_functional(
+def _hartree(
     grid: Grid, params: ModelParams, z1: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Energy after meson elimination, and its gradient.
-
-    Value:  <z1, h1 z1>_x - sum_m dk (chi^2/omega^2) |rho_m|^2.
-    The gradient g is defined by dE = 2 Re sum_j dx conj(dz1_j) g_j, i.e.
-    g = h1 z1 + A(.; z2*(z1)) z1.
-    """
+    """Reduced energy at z1 and the real symmetric Hartree operator
+    h_H = h1 + diag(A(.; z2*(z1)))."""
     h1 = one_body_hamiltonian(grid, params)
     omega = dispersion(grid.k, params.meson_mass)
     weight = coupling_weight(grid, params)
@@ -100,8 +100,20 @@ def reduced_functional(
     value = float(np.real(grid.inner_x(z1, h1 @ z1)))
     value -= float(grid.dk * np.sum(c2 * np.abs(rho) ** 2))
     prof = -2.0 * np.real((grid.dk * c2 * rho) @ np.conj(grid.phases))
-    grad = h1 @ z1 + prof * z1
-    return value, grad
+    return value, h1 + np.diag(prof)
+
+
+def reduced_functional(
+    grid: Grid, params: ModelParams, z1: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Energy after meson elimination, and its gradient.
+
+    Value:  <z1, h1 z1>_x - sum_m dk (chi^2/omega^2) |rho_m|^2.
+    The gradient g is defined by dE = 2 Re sum_j dx conj(dz1_j) g_j, i.e.
+    g = h_H z1 = h1 z1 + A(.; z2*(z1)) z1.
+    """
+    value, h_hartree = _hartree(grid, params, z1)
+    return value, h_hartree @ z1
 
 
 def binding_lower_bound(grid: Grid, params: ModelParams) -> float:
@@ -110,13 +122,6 @@ def binding_lower_bound(grid: Grid, params: ModelParams) -> float:
     omega = dispersion(grid.k, params.meson_mass)
     weight = coupling_weight(grid, params)
     return -params.charge**4 * float(grid.dk * np.sum(weight**2 / omega))
-
-
-def _fix_phase(z1: np.ndarray) -> np.ndarray:
-    s = np.sum(z1)
-    if np.abs(s) > 0.0:
-        z1 = z1 * np.exp(-1j * np.angle(s))
-    return z1
 
 
 def _tangent_gradient(grid: Grid, z1: np.ndarray, grad: np.ndarray, lam: float):
@@ -135,11 +140,13 @@ def minimize_constrained(
 ) -> MinimizationResult:
     """Minimise the reduced functional over the sphere |z1|_x = lambda.
 
-    Projected gradient descent with Armijo backtracking, restarted from
-    n_starts random initial fields; the best run wins.  Convergence means
-    the tangential gradient norm falls below grad_tol * max(1, |E|).
-    Raises MaxIterationsExceeded (carrying the best iterate) if no start
-    converges within max_iter accepted steps.
+    Hartree fixed-point steps (z1 <- lambda/sqrt(dx) times the lowest
+    eigenvector of h_H(z1)), restarted from n_starts random initial
+    fields; the best run wins.  Convergence means the tangential gradient
+    norm falls below grad_tol * max(1, |E|).  After a step z1 is real;
+    the result's sign makes its site sum nonnegative.  Raises
+    MaxIterationsExceeded (carrying the best iterate) if no start
+    converges within max_iter steps.
     """
     lam = params.charge
     rng = np.random.default_rng(seed)
@@ -150,47 +157,27 @@ def minimize_constrained(
     for _ in range(n_starts):
         z1 = rng.standard_normal(g) + 1j * rng.standard_normal(g)
         z1 *= lam / grid.norm_x(z1)
-        energy, grad = reduced_functional(grid, params, z1)
+        energy, h_hartree = _hartree(grid, params, z1)
         history = [energy]
-        step = 1.0
-        converged = False
-        stagnant = 0
         it = 0
-        while it < max_iter:
-            it += 1
-            tangent = _tangent_gradient(grid, z1, grad, lam)
+        while True:
+            tangent = _tangent_gradient(grid, z1, h_hartree @ z1, lam)
             tnorm = grid.norm_x(tangent)
-            scale = max(1.0, abs(energy))
-            if tnorm <= grad_tol * scale:
-                converged = True
+            converged = tnorm <= grad_tol * max(1.0, abs(energy))
+            if converged or it == max_iter:
                 break
-            # Armijo backtracking along the projected descent direction.
-            accepted = False
-            while step > 1e-16:
-                trial = z1 - step * tangent
-                trial *= lam / grid.norm_x(trial)
-                e_trial, g_trial = reduced_functional(grid, params, trial)
-                if e_trial <= energy - 1e-4 * step * tnorm**2:
-                    stagnant = stagnant + 1 if energy - e_trial < 1e-15 * scale else 0
-                    z1, energy, grad = trial, e_trial, g_trial
-                    history.append(energy)
-                    step = min(step * 1.5, 1e3)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted or stagnant >= 3:
-                # Progress hit the floating-point floor: accept as stationary
-                # if the gradient is within an order of the target.
-                converged = tnorm <= 10.0 * grad_tol * scale
-                break
-        tangent = _tangent_gradient(grid, z1, grad, lam)
-        tnorm = grid.norm_x(tangent)
+            it += 1
+            vec = eigh(h_hartree, subset_by_index=[0, 0])[1][:, 0]
+            z1 = (lam / np.sqrt(grid.dx)) * vec
+            energy, h_hartree = _hartree(grid, params, z1)
+            history.append(energy)
         start_energies.append(energy)
         if best is None or energy < best[0]:
             best = (energy, z1, tnorm, it, converged, np.array(history))
 
     energy, z1, tnorm, iters, converged, history = best
-    z1 = _fix_phase(z1)
+    if np.sum(z1).real < 0.0:
+        z1 = -z1
     z2 = eliminate_meson(grid, params, z1)
     result = MinimizationResult(
         z1=z1,
@@ -204,7 +191,7 @@ def minimize_constrained(
     )
     if not converged:
         raise MaxIterationsExceeded(
-            f"projected gradient did not reach tolerance in {max_iter} steps "
+            f"Hartree iteration did not reach tolerance in {max_iter} steps "
             f"(best gradient norm {tnorm:.3e})",
             best=result,
         )

@@ -206,7 +206,11 @@ def _parse_z1(grid, params, data):
     else:
         raise ConfigInvalid(".initial.z1.kind",
                             "must be gaussian-bump or explicit")
-    if data.get("normalize_charge", False):
+    normalize = data.get("normalize_charge", False)
+    if not isinstance(normalize, bool):
+        raise ConfigInvalid(".initial.z1.normalize_charge",
+                            "must be true or false")
+    if normalize:
         nrm = grid.norm_x(z1)
         if nrm == 0:
             raise ConfigInvalid(".initial.z1", "cannot normalise a zero field")

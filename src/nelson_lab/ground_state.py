@@ -102,13 +102,12 @@ def _ground_energy(ham, start, method):
     the coherent product vector `start`: by Theorem 2 it is close to the
     ground state."""
     if not np.issubdtype(ham.dtype, np.complexfloating):
-        # A real operator takes the real part.  The minimiser fixes the
-        # global phase of z1, which leaves it real to within its gradient
-        # tolerance (relative imaginary norm ~1e-9); dropping that part
-        # only moves the Krylov start, and the eigenpair residual check
-        # still guards the result.  The copy lets the complex vector go
-        # before the solve when the caller keeps no reference to it, as
-        # in the cap-shift solve, the largest.
+        # A real operator takes the real part.  The minimiser returns a
+        # real z1, and its meson field has real standing-wave amplitudes,
+        # so the imaginary part is zero and dropping it loses nothing.
+        # The copy lets the complex vector go before the solve when the
+        # caller keeps no reference to it, as in the cap-shift solve, the
+        # largest.
         start = start.real.copy()
     return lowest_eigenpair(ham, method=method, v0=start)[0]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical_dynamics import flow, free_flow
+from .classical_dynamics import flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
 from .fock_space import _slot_field, occupation_cap, truncated_basis
@@ -120,11 +120,12 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
     """Characteristic-function distance to the classical limit.
 
     For each eps the coherent state at z0 is evolved, and at each t
-    <W(xi_t)> with xi_t = free_weyl_argument(xi, t) is tested against the
-    freely-pulled-back classical trajectory on the whole panel; each
-    value is one exact `weyl_matrix_elements` series of the state.  The
-    same states, and the coherent start at t = 0, give `moment_errors`:
-    the distance of <psi(x)>, <a(k)> to the classical fields at time t.
+    <W(xi_t)> with xi_t = free_weyl_argument(xi, t) is tested against
+    `coherent_target(xi_t, z(t))` on the whole panel, computed once per
+    (t, xi); each value is one exact `weyl_matrix_elements` series of
+    the state.  The same states, and the coherent start at t = 0, give
+    `moment_errors`: the distance of <psi(x)>, <a(k)> to the classical
+    fields at time t.
     """
     t_values = tuple(float(t) for t in t_values)
     if any(t <= 0 for t in t_values) or any(
@@ -137,6 +138,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         xi_panel = default_xi_panel(grid, covered_modes(grid, params, z0.z2))
     evolved_panels = [[free_weyl_argument(grid, params, xi1, xi2, t)
                        for xi1, xi2 in xi_panel] for t in t_values]
+    # <xi, e^{itH0} z(t)> = <xi_t, z(t)>: the free flow is unitary
+    targets = [[coherent_target(grid, *xi_t, traj.state(b + 1))
+                for xi_t in panel] for b, panel in enumerate(evolved_panels)]
     samples, dims, caps, deficits = [], [], [], []
     errors = np.zeros((len(eps_values), len(t_values), len(xi_panel)))
     moment_errors = np.zeros((len(eps_values), len(t_values) + 1))
@@ -153,11 +157,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         snapshots = propagate(ham, psi0, list(t_values))
         moment_errors[a] = _moment_errors(ham, [psi0, *snapshots], traj)
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
-            pulled_back = free_flow(grid, params, traj.state(b + 1), -t)
-            for c, (xi1, xi2) in enumerate(xi_panel):
-                value = complex(weyl_matrix_elements(
-                    ham, *evolved_panels[b][c], snap, ())[0])
-                target = coherent_target(grid, xi1, xi2, pulled_back)
+            for c, (xi_t, target) in enumerate(zip(evolved_panels[b],
+                                                   targets[b])):
+                value = complex(weyl_matrix_elements(ham, *xi_t, snap, ())[0])
                 err = abs(value - target)
                 errors[a, b, c] = err
                 samples.append(CharFnSample(eps=eps, t=t, xi_index=c,

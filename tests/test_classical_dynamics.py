@@ -1,4 +1,4 @@
-"""Free flow, interaction field, Strang integrator invariants."""
+"""Free flow and Strang integrator invariants."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +9,6 @@ from nelson_lab.classical_dynamics import (
     classical_energy_along,
     flow,
     free_flow,
-    interaction_field,
-    interaction_field_bound,
 )
 from nelson_lab.classical_energy import evaluate_h
 from nelson_lab.discretization import (
@@ -80,44 +78,6 @@ class TestFreeFlow:
         e0 = evaluate_h(grid, params0, st0).total
         e1 = evaluate_h(grid, params0, st).total
         assert e1 == pytest.approx(e0, rel=1e-12)
-
-
-class TestInteractionField:
-    def test_elementwise_oracle(self):
-        grid, params = make_system(n_sites=8)
-        rng = np.random.default_rng(2)
-        st = bump_state(grid, rng)
-        dz1, dz2 = interaction_field(grid, params, st)
-        omega = dispersion(grid.k, params.meson_mass)
-        w = params.chi / np.sqrt(omega)
-        for j in range(8):
-            a_j = sum(
-                grid.dk
-                * w[m]
-                * 2.0
-                * np.real(st.z2[m] * np.exp(1j * grid.k[m] * grid.x[j]))
-                for m in range(8)
-            )
-            assert dz1[j] == pytest.approx(-1j * a_j * st.z1[j], abs=1e-13)
-        for m in range(8):
-            rho_m = grid.dx * sum(
-                np.exp(-1j * grid.k[m] * grid.x[j]) * abs(st.z1[j]) ** 2
-                for j in range(8)
-            )
-            assert dz2[m] == pytest.approx(-1j * w[m] * rho_m, abs=1e-13)
-
-    def test_norm_bound_on_random_states(self):
-        grid, params = make_system(n_sites=8)
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            g = grid.n_sites
-            st = FieldState(
-                rng.standard_normal(g) + 1j * rng.standard_normal(g),
-                rng.standard_normal(g) + 1j * rng.standard_normal(g),
-            )
-            dz1, dz2 = interaction_field(grid, params, st)
-            norm = np.sqrt(grid.norm_x(dz1) ** 2 + grid.norm_k(dz2) ** 2)
-            assert norm <= interaction_field_bound(grid, params, st) * (1 + 1e-12)
 
 
 class TestFlow:

@@ -1,5 +1,7 @@
 """Energy functional, meson elimination, reduced functional, minimiser."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,15 +16,20 @@ from nelson_lab.classical_energy import (
     minimize_constrained,
     reduced_functional,
 )
+from nelson_lab.config import load_config
 from nelson_lab.discretization import (
     Grid,
     ModelParams,
+    chi_gaussian,
     chi_sharp_band,
     coupling_weight,
     dispersion,
     one_body_hamiltonian,
     potential_preset,
 )
+from nelson_lab.errors import MaxIterationsExceeded
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_instance():
@@ -34,6 +41,20 @@ def tiny_instance():
         charge=1.0,
         potential=potential_preset(grid, "harmonic", 1.0),
         chi=chi_sharp_band(grid, 0.5, 1.0, 1.0),
+    )
+    return grid, params
+
+
+def strong_instance():
+    """G=16 grid with a strong Gaussian coupling: random starts end in
+    distinct local minima."""
+    grid = Grid(16, 2.0 * np.pi)
+    params = ModelParams(
+        mass=1.0,
+        meson_mass=1.0,
+        charge=1.0,
+        potential=potential_preset(grid, "harmonic", 0.5),
+        chi=chi_gaussian(grid, 4.0, 2.0),
     )
     return grid, params
 
@@ -145,10 +166,9 @@ class TestMinimizer:
         res = minimize_constrained(grid, params, seed=123)
         assert res.converged
         assert grid.norm_x(res.z1) == pytest.approx(params.charge, rel=1e-12)
-        # phase fix: site sum is real and nonnegative
-        s = np.sum(res.z1)
-        assert abs(np.imag(s)) < 1e-10 * max(1.0, abs(s))
-        assert np.real(s) >= 0.0
+        # the minimiser is real, with a nonnegative site sum
+        assert np.all(np.imag(res.z1) == 0.0)
+        assert np.sum(res.z1).real >= 0.0
         # reported meson field is the eliminated one
         npt.assert_allclose(res.z2, eliminate_meson(grid, params, res.z1), atol=1e-13)
         # energy consistent with the functional
@@ -161,6 +181,32 @@ class TestMinimizer:
         res = minimize_constrained(grid, params, seed=9)
         assert np.all(np.diff(res.history) <= 1e-12)
         assert np.all(res.history >= binding_lower_bound(grid, params) - 1e-12)
+
+    def test_history_monotone_into_distinct_local_minima(self):
+        grid, params = strong_instance()
+        floor = binding_lower_bound(grid, params)
+        minima = set()
+        for seed in range(6):
+            res = minimize_constrained(grid, params, seed=seed, n_starts=1)
+            assert np.all(np.diff(res.history) <= 1e-12)
+            assert np.all(res.history >= floor - 1e-12)
+            minima.add(round(res.energy, 6))
+        assert len(minima) >= 3
+
+    @pytest.mark.parametrize("name", ["minimize", "theorem2"])
+    def test_reaches_tight_tolerance_on_example_models(self, name):
+        cfg = load_config(CONFIG_DIR / f"{name}.json")
+        res = minimize_constrained(cfg.grid, cfg.params, grad_tol=1e-12)
+        assert res.converged
+        assert res.gradient_norm <= 1e-12 * max(1.0, abs(res.energy))
+
+    def test_exhausted_budget_carries_best_iterate(self):
+        grid, params = tiny_instance()
+        with pytest.raises(MaxIterationsExceeded) as info:
+            minimize_constrained(grid, params, max_iter=1, grad_tol=1e-14)
+        best = info.value.best
+        assert best.iterations == 1 and not best.converged
+        assert len(best.history) == 2
 
     def test_deterministic_in_seed(self):
         grid, params = tiny_instance()

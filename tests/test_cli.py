@@ -222,13 +222,15 @@ def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def edited(base, drop=(), **options):
-    """A copy of `base` without the top-level blocks in `drop` and with
-    `options` set in its scenario block; an option set to None is
-    removed."""
+def edited(base, drop=(), z1=None, **options):
+    """A copy of `base` without the top-level blocks in `drop`, with the
+    entries of `z1` set in its initial z1 block and `options` set in its
+    scenario block; an option set to None is removed."""
     data = json.loads(json.dumps(base))
     for block in drop:
         del data[block]
+    if z1:
+        data["initial"]["z1"].update(z1)
     for key, value in options.items():
         if value is None:
             del data["scenario"][key]
@@ -255,6 +257,12 @@ REJECTED_AT_LOAD = {
                                   ".scenario.expansion_check"),
     "theorem2-method-qr": (edited(THEOREM2_CFG, method="qr"),
                            ".scenario.method"),
+    "duhamel-normalize-charge-no": (
+        edited(DUHAMEL_CFG, z1={"normalize_charge": "no"}),
+        ".initial.z1.normalize_charge"),
+    "duhamel-normalize-charge-1": (
+        edited(DUHAMEL_CFG, z1={"normalize_charge": 1}),
+        ".initial.z1.normalize_charge"),
 }
 
 
