@@ -19,7 +19,6 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .classical_dynamics import FieldState, free_flow
-from .classical_energy import density_fourier
 from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
@@ -222,21 +221,23 @@ def b_operators(ham, xi1, xi2):
     operators: W(xi)* H_c W(xi) = H_c - i eps (B0 + eps B1 + eps^2 B2).
 
     With G_p = sqrt(dk) g_p the site profile of meson slot p (see
-    `_site_profiles`), B0 = -(1/sqrt2) [sum_p (L_p (x) a_p* - L_p* (x) a_p)
-    + dGamma1(S) (x) I] with L_p = psi*(xi1 G_p) - psi(xi1 conj G_p), and
-    B1 = -(i/2) [(psi*(S xi1) + psi(S xi1)) (x) I - I (x) sum_p (mu_p a_p*
-    + conj(mu_p) a_p)] with mu_p = dx sum_j G_p(x_j) |xi1_j|^2.  Both are
-    linear in the slot profile, so they hold in plane-wave and
-    standing-wave meson bases alike.  All three are anti-Hermitian; B2 is
-    a purely imaginary scalar.  They re-weight the ladders of `ham`.
+    `_site_profiles`) and zeta_p = sqrt(dk) times the slot amplitude of
+    xi2 (see `_slot_field`), B0 = -(1/sqrt2) [sum_p (L_p (x) a_p* - L_p*
+    (x) a_p) + dGamma1(S) (x) I] with L_p = psi*(xi1 G_p) - psi(xi1 conj
+    G_p) and S = sum_p (zeta_p conj G_p - c.c.), B1 = -(i/2) [(psi*(S xi1)
+    + psi(S xi1)) (x) I - I (x) sum_p (mu_p a_p* + conj(mu_p) a_p)] with
+    mu_p = dx sum_j G_p(x_j) |xi1_j|^2, and B2 = -(i/sqrt2) Im sum_p
+    zeta_p conj(mu_p).  Slot profiles and amplitudes rotate alike, so
+    these hold in plane-wave and standing-wave meson bases alike.  All
+    three are anti-Hermitian; B2 is a purely imaginary scalar.  They
+    re-weight the ladders of `ham`.
     """
     grid, eps, nb = ham.grid, ham.eps, ham.nucleon_basis
     xi1 = np.asarray(xi1, dtype=complex)
-    xi2 = np.asarray(xi2, dtype=complex)
-    w = ham.weight
+    _, zeta = _slot_field(grid, ham.meson_basis, xi2, "argument")
+    zeta = np.sqrt(grid.dk) * zeta[ham.slots]
     g = np.sqrt(grid.dk) * ham.slot_profiles
-    # site profile S_j = sum_m dk w_m (xi2_m e^{+i k_m x_j} - c.c.)
-    s_plus = grid.dk * (w * xi2) @ np.conj(grid.phases)
+    s_plus = zeta @ np.conj(g)
     s_site = s_plus - np.conj(s_plus)
 
     def psi(f):
@@ -255,8 +256,7 @@ def b_operators(ham, xi1, xi2):
     third = lower.getH() + lower
     field = psi(s_site * xi1)
     b1 = [(-0.5j * (field.getH() + field), None), (None, 0.5j * third)]
-    b2_scalar = -(1j / np.sqrt(2.0)) * np.imag(
-        grid.dk * np.sum(w * xi2 * np.conj(density_fourier(grid, xi1))))
+    b2_scalar = -(1j / np.sqrt(2.0)) * np.imag(np.vdot(mu[ham.slots], zeta))
     b2 = [(np.full(nb.dim, b2_scalar), None)]
     return tuple(ProductOperator(terms, ham.dims) for terms in (b0, b1, b2))
 

@@ -12,14 +12,15 @@ import numpy as np
 from .classical_dynamics import classical_energy_along, flow
 from .classical_energy import binding_lower_bound, minimize_constrained
 from .config import RunConfig
-from .discretization import covered_modes, dispersion
+from .discretization import dispersion
 from .fock_space import (resolvent_bound_ratio, truncated_basis,
                          weyl_conjugation_identities)
 from .ground_state import theorem2_sweep
 from .limit_harness import theorem1_sweep
-from .quantum_dynamics import (FactoredHamiltonian, b_expansion_residual,
-                               check_relative_bounds, coherent_product_state,
-                               duhamel_check, gronwall_bound_check)
+from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
+                               b_expansion_residual, check_relative_bounds,
+                               coherent_product_state, duhamel_check,
+                               gronwall_bound_check)
 
 
 def _field_rows(grid, prefix, values, coords, coord_name):
@@ -96,11 +97,9 @@ def run_duhamel(cfg: RunConfig, seed: int):
         cfg.options[key]
         for key in ("eps", "t", "n_nodes", "nucleon_cap", "meson_cap"))
     grid, params, state0 = cfg.grid, cfg.params, cfg.initial
-    # [re, im] pairs -> complex
-    xi1, xi2 = (np.array(cfg.options[key]) @ [1, 1j] for key in ("xi1", "xi2"))
-    modes = covered_modes(grid, params, state0.z2, xi2)
+    xi1, xi2 = cfg.options["xi1"], cfg.options["xi2"]
     nb = truncated_basis(grid.n_sites, nucleon_cap)
-    mb = truncated_basis(modes.size, meson_cap, modes=modes)
+    mb = active_meson_basis(grid, params, meson_cap, state0.z2, xi2)
     ham = FactoredHamiltonian(grid, params, eps, nb, mb)
     psi0, deficit = coherent_product_state(ham, state0.z1, state0.z2)
     report = duhamel_check(ham, psi0, xi1, xi2, t, n_nodes=n_nodes)
@@ -123,7 +122,8 @@ def run_duhamel(cfg: RunConfig, seed: int):
         # dedicated bases deep enough that the core sits far below the caps,
         # independent of the propagation truncation above
         nb_x = truncated_basis(grid.n_sites, max(nucleon_cap, 12))
-        mb_x = truncated_basis(modes.size, max(meson_cap, 16), modes=modes)
+        mb_x = active_meson_basis(grid, params, max(meson_cap, 16),
+                                  state0.z2, xi2)
         res = b_expansion_residual(
             FactoredHamiltonian(grid, params, eps, nb_x, mb_x), xi1, xi2,
             core_margin=(nb_x.cap - 4, mb_x.cap - 6))
@@ -199,9 +199,9 @@ def run_property_suite(cfg: RunConfig, seed: int):
     opts, grid, params = cfg.options, cfg.grid, cfg.params
     eps, meson_cap = opts["eps"], opts["meson_cap"]
     n_samples = opts["n_samples"]
-    modes = covered_modes(grid, params)
     nb = truncated_basis(grid.n_sites, opts["nucleon_cap"])
-    mb = truncated_basis(modes.size, meson_cap, modes=modes)
+    mb = active_meson_basis(grid, params, meson_cap)
+    modes = mb.modes
     ham = FactoredHamiltonian(grid, params, eps, nb, mb)
 
     checks = []
@@ -215,7 +215,7 @@ def run_property_suite(cfg: RunConfig, seed: int):
         record(f"bound_{name}", ratio, 1.0 + 1e-9, ratio <= 1.0 + 1e-9)
 
     rng = np.random.default_rng(seed)
-    idb = truncated_basis(modes.size, opts["identity_cap"], modes=modes)
+    idb = active_meson_basis(grid, params, opts["identity_cap"])
     xi = np.zeros(grid.n_sites, dtype=complex)
     eta = np.zeros(grid.n_sites, dtype=complex)
     xi[modes] = opts["xi_scale"] * (rng.standard_normal(modes.size)

@@ -222,15 +222,18 @@ def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def edited(base, drop=(), z1=None, **options):
+def edited(base, drop=(), z1=None, chi=None, **options):
     """A copy of `base` without the top-level blocks in `drop`, with the
-    entries of `z1` set in its initial z1 block and `options` set in its
-    scenario block; an option set to None is removed."""
+    entries of `z1` set in its initial z1 block, those of `chi` in its
+    model chi block, and `options` set in its scenario block; an option
+    set to None is removed."""
     data = json.loads(json.dumps(base))
     for block in drop:
         del data[block]
     if z1:
         data["initial"]["z1"].update(z1)
+    if chi:
+        data["model"]["chi"].update(chi)
     for key, value in options.items():
         if value is None:
             del data["scenario"][key]
@@ -263,6 +266,12 @@ REJECTED_AT_LOAD = {
     "duhamel-normalize-charge-1": (
         edited(DUHAMEL_CFG, z1={"normalize_charge": 1}),
         ".initial.z1.normalize_charge"),
+    "theorem1-rising-eps": (edited(THEOREM1_CFG, eps_values=[0.2, 0.4]),
+                            ".scenario.eps_values[1]"),
+    "theorem2-falling-n": (edited(THEOREM2_CFG, n_values=[3, 2]),
+                           ".scenario.n_values[1]"),
+    "sharp-band-chi-width": (edited(MINIMIZE_CFG, chi={"width": 1.0}),
+                             ".model.chi.width"),
 }
 
 

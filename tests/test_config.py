@@ -1,6 +1,7 @@
 """Config parsing: accepted shapes, rejected shapes, error paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +296,23 @@ def test_nonfinite_weyl_argument_rejected_at_its_path(key):
     with pytest.raises(ConfigInvalid) as err:
         parse_config(data)
     assert err.value.path == f".scenario.{key}[2]"
+
+
+def benchmark_workloads():
+    """The benchmark's WORKLOADS, read from the source of
+    perfbench/workloads.py, so that nothing is written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    namespace = {"__name__": "workloads"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace["WORKLOADS"]
+
+
+WORKLOADS = benchmark_workloads()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_configs_parse(name, seed):
+    # a benchmark run whose config fails validation reads as run_failed
+    cfg = parse_config(WORKLOADS[name].config(seed))
+    assert cfg.scenario == WORKLOADS[name].scenario
