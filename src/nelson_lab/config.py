@@ -233,6 +233,7 @@ OPTIONS = {
     "theorem2": {"n_values": _ladder([1, 2, 3, 4, 5], 1, lo=1, integer=True),
                  "meson_cap": _num(7, lo=0, integer=True),
                  "cap_check_shift": _num(3, lo=1, integer=True),
+                 # "lanczos" names the iterative eigensolver, now LOBPCG
                  "method": ("auto", None)},
     "property-suite": {"eps": _num(0.5, lo=1e-6),
                        "nucleon_cap": _num(6, lo=1, integer=True),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg.blas import drot, get_blas_funcs
 
 from .classical_energy import minimize_constrained
 from .errors import ConvergenceFailure
@@ -21,18 +21,76 @@ from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
                                coherent_product_state)
 
 
+def _lobpcg(matrix, x0, tol, maxiter):
+    """Lowest eigenpair of a Hermitian matrix from the start x0 by LOBPCG
+    with block size 1 (Knyazev 2001).  Each step takes the lowest Ritz
+    pair of span{x, p, r}: x the current vector, r = Hx - theta x its
+    residual and p the previous search direction.  r and p are kept
+    orthonormal to x and to each other (Hetmaniuk and Lehoucq 2006), so
+    the projected problem is a plain 3x3 eigh and the new p is x turned
+    against its update by one plane rotation.  Stops at ARPACK's rule
+    |r| <= tol max(1, |theta|); raises ConvergenceFailure after maxiter
+    steps."""
+    dtype = np.result_type(matrix.dtype, x0.dtype, np.float64)
+    # rows x, p, r and their images H x, H p, H r, updated in place by BLAS
+    basis = np.zeros((3, x0.size), dtype)
+    images = np.zeros_like(basis)
+    (x, p, r), (hx, hp, hr) = basis, images
+    axpy, scal = get_blas_funcs(("axpy", "scal"), (basis,))
+    x[:] = x0 / np.linalg.norm(x0)
+    hx[:] = matrix @ x
+    theta = np.vdot(x, hx).real
+    rows = slice(None, None, 2)  # x and r: there is no p before step 1
+    for _ in range(maxiter):
+        r[:] = hx
+        axpy(x, r, a=-theta)
+        if np.linalg.norm(r) <= tol * max(1.0, abs(theta)):
+            return float(theta), x.copy()
+        # r is orthogonal to x and p but for roundoff, which is large
+        # against a small r
+        for v in basis[rows][:-1]:
+            axpy(v, r, a=-np.vdot(v, r))
+        scal(1.0 / np.linalg.norm(r), r)
+        hr[:] = matrix @ r
+        # the lower triangle of the projected matrix, which eigh reads; a
+        # vdot per entry, because BLAS runs a 3 x dim x 3 gemm far slower
+        vecs, imgs = basis[rows], images[rows]
+        gram = np.zeros((len(vecs),) * 2, dtype)
+        for i in range(len(vecs)):
+            for j in range(i + 1):
+                gram[i, j] = np.vdot(vecs[i], imgs[j])
+        thetas, ritz = np.linalg.eigh(gram)
+        theta, c = thetas[0], ritz[:, 0]
+        if c[0] != 0:
+            c = c * (abs(c[0]) / c[0])  # c[0] real and positive
+        c_p = c[1] if len(c) == 3 else 0.0
+        s = np.hypot(abs(c_p), abs(c[-1]))
+        # p <- (c_p p + c_r r)/s, then (x, p) <- (c_x x + s p, c_x p - s x);
+        # the rotation is real, so it acts on a complex vector's float view
+        for v, w, u in ((x, p, r), (hx, hp, hr)):
+            scal(c_p / s, w)
+            axpy(u, w, a=c[-1] / s)
+            drot(v.view(float), w.view(float), c[0].real, s,
+                 overwrite_x=True, overwrite_y=True)
+        rows = slice(None)
+    raise ConvergenceFailure(
+        f"lowest eigenvalue did not converge in {maxiter} steps at dim "
+        f"{x0.size}", best=(theta, x.copy()))
+
+
 def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
                      maxiter=None, v0=None):
     """Smallest eigenvalue and eigenvector of a Hermitian matrix: an
     array, a sparse matrix or a `FactoredHamiltonian`.
 
-    method "dense" runs a full factorisation, "lanczos" the implicitly
-    restarted iteration (falling back to dense when the matrix is too
-    small for it), "auto" picks by size.  A real symmetric matrix gets
-    the real Lanczos iteration.  `v0` is the Lanczos start vector, of the
-    matrix's dtype; None starts from a fixed-seed random vector.  A start
-    close to the ground state saves iterations but cannot change the
-    result, because the returned pair is checked against its residual.
+    method "dense" runs a full factorisation, "lanczos" the iterative
+    route, `_lobpcg` (the name predates it; below dim 3 it falls back to
+    dense), "auto" picks by size.  A real symmetric matrix with a real
+    start runs in real arithmetic.  `v0` is the start vector, of the
+    matrix's dtype; None starts from a fixed-seed random vector.
+    `maxiter` caps the LOBPCG steps, 10 * dim when None.  A start close
+    to the ground state saves iterations but cannot change the result,
+    because the returned pair is checked against its residual.
     """
     dim = matrix.shape[0]
     if method not in ("auto", "dense", "lanczos"):
@@ -50,13 +108,8 @@ def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
         if v0 is None:
             # fixed start vector keeps repeated runs bit-identical
             v0 = np.random.default_rng(1905).standard_normal(dim)
-        try:
-            vals, vecs = eigsh(matrix, k=1, which="SA", tol=tol,
-                               maxiter=maxiter, v0=v0)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceFailure(
-                f"lowest eigenvalue did not converge at dim {dim}") from exc
-        value, vector = float(vals[0]), vecs[:, 0]
+        value, vector = _lobpcg(matrix, np.asarray(v0), tol,
+                                10 * dim if maxiter is None else maxiter)
     residual = float(np.linalg.norm(matrix @ vector - value * vector))
     if residual > 1e-7 * max(1.0, abs(value)):
         raise ConvergenceFailure(
@@ -98,8 +151,8 @@ def _sector_hamiltonian(grid, params, n, meson_cap):
 
 
 def _ground_energy(ham, start, method):
-    """Lowest eigenvalue of `ham`, with the Lanczos iteration started at
-    the coherent product vector `start`: by Theorem 2 it is close to the
+    """Lowest eigenvalue of `ham`, with the iteration started at the
+    coherent product vector `start`: by Theorem 2 it is close to the
     ground state."""
     if not np.issubdtype(ham.dtype, np.complexfloating):
         # A real operator takes the real part.  The minimiser returns a
@@ -120,7 +173,7 @@ def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
     Each record holds the sector ground energy, the coherent upper bound
     at the classical minimiser, and the distance to the classical
     minimum; cap_shift reports how much the largest-n energy moves when
-    the meson cap is raised by cap_check_shift.  Every Lanczos solve
+    the meson cap is raised by cap_check_shift.  Every iterative solve
     starts from the coherent product state at the classical minimiser
     (its real part when the operator is real), the same vector whose
     Rayleigh quotient is the coherent bound.

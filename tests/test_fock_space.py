@@ -7,6 +7,7 @@ from math import comb, factorial
 from scipy.linalg import expm
 from scipy.stats import poisson
 
+from nelson_lab import fock_space
 from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, dispersion,
     potential_preset)
@@ -585,6 +586,23 @@ def test_chebyshev_interval_holds_the_spectrum():
     lo, hi = _gershgorin_interval(sp.csr_matrix(h))
     eig = np.linalg.eigvalsh(h)
     assert lo <= eig[0] and eig[-1] <= hi
+
+
+def test_gershgorin_interval_skips_empty_rows(monkeypatch):
+    # small row blocks, so that empty rows open, close and end blocks
+    monkeypatch.setattr(fock_space, "_GERSHGORIN_ROWS", 4)
+    rng = np.random.default_rng(4)
+    h = random_hermitian(rng, 14, False)
+    empty = [0, 3, 4, 5, 6, 7, 11, 12, 13]
+    h[empty, :] = 0.0
+    h[:, empty] = 0.0
+    h[4, 4] = -50.0  # a row with its diagonal entry alone
+    radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
+    want = (np.min(np.diag(h).real - radius), np.max(np.diag(h).real + radius))
+    got = _gershgorin_interval(sp.csr_matrix(h))
+    assert got[0] == pytest.approx(want[0], abs=1e-14)
+    assert got[1] == pytest.approx(want[1], abs=1e-14)
+    assert got[0] == -50.0
 
 
 def test_chebyshev_propagator_on_zero_width_intervals():
