@@ -394,25 +394,27 @@ _NORM_TOLERANCE = 1e-10
 _GERSHGORIN_ROWS = 4096
 
 
-def _gershgorin_interval(h):
-    """[lo, hi] holding the spectrum of a Hermitian CSR h: the union of the
-    Gershgorin discs Re h_jj -/+ sum_{k != j} |h_jk|, from one pass.  The
-    row sums of |h| run over blocks of _GERSHGORIN_ROWS rows, so no copy
-    of |h| is made."""
-    diag = h.diagonal()
-    radius = np.zeros(h.shape[0])
+def _abs_row_sums(h):
+    """sum_k |h_jk| for each row j of a CSR h, as |h| @ 1 over blocks of
+    _GERSHGORIN_ROWS rows: each block holds |h| of its rows alone and
+    shares the column indices of h, so no copy of |h| is made, and each
+    row is summed as in |h| @ 1 on the whole matrix."""
+    sums = np.empty(h.shape[0])
+    ones = np.ones(h.shape[1])
     for first in range(0, h.shape[0], _GERSHGORIN_ROWS):
         ptr = h.indptr[first:first + _GERSHGORIN_ROWS + 1]
-        block = np.abs(h.data[ptr[0]:ptr[-1]])
-        if block.size == 0:
-            continue
-        # reduceat gives an empty row the entry after it, not 0, and
-        # takes no index past the end, so those rows are cut out after
-        starts = np.minimum(ptr[:-1] - ptr[0], block.size - 1)
-        sums = np.add.reduceat(block, starts)
-        sums[ptr[:-1] == ptr[1:]] = 0.0
-        radius[first:first + sums.size] = sums
-    radius -= np.abs(diag)
+        block = sp.csr_matrix((np.abs(h.data[ptr[0]:ptr[-1]]),
+                               h.indices[ptr[0]:ptr[-1]], ptr - ptr[0]),
+                              shape=(ptr.size - 1, h.shape[1]))
+        sums[first:first + ptr.size - 1] = block @ ones
+    return sums
+
+
+def _gershgorin_interval(h):
+    """[lo, hi] holding the spectrum of a Hermitian CSR h: the union of the
+    Gershgorin discs Re h_jj -/+ sum_{k != j} |h_jk|, from one pass."""
+    diag = h.diagonal()
+    radius = _abs_row_sums(h) - np.abs(diag)
     return (float(np.min(diag.real - radius)),
             float(np.max(diag.real + radius)))
 

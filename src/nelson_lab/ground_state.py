@@ -29,8 +29,8 @@ def _lobpcg(matrix, x0, tol, maxiter):
     orthonormal to x and to each other (Hetmaniuk and Lehoucq 2006), so
     the projected problem is a plain 3x3 eigh and the new p is x turned
     against its update by one plane rotation.  Stops at ARPACK's rule
-    |r| <= tol max(1, |theta|); raises ConvergenceFailure after maxiter
-    steps."""
+    |r| <= tol max(1, |theta|), checked on a freshly computed Hx;
+    raises ConvergenceFailure after maxiter steps."""
     dtype = np.result_type(matrix.dtype, x0.dtype, np.float64)
     # rows x, p, r and their images H x, H p, H r, updated in place by BLAS
     basis = np.zeros((3, x0.size), dtype)
@@ -41,11 +41,22 @@ def _lobpcg(matrix, x0, tol, maxiter):
     hx[:] = matrix @ x
     theta = np.vdot(x, hx).real
     rows = slice(None, None, 2)  # x and r: there is no p before step 1
+    fresh = True  # hx is H x itself, not the result of the updates
     for _ in range(maxiter):
         r[:] = hx
         axpy(x, r, a=-theta)
         if np.linalg.norm(r) <= tol * max(1.0, abs(theta)):
-            return float(theta), x.copy()
+            if fresh:
+                return float(theta), x.copy()
+            # the updates let x drift from norm 1 and hx from H x by
+            # roundoff, so the test is made again on H x; if it fails
+            # there, the iteration restarts from x alone
+            scal(1.0 / np.linalg.norm(x), x)
+            hx[:] = matrix @ x
+            theta = np.vdot(x, hx).real
+            fresh, rows = True, slice(None, None, 2)
+            continue
+        fresh = False
         # r is orthogonal to x and p but for roundoff, which is large
         # against a small r
         for v in basis[rows][:-1]:

@@ -597,7 +597,12 @@ def test_gershgorin_interval_skips_empty_rows(monkeypatch):
     h[empty, :] = 0.0
     h[:, empty] = 0.0
     h[4, 4] = -50.0  # a row with its diagonal entry alone
-    radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
+    # rows 2 and 10 are the last full rows of their blocks, before empty
+    # rows that end the block
+    sums = np.abs(h).sum(axis=1)
+    assert np.allclose(fock_space._abs_row_sums(sp.csr_matrix(h)), sums,
+                       rtol=1e-14, atol=0.0)
+    radius = sums - np.abs(np.diag(h))
     want = (np.min(np.diag(h).real - radius), np.max(np.diag(h).real + radius))
     got = _gershgorin_interval(sp.csr_matrix(h))
     assert got[0] == pytest.approx(want[0], abs=1e-14)

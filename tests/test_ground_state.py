@@ -318,3 +318,20 @@ def test_lobpcg_agrees_with_dense_on_real_and_complex_operators():
         assert vec.dtype == ham.dtype
         assert abs(value - want) <= 1e-12
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+
+def test_lobpcg_meets_the_tolerance_on_h_x_after_a_long_run():
+    # a path Laplacian has a small relative gap, so the iteration runs for
+    # thousands of steps; its updates then carry x and H x off by more
+    # than a tolerance near roundoff, which the pair must still meet
+    dim, tol = 200, 1e-14
+    lap = sp.diags([-np.ones(dim - 1), 2.0 * np.ones(dim), -np.ones(dim - 1)],
+                   [-1, 0, 1], format="csr")
+    counted = counting(lap)
+    v0 = np.random.default_rng(3).standard_normal(dim)
+    value, vec = lowest_eigenpair(counted, method="lanczos", tol=tol,
+                                  maxiter=10000, v0=v0)
+    assert counted.count > 2000
+    residual = np.linalg.norm(lap @ vec - value * vec)
+    assert residual <= tol * max(1.0, abs(value))
+    assert abs(value - eigvalsh(lap.toarray())[0]) <= 1e-14
