@@ -232,9 +232,7 @@ OPTIONS = {
                  "track_eps": (None, None)},
     "theorem2": {"n_values": _ladder([1, 2, 3, 4, 5], 1, lo=1, integer=True),
                  "meson_cap": _num(7, lo=0, integer=True),
-                 "cap_check_shift": _num(3, lo=1, integer=True),
-                 # "lanczos" names the iterative eigensolver, now LOBPCG
-                 "method": ("auto", None)},
+                 "cap_check_shift": _num(3, lo=1, integer=True)},
     "property-suite": {"eps": _num(0.5, lo=1e-6),
                        "nucleon_cap": _num(6, lo=1, integer=True),
                        "meson_cap": _num(8, lo=1, integer=True),
@@ -305,9 +303,6 @@ def _check_options(name, opts, initial):
         if opts["track_eps"] not in opts["eps_values"]:
             raise ConfigInvalid(".scenario.track_eps",
                                 "must be one of eps_values")
-    if opts.get("method", "auto") not in ("auto", "dense", "lanczos"):
-        raise ConfigInvalid(".scenario.method",
-                            "must be auto, dense, or lanczos")
     if initial is None and name in _NEEDS_INITIAL:
         raise ConfigInvalid(".initial",
                             f"scenario {name!r} needs an initial block")

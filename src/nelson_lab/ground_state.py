@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.blas import drot, get_blas_funcs
 
 from .classical_energy import minimize_constrained
@@ -29,8 +28,9 @@ def _lobpcg(matrix, x0, tol, maxiter):
     orthonormal to x and to each other (Hetmaniuk and Lehoucq 2006), so
     the projected problem is a plain 3x3 eigh and the new p is x turned
     against its update by one plane rotation.  Stops at ARPACK's rule
-    |r| <= tol max(1, |theta|), checked on a freshly computed Hx;
-    raises ConvergenceFailure after maxiter steps."""
+    |r| <= tol max(1, |theta|), checked on a freshly computed Hx, and
+    returns theta, x and that |r|; raises ConvergenceFailure after
+    maxiter steps."""
     dtype = np.result_type(matrix.dtype, x0.dtype, np.float64)
     # rows x, p, r and their images H x, H p, H r, updated in place by BLAS
     basis = np.zeros((3, x0.size), dtype)
@@ -45,9 +45,10 @@ def _lobpcg(matrix, x0, tol, maxiter):
     for _ in range(maxiter):
         r[:] = hx
         axpy(x, r, a=-theta)
-        if np.linalg.norm(r) <= tol * max(1.0, abs(theta)):
+        residual = np.linalg.norm(r)
+        if residual <= tol * max(1.0, abs(theta)):
             if fresh:
-                return float(theta), x.copy()
+                return float(theta), x.copy(), float(residual)
             # the updates let x drift from norm 1 and hx from H x by
             # roundoff, so the test is made again on H x; if it fails
             # there, the iteration restarts from x alone
@@ -89,39 +90,23 @@ def _lobpcg(matrix, x0, tol, maxiter):
         f"{x0.size}", best=(theta, x.copy()))
 
 
-def lowest_eigenpair(matrix, method="auto", tol=1e-10, dense_cutoff=1200,
-                     maxiter=None, v0=None):
+def lowest_eigenpair(matrix, tol=1e-10, maxiter=None, v0=None):
     """Smallest eigenvalue and eigenvector of a Hermitian matrix: an
     array, a sparse matrix or a `FactoredHamiltonian`.
 
-    method "dense" runs a full factorisation, "lanczos" the iterative
-    route, `_lobpcg` (the name predates it; below dim 3 it falls back to
-    dense), "auto" picks by size.  A real symmetric matrix with a real
-    start runs in real arithmetic.  `v0` is the start vector, of the
-    matrix's dtype; None starts from a fixed-seed random vector.
-    `maxiter` caps the LOBPCG steps, 10 * dim when None.  A start close
-    to the ground state saves iterations but cannot change the result,
-    because the returned pair is checked against its residual.
+    Every dim runs `_lobpcg`.  A real symmetric matrix with a real start
+    runs in real arithmetic.  `v0` is the start vector, of the matrix's
+    dtype; None starts from a fixed-seed random vector.  `maxiter` caps
+    the LOBPCG steps, 10 * dim when None.  A start close to the ground
+    state saves iterations but cannot change the result, because the
+    returned pair is checked against the residual of its fresh H x.
     """
     dim = matrix.shape[0]
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if dim <= dense_cutoff else "lanczos"
-    if method == "lanczos" and dim < 3:
-        method = "dense"
-    if method == "dense":
-        dense = (matrix.toarray() if hasattr(matrix, "toarray")
-                 else np.asarray(matrix))
-        vals, vecs = eigh(dense)
-        value, vector = float(vals[0]), vecs[:, 0]
-    else:
-        if v0 is None:
-            # fixed start vector keeps repeated runs bit-identical
-            v0 = np.random.default_rng(1905).standard_normal(dim)
-        value, vector = _lobpcg(matrix, np.asarray(v0), tol,
-                                10 * dim if maxiter is None else maxiter)
-    residual = float(np.linalg.norm(matrix @ vector - value * vector))
+    if v0 is None:
+        # fixed start vector keeps repeated runs bit-identical
+        v0 = np.random.default_rng(1905).standard_normal(dim)
+    value, vector, residual = _lobpcg(
+        matrix, np.asarray(v0), tol, 10 * dim if maxiter is None else maxiter)
     if residual > 1e-7 * max(1.0, abs(value)):
         raise ConvergenceFailure(
             f"eigenpair residual {residual:.3e} too large at dim {dim}",
@@ -161,7 +146,7 @@ def _sector_hamiltonian(grid, params, n, meson_cap):
                                active_meson_basis(grid, params, meson_cap))
 
 
-def _ground_energy(ham, start, method):
+def _ground_energy(ham, start):
     """Lowest eigenvalue of `ham`, with the iteration started at the
     coherent product vector `start`: by Theorem 2 it is close to the
     ground state."""
@@ -173,18 +158,18 @@ def _ground_energy(ham, start, method):
         # caller keeps no reference to it, as in the cap-shift solve, the
         # largest.
         start = start.real.copy()
-    return lowest_eigenpair(ham, method=method, v0=start)[0]
+    return lowest_eigenpair(ham, v0=start)[0]
 
 
-def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
-                   cap_check_shift=3, seed=0):
+def theorem2_sweep(grid, params, n_values, meson_cap, cap_check_shift=3,
+                   seed=0):
     """Ground-state energies over a range of nucleon numbers n at fixed
     lambda = params.charge, against the constrained classical minimum.
 
     Each record holds the sector ground energy, the coherent upper bound
     at the classical minimiser, and the distance to the classical
     minimum; cap_shift reports how much the largest-n energy moves when
-    the meson cap is raised by cap_check_shift.  Every iterative solve
+    the meson cap is raised by cap_check_shift.  Every sector solve
     starts from the coherent product state at the classical minimiser
     (its real part when the operator is real), the same vector whose
     Rayleigh quotient is the coherent bound.
@@ -199,14 +184,14 @@ def theorem2_sweep(grid, params, n_values, meson_cap, method="auto",
         ham = _sector_hamiltonian(grid, params, n, meson_cap)
         start, _ = coherent_product_state(ham, best.z1, best.z2)
         e_coherent = float(np.vdot(start, ham @ start).real)
-        e_quantum = _ground_energy(ham, start, method)
+        e_quantum = _ground_energy(ham, start)
         records.append(GroundStateRecord(
             n=n, eps=ham.eps, dim=ham.shape[0], e_quantum=e_quantum,
             e_coherent=e_coherent, gap=abs(e_quantum - e_classical)))
     ham = _sector_hamiltonian(grid, params, max(n_values),
                               meson_cap + cap_check_shift)
-    deeper = _ground_energy(
-        ham, coherent_product_state(ham, best.z1, best.z2)[0], method)
+    deeper = _ground_energy(ham,
+                            coherent_product_state(ham, best.z1, best.z2)[0])
     cap_shift = abs(deeper - records[n_values.index(max(n_values))].e_quantum)
     return SweepReport(lambda_coupling=params.charge,
                        e_classical=e_classical, records=records,

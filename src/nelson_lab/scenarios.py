@@ -171,7 +171,7 @@ def run_theorem1(cfg: RunConfig, seed: int):
 def run_theorem2(cfg: RunConfig, seed: int):
     meson_cap = cfg.options["meson_cap"]
     report = theorem2_sweep(cfg.grid, cfg.params, cfg.options["n_values"],
-                            meson_cap, method=cfg.options["method"],
+                            meson_cap,
                             cap_check_shift=cfg.options["cap_check_shift"],
                             seed=seed)
     gaps = [r.gap for r in report.records]

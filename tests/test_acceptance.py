@@ -11,7 +11,7 @@ pass/fail line per property.  Criteria:
  6. sector ground-state energies converge to the classical minimum
  7. characteristic functions converge to the classical flow's targets
  8. constrained minimizer: gradient, lower bound, brute-force agreement
- 9. numerical oracles: propagator vs dense, Lanczos vs dense, splitting
+ 9. numerical oracles: propagator vs dense, LOBPCG vs dense, splitting
     order
 """
 
@@ -382,9 +382,9 @@ def test_criterion_09_numerical_oracles():
     propagator_err = float(np.linalg.norm(evolved - dense))
     assert propagator_err <= 1e-9
 
-    # Lanczos lowest eigenpair against dense diagonalization
-    value_l, _ = lowest_eigenpair(h, method="lanczos", tol=1e-12)
-    value_d, _ = lowest_eigenpair(h.toarray(), method="dense")
+    # LOBPCG lowest eigenpair against dense diagonalization
+    value_l, _ = lowest_eigenpair(h, tol=1e-12)
+    value_d = scipy.linalg.eigvalsh(h.toarray())[0]
     eig_err = abs(value_l - value_d)
     assert eig_err <= 1e-9
 

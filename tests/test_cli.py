@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nelson_lab
+from nelson_lab import config
 from nelson_lab.cli import main
 
 MINIMIZE_CFG = {
@@ -57,8 +58,7 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
 THEOREM2_CFG = {
     "grid": {"n_sites": 4, "half_length": 3.141592653589793},
     "model": MINIMIZE_CFG["model"],
-    "scenario": {"name": "theorem2", "n_values": [1, 2, 3], "meson_cap": 5,
-                 "method": "lanczos"},
+    "scenario": {"name": "theorem2", "n_values": [1, 2, 3], "meson_cap": 5},
 }
 
 
@@ -288,11 +288,35 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, data, path):
     assert not (tmp_path / "out").exists()
 
 
+class ReadKeys(dict):
+    """A dict that records in `.read` the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-def test_shipped_configs_run(tmp_path, capsys, path):
+def test_shipped_configs_run(tmp_path, capsys, monkeypatch, path):
     scenario = json.loads(path.read_text())["scenario"]["name"]
+    parse, parsed = config.parse_config, []
+
+    def recording_parse(data):
+        cfg = parse(data)
+        cfg.options = ReadKeys(cfg.options)
+        parsed.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(config, "parse_config", recording_parse)
     assert main(["run", scenario, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 0
+    # the run reads every option the scenario declares: none is dead
+    (cfg,) = parsed
+    assert cfg.options.read == set(config.OPTIONS[scenario])
     written = capsys.readouterr().out.split()
     assert written[0].endswith("summary.json")
     assert written[-1].endswith("manifest.json")

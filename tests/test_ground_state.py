@@ -78,31 +78,51 @@ def counting(op):
 
 
 def test_lowest_eigenpair_routes_agree():
+    # LOBPCG against a full factorisation of the same matrix
     mat = random_sparse_hermitian(400, 0.02, seed=11)
-    val_d, vec_d = lowest_eigenpair(mat, method="dense")
-    val_l, vec_l = lowest_eigenpair(mat, method="lanczos")
-    assert abs(val_d - val_l) <= 1e-9 * max(1.0, abs(val_d))
-    for val, vec in ((val_d, vec_d), (val_l, vec_l)):
-        res = np.linalg.norm(mat @ vec - val * vec)
-        assert res <= 1e-8 * max(1.0, abs(val))
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
+    vals, vecs = eigh(mat.toarray())
+    val, vec = lowest_eigenpair(mat)
+    assert abs(val - vals[0]) <= 1e-9 * max(1.0, abs(vals[0]))
+    assert abs(abs(np.vdot(vecs[:, 0], vec)) - 1.0) <= 1e-8
+    res = np.linalg.norm(mat @ vec - val * vec)
+    assert res <= 1e-8 * max(1.0, abs(val))
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
 
 
-def test_lowest_eigenpair_small_matrix_falls_back():
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-    val, vec = lowest_eigenpair(mat, method="lanczos")
-    assert abs(val - 1.0) <= 1e-12
-
-
-def test_lowest_eigenpair_validates_method():
-    with pytest.raises(ValueError):
-        lowest_eigenpair(np.eye(3), method="qr")
+@pytest.mark.parametrize("mat", [
+    pytest.param(np.array([[2.0, 1.0], [1.0, 2.0]]), id="real-2x2"),
+    pytest.param(np.array([[-0.7]]), id="real-1x1"),
+    pytest.param(np.array([[1.0, 0.5 - 2.0j], [0.5 + 2.0j, -1.5]]),
+                 id="complex-2x2"),
+])
+@pytest.mark.parametrize("tol", [1e-10, 1e-15])
+def test_lowest_eigenpair_runs_lobpcg_at_small_dims(mat, tol):
+    val, vec = lowest_eigenpair(mat, tol=tol)
+    assert vec.dtype == mat.dtype
+    assert abs(val - eigvalsh(mat)[0]) <= 1e-15 * max(1.0, abs(val))
+    assert np.linalg.norm(mat @ vec - val * vec) <= 1e-14
 
 
 def test_lowest_eigenpair_reports_nonconvergence():
     mat = random_sparse_hermitian(600, 0.01, seed=5)
     with pytest.raises(ConvergenceFailure):
-        lowest_eigenpair(mat, method="lanczos", tol=1e-15, maxiter=1)
+        lowest_eigenpair(mat, tol=1e-15, maxiter=1)
+
+
+def test_lowest_eigenpair_checks_the_residual_lobpcg_returns():
+    # a path Laplacian at a loose tolerance: LOBPCG stops above the 1e-7
+    # residual bound, and the pair is refused with the residual it returns
+    dim, tol = 200, 1e-4
+    lap = sp.diags([-np.ones(dim - 1), 2.0 * np.ones(dim), -np.ones(dim - 1)],
+                   [-1, 0, 1], format="csr")
+    v0 = np.random.default_rng(3).standard_normal(dim)
+    value, vec, residual = ground_state._lobpcg(lap, v0, tol, 10 * dim)
+    bound = max(1.0, abs(value))
+    assert residual == pytest.approx(np.linalg.norm(lap @ vec - value * vec),
+                                     rel=1e-9)
+    assert 1e-7 * bound < residual <= tol * bound
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        lowest_eigenpair(lap, tol=tol, v0=v0)
 
 
 def test_sector_energies_approach_classical_minimum():
@@ -126,15 +146,24 @@ def test_free_sector_energy_is_exact():
     grid, params = harmonic_system(0.0)
     e0 = eigh(one_body_hamiltonian(grid, params))[0][0]
     want = params.charge ** 2 * e0
-    # the Lanczos route starts at the coherent state, which here is the
-    # exact ground state to the minimiser's tolerance: a degenerate start
-    for method in ("auto", "lanczos"):
-        report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=0,
-                                method=method)
-        assert abs(report.e_classical - want) <= 1e-9
-        for r in report.records:
-            assert abs(r.e_quantum - want) <= 1e-9
-            assert r.gap <= 1e-9
+    # the solve starts at the coherent state, which here is the exact
+    # ground state to the minimiser's tolerance: a degenerate start
+    report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=0)
+    assert abs(report.e_classical - want) <= 1e-9
+    for r in report.records:
+        assert abs(r.e_quantum - want) <= 1e-9
+        assert r.gap <= 1e-9
+
+
+def test_sweep_solves_the_smallest_sectors():
+    # two sites and no mesons: sector dims 2, 3 and 4
+    grid = Grid(2, np.pi / 2)
+    params = harmonic_params(grid, chi_sharp_band(grid, 0.3, 2.0, 2.0))
+    report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=0)
+    assert [r.dim for r in report.records] == [2, 3, 4]
+    for r in report.records:
+        ham = ground_state._sector_hamiltonian(grid, params, r.n, 0)
+        assert abs(r.e_quantum - eigvalsh(ham.toarray())[0]) <= 1e-12
 
 
 def test_coherent_upper_bound_dominates_ground_energy():
@@ -200,8 +229,8 @@ def test_uneven_coupling_gives_complex_operator_with_same_spectrum():
     assert np.abs(dense - standing.toarray()).max() <= 1e-14
     want = eigvalsh(plane.tocsr().toarray())
     assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
-    e_op, _ = lowest_eigenpair(op, method="lanczos")
-    e_plane, _ = lowest_eigenpair(plane.tocsr(), method="lanczos")
+    e_op, _ = lowest_eigenpair(op)
+    e_plane, _ = lowest_eigenpair(plane.tocsr())
     assert abs(e_op - e_plane) <= 1e-12
     assert abs(e_op - want[0]) <= 1e-12
 
@@ -230,8 +259,8 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
 
 def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
     grid, params = harmonic_system(0.5)
-    op, plane = sector_pair(grid, params, 3, 7)
-    e_plane = eigvalsh(plane.tocsr().toarray())[0]
+    want = [eigvalsh(sector_pair(grid, params, n, 7)[1].toarray())[0]
+            for n in (1, 2, 3)]
     seen = []
 
     def spy(matrix, *args, **kwargs):
@@ -245,11 +274,11 @@ def test_sweep_solves_a_real_operator_without_kron(monkeypatch):
 
     monkeypatch.setattr(ground_state, "lowest_eigenpair", spy)
     monkeypatch.setattr(sp, "kron", no_kron)
-    for method in ("dense", "lanczos"):
-        report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=7,
-                                method=method)
-        assert abs(report.records[-1].e_quantum - e_plane) <= 1e-12
-    assert len(seen) == 8 and all(d == np.float64 for d in seen)
+    report = theorem2_sweep(grid, params, [1, 2, 3], meson_cap=7)
+    for r, e_plane in zip(report.records, want):
+        assert abs(r.e_quantum - e_plane) <= 1e-12
+    # three sectors and the cap-shift solve
+    assert len(seen) == 4 and all(d == np.float64 for d in seen)
 
 
 def test_coherent_start_needs_fewer_matvecs():
@@ -263,9 +292,8 @@ def test_coherent_start_needs_fewer_matvecs():
     start, _ = coherent_product_state(ham, best.z1, best.z2)
     assert np.linalg.norm(start.imag) <= 1e-7 * np.linalg.norm(start)
     random_op, coherent_op = counting(ham), counting(ham)
-    e_random, _ = lowest_eigenpair(random_op, method="lanczos")
-    e_coherent, _ = lowest_eigenpair(coherent_op, method="lanczos",
-                                     v0=start.real)
+    e_random, _ = lowest_eigenpair(random_op)
+    e_coherent, _ = lowest_eigenpair(coherent_op, v0=start.real)
     assert abs(e_coherent - e_random) <= 1e-12
     assert coherent_op.count < random_op.count
 
@@ -277,10 +305,9 @@ def test_complex_plane_wave_operator_takes_the_complex_start():
     best = minimize_constrained(grid, params)
     start, _ = coherent_product_state(plane, best.z1, best.z2)
     assert np.iscomplexobj(start)
-    e_plane, vec = lowest_eigenpair(plane, method="lanczos", v0=start)
+    e_plane, vec = lowest_eigenpair(plane, v0=start)
     e_op, _ = lowest_eigenpair(
-        op, method="lanczos",
-        v0=coherent_product_state(op, best.z1, best.z2)[0].real)
+        op, v0=coherent_product_state(op, best.z1, best.z2)[0].real)
     assert abs(e_plane - e_op) <= 1e-12
     assert np.linalg.norm(plane @ vec - e_plane * vec) <= 1e-7
 
@@ -300,8 +327,7 @@ def test_lobpcg_meets_the_tolerance_in_fewer_matvecs_than_arpack():
     start = coherent_product_state(ham, best.z1, best.z2)[0].real
     counted = counting(ham)
     value, vec = lowest_eigenpair(counted, tol=tol, v0=start)
-    # one more matvec checks the returned pair
-    assert counted.count - 1 < 61
+    assert counted.count < 61
     residual = np.linalg.norm(ham @ vec - value * vec)
     assert residual <= tol * max(1.0, abs(value))
 
@@ -311,8 +337,7 @@ def test_lobpcg_agrees_with_dense_on_real_and_complex_operators():
     op, plane = sector_pair(grid, params, 4, 7)
     assert op.dtype == np.float64 and plane.dtype == np.complex128
     for ham in (op, plane):
-        # above the cutoff, so "auto" takes the iterative route
-        assert ham.dim == 1260 > 1200
+        assert ham.dim == 1260
         want = eigvalsh(ham.toarray())[0]
         value, vec = lowest_eigenpair(ham)
         assert vec.dtype == ham.dtype
@@ -329,8 +354,7 @@ def test_lobpcg_meets_the_tolerance_on_h_x_after_a_long_run():
                    [-1, 0, 1], format="csr")
     counted = counting(lap)
     v0 = np.random.default_rng(3).standard_normal(dim)
-    value, vec = lowest_eigenpair(counted, method="lanczos", tol=tol,
-                                  maxiter=10000, v0=v0)
+    value, vec = lowest_eigenpair(counted, tol=tol, maxiter=10000, v0=v0)
     assert counted.count > 2000
     residual = np.linalg.norm(lap @ vec - value * vec)
     assert residual <= tol * max(1.0, abs(value))
