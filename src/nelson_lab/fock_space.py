@@ -262,8 +262,9 @@ class ProductOperator(LinearOperator):
     `dims` = (dimN, dimM), kept as its factor pairs (L_a, R_a).  A factor
     is None (the identity), a 1d array (a diagonal) or a sparse matrix.
     On the state reshaped to P (dimN x dimM) each pair acts as L P R^T,
-    so applying the operator builds no product-space matrix; `tocsr`
-    builds one on request."""
+    so applying the operator builds no product-space matrix; nor does
+    propagating with it, which reads its spectral interval from the pairs
+    as well (`_gershgorin_interval`)."""
 
     def __init__(self, terms, dims):
         self.terms = list(terms)
@@ -276,6 +277,7 @@ class ProductOperator(LinearOperator):
                             if right is not None and right.ndim == 2]
         self._nucleon_side = [(left, right) for left, right in self.terms
                               if right is None or right.ndim == 1]
+        self._workspace = None  # see _matmat
         dtype = np.result_type(np.float64, *[
             f.dtype for pair in self.terms for f in pair if f is not None])
         dim = self.dims[0] * self.dims[1]
@@ -285,13 +287,14 @@ class ProductOperator(LinearOperator):
     def dim(self):
         return self.shape[0]
 
-    def _matvec(self, v):
-        return self._matmat(v.reshape(-1, 1)).ravel()
-
     def _matmat(self, x):
         """All k columns at once: the state as P of shape (dimN, dimM, k),
         the meson-side pairs summed over its copy of shape (dimM, dimN, k)
-        and added back transposed."""
+        and added back transposed.  The copy and the sum stay in
+        `_workspace` for the next product of the same k and dtype, and
+        one other state-sized temporary is alive at a time, so that a run
+        of products reuses its memory instead of having the allocator
+        hand it back and fault it in again; the result is a fresh array."""
         (dim_n, dim_m), k = self.dims, x.shape[1]
         state = x.reshape(dim_n, dim_m, k)
         out = np.zeros(state.shape, np.result_type(self.dtype, x.dtype))
@@ -302,14 +305,18 @@ class ProductOperator(LinearOperator):
                         else (left @ term.reshape(dim_n, -1)).reshape(
                             state.shape))
             out += term
+            del term
         if not self._meson_side:
             return out.reshape(x.shape)
+        shape, work = (dim_m, dim_n, k), self._workspace
+        if work is None or work.shape[1:] != shape or work.dtype != out.dtype:
+            work = self._workspace = np.empty((2,) + shape, out.dtype)
         # of the result's dtype, so that each term can be scaled in place
-        meson_major = np.ascontiguousarray(
-            state.transpose(1, 0, 2), dtype=out.dtype).reshape(dim_m, -1)
-        far = np.zeros((dim_m, dim_n, k), out.dtype)
+        meson_major, far = work
+        meson_major[...] = state.transpose(1, 0, 2)
+        far.fill(0.0)
         for left, right in self._meson_side:
-            term = (right @ meson_major).reshape(far.shape)
+            term = (right @ meson_major.reshape(dim_m, -1)).reshape(shape)
             if left is None or left.ndim == 1:
                 if left is not None:
                     term *= left[:, None]
@@ -317,30 +324,16 @@ class ProductOperator(LinearOperator):
             else:
                 out += (left @ term.transpose(1, 0, 2).reshape(dim_n, -1)
                         ).reshape(out.shape)
+            del term
         out += far.transpose(1, 0, 2)
         return out.reshape(x.shape)
 
     def toarray(self):
-        """Dense matrix, all columns in one block; for small dims and tests."""
-        return self.matmat(np.eye(self.shape[0], dtype=self.dtype))
-
-    def tocsr(self):
-        """sum_a kron(L_a, R_a) as one CSR matrix."""
-        def sparse(factor, n):
-            if factor is None:
-                return sp.identity(n, format="csr")
-            return sp.diags(factor) if factor.ndim == 1 else factor
-
-        def nnz(factor, n):
-            return n if factor is None or factor.ndim == 1 else factor.nnz
-
-        out = sp.csr_matrix(self.shape, dtype=self.dtype)
-        # smallest kron first, because each addition copies the sum so far
-        for left, right in sorted(self.terms, key=lambda pair: (
-                nnz(pair[0], self.dims[0]) * nnz(pair[1], self.dims[1]))):
-            out = out + sp.kron(sparse(left, self.dims[0]),
-                                sparse(right, self.dims[1]), format="csr")
-        return out
+        """Dense matrix, all columns in one block; for small dims and tests.
+        The block's dim x dim workspace is not kept."""
+        dense = self.matmat(np.eye(self.shape[0], dtype=self.dtype))
+        self._workspace = None
+        return dense
 
 
 # ---------------------------------------------------------------------------
@@ -390,33 +383,31 @@ def coherent_state(grid, basis, z, eps):
 _CHEBYSHEV_TAIL = 1e-15
 # relative change of the norm beyond which a propagated vector is rejected
 _NORM_TOLERANCE = 1e-10
-# rows per block of the Gershgorin row sums
-_GERSHGORIN_ROWS = 4096
 
 
-def _abs_row_sums(h):
-    """sum_k |h_jk| for each row j of a CSR h, as |h| @ 1 over blocks of
-    _GERSHGORIN_ROWS rows: each block holds |h| of its rows alone and
-    shares the column indices of h, so no copy of |h| is made, and each
-    row is summed as in |h| @ 1 on the whole matrix."""
-    sums = np.empty(h.shape[0])
-    ones = np.ones(h.shape[1])
-    for first in range(0, h.shape[0], _GERSHGORIN_ROWS):
-        ptr = h.indptr[first:first + _GERSHGORIN_ROWS + 1]
-        block = sp.csr_matrix((np.abs(h.data[ptr[0]:ptr[-1]]),
-                               h.indices[ptr[0]:ptr[-1]], ptr - ptr[0]),
-                              shape=(ptr.size - 1, h.shape[1]))
-        sums[first:first + ptr.size - 1] = block @ ones
-    return sums
-
-
-def _gershgorin_interval(h):
-    """[lo, hi] holding the spectrum of a Hermitian CSR h: the union of the
-    Gershgorin discs Re h_jj -/+ sum_{k != j} |h_jk|, from one pass."""
-    diag = h.diagonal()
-    radius = _abs_row_sums(h) - np.abs(diag)
-    return (float(np.min(diag.real - radius)),
-            float(np.max(diag.real + radius)))
+def _gershgorin_interval(op):
+    """[lo, hi] holding the spectrum of a Hermitian `ProductOperator`,
+    read from its factor pairs.  A pair (L, R) puts diag L (x) diag R on
+    the diagonal and r(L) (x) r(R) - |diag L| (x) |diag R| off it, row by
+    row, with r the row sums of |.|.  Summed over the pairs these give the
+    centres Re h_jj and, by the triangle inequality, radii of at least
+    sum_{k != j} |h_jk|: the union of discs holds the Gershgorin discs of
+    the assembled matrix, and is them when the pairs' off-diagonal
+    patterns are disjoint."""
+    centre, radius = np.zeros(op.dims, op.dtype), np.zeros(op.dims)
+    for pair in op.terms:
+        diags, sums = [], []
+        for factor, n in zip(pair, op.dims):
+            factor = np.ones(n) if factor is None else factor
+            diagonal = factor.ndim == 1
+            diags.append(factor if diagonal else factor.diagonal())
+            sums.append(np.abs(factor) if diagonal
+                        else abs(factor) @ np.ones(n))
+        diag = np.multiply.outer(*diags)
+        centre += diag
+        radius += np.multiply.outer(*sums) - np.abs(diag)
+    return (float(np.min(centre.real - radius)),
+            float(np.max(centre.real + radius)))
 
 
 def _chebyshev_length(radius):
@@ -460,11 +451,13 @@ def _chebyshev_sums(h, v, center, half, coeffs, planes, parities):
 
 
 def _expm_hermitian(h, taus, v):
-    """exp(-i tau h) v for every tau in `taus`, for a Hermitian CSR h and
-    a 1d v or a 2d block v (each column propagated), as an array
-    (len(taus),) + v.shape, by the Chebyshev series of Tal-Ezer and
-    Kosloff.  With the spectrum of h in [c - d, c + d] (the
-    `_gershgorin_interval` of h) and X = (h - c)/d,
+    """exp(-i tau h) v for every tau in `taus`, for a Hermitian
+    `ProductOperator` h and a 1d v or a 2d block v (each column
+    propagated), as an array (len(taus),) + v.shape, by the Chebyshev
+    series of Tal-Ezer and Kosloff, which needs only products with h and
+    an interval holding its spectrum.  With that interval [c - d, c + d]
+    (the `_gershgorin_interval` of the factor pairs of h) and
+    X = (h - c)/d,
 
         exp(-i tau h) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
                         J_k(tau d) T_k(X),

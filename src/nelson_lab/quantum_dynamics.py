@@ -138,14 +138,14 @@ def coherent_product_state(ham, z1, z2):
 def propagate(ham, psi0, times):
     """Vectors exp(-i t H/eps) psi0 at the requested times (increasing,
     starting at or after zero), all from one Chebyshev recurrence on the
-    CSR matrix `ham.tocsr()` and its Gershgorin interval; a time of zero
-    gives psi0 itself."""
+    factor pairs of `ham` and their Gershgorin interval, with no
+    product-space matrix built; a time of zero gives psi0 itself."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
-    return list(_expm_hermitian(ham.tocsr(), times / ham.eps, psi0))
+    return list(_expm_hermitian(ham, times / ham.eps, psi0))
 
 
 def free_weyl_argument(grid, params, xi1, xi2, t):
@@ -195,8 +195,11 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     <e^{-beta A} phi, e^{beta A} chi>, and A only lowers, so each
     exponential is a finite series.  On P (dimN x dimM) it is e^{beta a1}
     P (e^{beta a2})^T: one sparse nucleon series on all vectors at once,
-    whose even and odd parts give both signs, and the meson series on the
-    identity.  A nucleon sector raises SectorBasisUnsupported."""
+    whose even and odd parts E1, O1 give both signs, and the meson series
+    E2, O2 on the identity.  The value is then the contraction of the
+    small Gram matrices (E1 - O1)_phi^H (E1 + O1), dimM x (vectors x
+    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  A nucleon sector
+    raises SectorBasisUnsupported."""
     nb, mb, dims = ham.nucleon_basis, ham.meson_basis, ham.dims
     beta = 1j / np.sqrt(2.0)
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
@@ -207,13 +210,12 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     even1, odd1 = _lowering_series(
         beta * a1, np.hstack([v.reshape(dims) for v in vectors]), nb)
     even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]), mb)
-    lowered = ((even1[:, :dims[1]] - odd1[:, :dims[1]])
-               @ (even2 - odd2).T)
-    raised = ((even1 + odd1).reshape(dims[0], len(vectors), dims[1])
-              @ (even2 + odd2).T)
+    gram1 = ((even1[:, :dims[1]] - odd1[:, :dims[1]]).conj().T
+             @ (even1 + odd1)).reshape(dims[1], len(vectors), dims[1])
+    gram2 = (even2 - odd2).conj().T @ (even2 + odd2)
     norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
     return np.exp(-ham.eps * norm_sq / 4.0) * np.einsum(
-        "ik,ijk->j", lowered.conj(), raised)
+        "ajb,ab->j", gram1, gram2)
 
 
 def b_operators(ham, xi1, xi2):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nelson_lab import fock_space
 from nelson_lab.discretization import ModelParams
+from nelson_lab.fock_space import ProductOperator
 from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
@@ -20,6 +22,19 @@ def free_ham():
         return FactoredHamiltonian(grid, params, eps, nucleon_basis,
                                    meson_basis)
     return build
+
+
+@pytest.fixture
+def one_pair():
+    """A function wrapping a square matrix h as the one-pair
+    `ProductOperator` [(csr(h), None)] over dims (n, 1), with eps = 1 so
+    that `propagate` reads it as H/eps = h.  Its products are those of the
+    CSR h, and its Gershgorin interval is that of h, to the bit."""
+    def wrap(h):
+        op = ProductOperator([(sp.csr_matrix(h), None)], (h.shape[0], 1))
+        op.eps = 1.0
+        return op
+    return wrap
 
 
 @pytest.fixture

@@ -15,8 +15,6 @@ pass/fail line per property.  Criteria:
     order
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -365,7 +363,7 @@ def test_criterion_08_constrained_minimizer():
           f"{mesh_gap:.2e} (tol 1e-04)")
 
 
-def test_criterion_09_numerical_oracles():
+def test_criterion_09_numerical_oracles(one_pair):
     # propagation (eps = 1, so H/eps = h) against the dense exponential
     rng = np.random.default_rng(9)
     dim = 400
@@ -377,8 +375,7 @@ def test_criterion_09_numerical_oracles():
     v /= np.linalg.norm(v)
     t = 0.8
     dense = scipy.linalg.expm(-1j * t * h.toarray()) @ v
-    ham = SimpleNamespace(eps=1.0, tocsr=lambda: h)
-    (evolved,) = propagate(ham, v, [t])
+    (evolved,) = propagate(one_pair(h), v, [t])
     propagator_err = float(np.linalg.norm(evolved - dense))
     assert propagator_err <= 1e-9
 

@@ -20,6 +20,7 @@ from nelson_lab.fock_space import (
     smeared_annihilator, truncated_basis, weyl_conjugation_identities,
     weyl_generator)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
+                                         active_meson_basis,
                                          check_relative_bounds,
                                          weyl_matrix_elements)
 
@@ -173,22 +174,23 @@ def test_interaction_halves_against_explicit_assembly():
     want = creation + creation.conj().T
     full = coupling.toarray()
     assert np.allclose(full, want, rtol=0, atol=1e-13)
-    assert np.abs(coupling.tocsr().toarray() - full).max() <= 1e-14
     assert np.abs(full - full.conj().T).max() <= 1e-13
 
 
-def test_product_operator_matches_kron_of_its_factors():
-    # every factor kind, with non-symmetric sparse factors so that a
-    # missing transpose shows
+def mixed_product_operator(complex_diagonal):
+    """A `ProductOperator` with every factor kind, with non-symmetric
+    sparse factors so that a missing transpose shows, and its dense
+    matrix from np.kron."""
     rng = np.random.default_rng(12)
     dims = (5, 3)
     left = sp.random(5, 5, density=0.5, random_state=1, format="csr")
     right = sp.random(3, 3, density=0.6, random_state=2, format="csr")
-    diag_n = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    diag_n = rng.standard_normal(5)
+    if complex_diagonal:
+        diag_n = diag_n + 1j * rng.standard_normal(5)
     diag_m = rng.standard_normal(3)
     terms = [(left, right), (None, right.T), (left, None), (diag_n, right),
              (left, diag_m), (diag_n, None), (None, None)]
-    op = ProductOperator(terms, dims)
 
     def dense(factor, n):
         if factor is None:
@@ -197,15 +199,43 @@ def test_product_operator_matches_kron_of_its_factors():
 
     want = sum(np.kron(dense(a, dims[0]), dense(b, dims[1]))
                for a, b in terms)
+    return ProductOperator(terms, dims), want
+
+
+def test_product_operator_matches_kron_of_its_factors():
+    rng = np.random.default_rng(12)
+    op, want = mixed_product_operator(complex_diagonal=True)
     assert op.dtype == np.complex128 and op.dim == 15
     assert np.abs(op.toarray() - want).max() <= 1e-14
-    assert np.abs(op.tocsr().toarray() - want).max() <= 1e-14
     for v in (rng.standard_normal(15),
               rng.standard_normal(15) + 1j * rng.standard_normal(15)):
         assert np.linalg.norm(op @ v - want @ v) <= 1e-13
     # a coupling-free model leaves the coupling with no pairs at all
-    empty = ProductOperator([], dims)
-    assert not np.any(empty @ v) and empty.tocsr().nnz == 0
+    empty = ProductOperator([], (5, 3))
+    assert not np.any(empty @ v) and not np.any(empty.toarray())
+
+
+@pytest.mark.parametrize("complex_diagonal", [False, True])
+def test_product_operator_reuses_its_workspace(complex_diagonal):
+    # the meson-major copy and its sum are kept from one product to the
+    # next; each result is a fresh array that later products leave alone,
+    # whatever their column count and dtype, in either order
+    rng = np.random.default_rng(13)
+    op, want = mixed_product_operator(complex_diagonal)
+    assert op.dtype == (np.complex128 if complex_diagonal else np.float64)
+    # two products in a row of each column count and dtype, so that the
+    # second reuses the workspace of the first
+    inputs = []
+    for shape in ((15,), (15, 1), (15, 3)):
+        real = rng.standard_normal((2,) + shape)
+        inputs += [*real, *(real + 1j * rng.standard_normal((2,) + shape))]
+    results = [op @ x for x in inputs]
+    for x, got in zip(inputs, results):
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - want @ x) <= 1e-13 * np.linalg.norm(x)
+    again = [op @ x for x in reversed(inputs)]
+    for got, first in zip(reversed(again), results):
+        assert np.array_equal(got, first)
 
 
 def test_interaction_requires_covering_modes():
@@ -521,32 +551,33 @@ def random_hermitian(rng, n, complex_entries):
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
-def test_chebyshev_propagator_matches_dense_exponential(complex_entries):
+def test_chebyshev_propagator_matches_dense_exponential(complex_entries,
+                                                        one_pair):
     rng = np.random.default_rng(17 + complex_entries)
     for radius in (0.1, 1.0, 7.0, 30.0, 90.0, 200.0):
         n = int(rng.integers(4, 30))
         h = random_hermitian(rng, n, complex_entries)
         h += rng.uniform(-3.0, 3.0) * np.eye(n)
-        lo, hi = _gershgorin_interval(sp.csr_matrix(h))
+        lo, hi = _gershgorin_interval(one_pair(h))
         tau = 2.0 * radius / (hi - lo)
         u = expm(-1j * tau * h)
         for shape in ((n,), (n, 3)):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = _expm_hermitian(sp.csr_matrix(h), [tau], v)[0]
+            got = _expm_hermitian(one_pair(h), [tau], v)[0]
             assert got.shape == shape
             assert np.linalg.norm(got - u @ v) <= 1e-12 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_chebyshev_propagator_serves_several_times_in_one_call(
-        complex_entries):
+        complex_entries, one_pair):
     rng = np.random.default_rng(29 + complex_entries)
     n = 24
     h = random_hermitian(rng, n, complex_entries) + 1.5 * np.eye(n)
     taus = [0.0, 0.05, 0.4, 1.3, 6.0, -2.0]
     for shape in ((n,), (n, 3)):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = _expm_hermitian(sp.csr_matrix(h), taus, v)
+        got = _expm_hermitian(one_pair(h), taus, v)
         assert got.shape == (len(taus),) + shape
         assert np.array_equal(got[0], v)
         for tau, g in zip(taus, got):
@@ -554,82 +585,95 @@ def test_chebyshev_propagator_serves_several_times_in_one_call(
                 <= 1e-12 * np.linalg.norm(v)
 
 
-class RecordingCSR(sp.csr_matrix):
-    """CSR matrix that records the dtype of each dense operand."""
-
-    def __matmul__(self, other):
-        self.operands.append(other.dtype)
-        return super().__matmul__(other)
-
-
-def test_chebyshev_propagator_runs_a_real_generator_in_real_arithmetic():
+def test_chebyshev_propagator_runs_a_real_generator_in_real_arithmetic(
+        monkeypatch, one_pair):
     rng = np.random.default_rng(31)
     n = 20
     h = random_hermitian(rng, n, False)
-    recording = RecordingCSR(h)
-    recording.operands = []
+    operands, original = [], ProductOperator._matmat
+
+    def recording(self, x):
+        operands.append(x.dtype)
+        return original(self, x)
+
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     taus = [0.3, 2.0]
-    got = _expm_hermitian(recording, taus, v)
-    assert recording.operands
-    assert all(dtype == np.float64 for dtype in recording.operands)
-    as_complex = _expm_hermitian(sp.csr_matrix(h.astype(complex)), taus, v)
+    with monkeypatch.context() as patched:
+        patched.setattr(ProductOperator, "_matmat", recording)
+        got = _expm_hermitian(one_pair(h), taus, v)
+    assert operands
+    assert all(dtype == np.float64 for dtype in operands)
+    as_complex = _expm_hermitian(one_pair(h.astype(complex)), taus, v)
     for tau, g, c in zip(taus, got, as_complex):
         assert np.linalg.norm(g - expm(-1j * tau * h) @ v) \
             <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(g - c) <= 1e-13 * np.linalg.norm(v)
 
 
-def test_chebyshev_interval_holds_the_spectrum():
+def test_chebyshev_interval_holds_the_spectrum(one_pair):
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 25, True)
-    lo, hi = _gershgorin_interval(sp.csr_matrix(h))
+    lo, hi = _gershgorin_interval(one_pair(h))
     eig = np.linalg.eigvalsh(h)
     assert lo <= eig[0] and eig[-1] <= hi
 
 
-def test_gershgorin_interval_skips_empty_rows(monkeypatch):
-    # small row blocks, so that empty rows open, close and end blocks
-    monkeypatch.setattr(fock_space, "_GERSHGORIN_ROWS", 4)
-    rng = np.random.default_rng(4)
-    h = random_hermitian(rng, 14, False)
-    empty = [0, 3, 4, 5, 6, 7, 11, 12, 13]
-    h[empty, :] = 0.0
-    h[:, empty] = 0.0
-    h[4, 4] = -50.0  # a row with its diagonal entry alone
-    # rows 2 and 10 are the last full rows of their blocks, before empty
-    # rows that end the block
-    sums = np.abs(h).sum(axis=1)
-    assert np.allclose(fock_space._abs_row_sums(sp.csr_matrix(h)), sums,
-                       rtol=1e-14, atol=0.0)
-    radius = sums - np.abs(np.diag(h))
-    want = (np.min(np.diag(h).real - radius), np.max(np.diag(h).real + radius))
-    got = _gershgorin_interval(sp.csr_matrix(h))
-    assert got[0] == pytest.approx(want[0], abs=1e-14)
-    assert got[1] == pytest.approx(want[1], abs=1e-14)
-    assert got[0] == -50.0
+def dense_gershgorin(dense):
+    """The union of the Gershgorin discs of a dense Hermitian matrix."""
+    diag = np.diag(dense).real
+    radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+    return np.min(diag - radius), np.max(diag + radius)
 
 
-def test_chebyshev_propagator_on_zero_width_intervals():
+def test_gershgorin_interval_of_the_pairs():
+    # real standing-wave H: the pairs' off-diagonal patterns are disjoint,
+    # so the interval is that of the assembled matrix
+    grid = Grid(4, np.pi)
+    params = small_model(grid)
+    ham = FactoredHamiltonian(grid, params, 0.4, truncated_basis(4, 2),
+                              active_meson_basis(grid, params, 3))
+    assert ham.dtype == np.float64
+    lo, hi = _gershgorin_interval(ham)
+    want = dense_gershgorin(ham.toarray())
+    assert lo == pytest.approx(want[0], rel=1e-14)
+    assert hi == pytest.approx(want[1], rel=1e-14)
+    # odd chi gives a complex H; where its pairs share an off-diagonal
+    # pattern the interval is wider than the discs, and it holds the
+    # spectrum in any case
+    params = ModelParams(mass=1.0, meson_mass=1.0, charge=1.0,
+                         potential=potential_preset(grid, "harmonic", 1.0),
+                         chi=np.array([0.0, 0.3, 0.0, -0.3]))
+    ham = FactoredHamiltonian(grid, params, 0.4, truncated_basis(4, 2),
+                              active_meson_basis(grid, params, 3))
+    assert ham.dtype == np.complex128
+    dense = ham.toarray()
+    lo, hi = _gershgorin_interval(ham)
+    discs = dense_gershgorin(dense)
+    eig = np.linalg.eigvalsh(dense)
+    assert lo <= discs[0] + 1e-13 and discs[1] - 1e-13 <= hi
+    assert lo <= eig[0] and eig[-1] <= hi
+
+
+def test_chebyshev_propagator_on_zero_width_intervals(one_pair):
     rng = np.random.default_rng(9)
     v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    scalar = sp.csr_matrix(2.5 * np.eye(6))
+    scalar = one_pair(2.5 * np.eye(6))
     assert _gershgorin_interval(scalar) == (2.5, 2.5)
     got = _expm_hermitian(scalar, [0.7], v)[0]
     assert np.linalg.norm(got - np.exp(-1.75j) * v) <= 1e-15
-    zero = sp.csr_matrix((6, 6))
+    zero = one_pair(sp.csr_matrix((6, 6)))
     assert _gershgorin_interval(zero) == (0.0, 0.0)
     assert np.array_equal(_expm_hermitian(zero, [3.0], v)[0], v)
     assert np.array_equal(_expm_hermitian(zero, [3.0], v[:, 0])[0], v[:, 0])
 
 
-def test_chebyshev_propagator_rejects_a_non_hermitian_generator():
+def test_chebyshev_propagator_rejects_a_non_hermitian_generator(one_pair):
     # the series is exact only for a Hermitian h; a nilpotent h changes
     # the norm, and a non-finite entry leaves no finite interval
     v = np.array([0.6, 0.8j])
     for h in (np.array([[0.0, 5.0], [0.0, 0.0]]),
               np.array([[1.0, np.nan], [np.nan, 0.0]])):
-        h = sp.csr_matrix(h)
+        h = one_pair(h)
         with pytest.raises(StepSizeRejected) as info:
             _expm_hermitian(h, [1.0], v)
         assert isinstance(info.value, NelsonLabError)

@@ -208,12 +208,9 @@ def test_factored_standing_wave_operator_matches_plane_wave_assembly(
     op, plane = sector_pair(grid, params, n, cap)
     dense = op.toarray()
     assert op.dtype == np.float64 and dense.dtype == np.float64
-    # the same factors kron'd into CSR give the same matrix
-    standing = op.tocsr()
-    assert np.abs(dense - standing.toarray()).max() <= 1e-14
     assert np.abs(dense - dense.T).max() == 0.0
     # the pair rotation is unitary on the capped meson space
-    want = eigvalsh(plane.tocsr().toarray())
+    want = eigvalsh(plane.toarray())
     assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
     if kind == "gaussian":
         assert {0, grid.n_sites // 2} <= set(op.meson_basis.modes)
@@ -225,12 +222,10 @@ def test_uneven_coupling_gives_complex_operator_with_same_spectrum():
     op, plane = sector_pair(grid, params, 3, 4)
     assert op.dtype == np.complex128
     dense = op.toarray()
-    standing = op.tocsr()
-    assert np.abs(dense - standing.toarray()).max() <= 1e-14
-    want = eigvalsh(plane.tocsr().toarray())
+    want = eigvalsh(plane.toarray())
     assert np.abs(eigvalsh(dense) - want).max() <= 1e-12
     e_op, _ = lowest_eigenpair(op)
-    e_plane, _ = lowest_eigenpair(plane.tocsr())
+    e_plane, _ = lowest_eigenpair(plane)
     assert abs(e_op - e_plane) <= 1e-12
     assert abs(e_op - want[0]) <= 1e-12
 
@@ -241,7 +236,6 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
     params = even_params(grid, kind)
     op, plane = sector_pair(grid, params, n, cap)
     modes = plane.meson_basis.modes
-    h_plane = plane.tocsr()
     rng = np.random.default_rng(7)
     for _ in range(4):
         z1 = rng.standard_normal(grid.n_sites) \
@@ -252,7 +246,7 @@ def test_rotated_coherent_bound_equals_plane_wave_expectation(
         v1, _ = coherent_state(grid, plane.nucleon_basis, z1, plane.eps)
         v2, _ = coherent_state(grid, plane.meson_basis, z2, plane.eps)
         phi = np.kron(v1, v2)
-        want = np.vdot(phi, h_plane @ phi).real
+        want = np.vdot(phi, plane @ phi).real
         rotated, _ = coherent_product_state(op, z1, z2)
         assert abs(np.vdot(rotated, op @ rotated).real - want) <= 1e-12
 

@@ -131,7 +131,7 @@ def test_t1_hamiltonian_is_real():
     ham = FactoredHamiltonian(grid, params, 0.2,
                               *_bases_for(grid, params, 0.2, z0, 1e-4))
     assert ham.meson_basis.standing
-    assert ham.tocsr().dtype == np.float64
+    assert ham.dtype == np.float64
 
 
 def test_plane_and_standing_meson_frames_agree(monkeypatch):

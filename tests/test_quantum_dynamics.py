@@ -1,7 +1,5 @@
 """Coupled dynamics on truncated product bases."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,8 +15,8 @@ from nelson_lab.discretization import (
 from nelson_lab import fock_space, quantum_dynamics
 from nelson_lab.errors import SectorBasisUnsupported, StepSizeRejected
 from nelson_lab.fock_space import (
-    coherent_state, ladders, sector_basis, smeared_annihilator,
-    truncated_basis, weyl_generator)
+    ProductOperator, coherent_state, ladders, sector_basis,
+    smeared_annihilator, truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
     FactoredHamiltonian, active_meson_basis, b_expansion_residual,
@@ -118,13 +116,15 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (a + a.conj().T) / 2.0
 
 
-def propagated(h, v, t):
+@pytest.fixture
+def propagated(one_pair):
     """exp(-i t h) v by `propagate`, with h standing in for H/eps."""
-    ham = SimpleNamespace(eps=1.0, tocsr=lambda: sp.csr_matrix(h))
-    return propagate(ham, v, [t])[0]
+    def run(h, v, t):
+        return propagate(one_pair(h), v, [t])[0]
+    return run
 
 
-def test_propagator_matches_dense_exponential():
+def test_propagator_matches_dense_exponential(propagated):
     rng = np.random.default_rng(7)
     for trial in range(20):
         n = int(rng.integers(3, 40))
@@ -136,7 +136,7 @@ def test_propagator_matches_dense_exponential():
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(v)
 
 
-def test_propagator_long_interval():
+def test_propagator_long_interval(propagated):
     rng = np.random.default_rng(11)
     n = 60
     h = random_hermitian(rng, n, scale=8.0)
@@ -147,7 +147,7 @@ def test_propagator_long_interval():
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(v)
 
 
-def test_propagator_preserves_norm():
+def test_propagator_preserves_norm(propagated):
     rng = np.random.default_rng(3)
     n = 50
     h = random_hermitian(rng, n, scale=4.0)
@@ -159,7 +159,7 @@ def test_propagator_preserves_norm():
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(v)
 
 
-def test_propagator_zero_time_and_zero_vector():
+def test_propagator_zero_time_and_zero_vector(propagated):
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 8)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -168,7 +168,7 @@ def test_propagator_zero_time_and_zero_vector():
     assert np.array_equal(propagated(h, zero, 1.0), zero)
 
 
-def test_propagator_diagonal_phase():
+def test_propagator_diagonal_phase(propagated):
     omega = np.array([0.5, 1.0, 2.0, 4.0])
     v = np.array([1.0, 1.0j, -0.5, 0.25 + 0.1j])
     got = propagated(np.diag(omega), v, 1.7)
@@ -185,10 +185,21 @@ def test_propagation_ignores_global_random_state():
     grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0),
                                        (9, 6), eps)
     assert ham.dim == 20020
-    h = ham.tocsr()
-    mu = h.diagonal().mean()
-    shifted = h - mu * sp.identity(ham.dim)
-    assert abs(shifted).sum(axis=0).max() / eps > 63.36
+    # |H - mu|_1, mu the mean of the diagonal, from the pair row sums: H
+    # is Hermitian, so its largest column sum of |H - mu| is its largest
+    # row sum, radius_j + |h_jj - mu|, which reaches the farther end of
+    # the Gershgorin interval of the pairs.  Pairs that share a pattern
+    # widen the radii; here the widest row is not widened, and the value,
+    # 71.60, is that of the assembled matrix
+    def trace(factor, n):
+        if factor is None:
+            return n
+        return np.sum(factor) if factor.ndim == 1 else factor.diagonal().sum()
+
+    mu = np.real(sum(trace(left, ham.dims[0]) * trace(right, ham.dims[1])
+                     for left, right in ham.terms)) / ham.dim
+    lo, hi = fock_space._gershgorin_interval(ham)
+    assert max(hi - mu, mu - lo) / eps > 63.36
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
     z2 = np.zeros(4, dtype=complex)
     z2[mb.modes] = [0.1 - 0.05j, 0.07j]
@@ -219,18 +230,27 @@ def test_theorem1_and_duhamel_run_without_expm_multiply(monkeypatch):
                          n_nodes=9).residual <= 1e-6
 
 
-class CountingCSR(sp.csr_matrix):
-    """CSR matrix that counts its products with dense operands."""
+def test_theorem1_and_duhamel_build_no_product_matrix(monkeypatch):
+    # propagation applies the factor pairs of H and takes its interval from
+    # them, so no rung and no Duhamel check assembles a product-space matrix
+    def no_kron(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called")
 
-    matvecs = 0
+    monkeypatch.setattr(sp, "kron", no_kron)
+    grid, params, nb, mb, ham = tiny_system(caps=(4, 5))
+    z1, z2 = tiny_fields(grid)
+    report = theorem1_sweep(grid, params, FieldState(z1, z2), [0.4, 0.2],
+                            (0.25, 0.5))
+    assert np.all(report.errors <= 0.1)
+    state, _ = coherent_initial(grid, nb, mb, ham.eps, z1, z2)
+    xi1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+    xi2 = np.zeros(2, dtype=complex)
+    xi2[mb.modes] = 0.25 - 0.2j
+    assert duhamel_check(ham, state, xi1, xi2, t=0.25,
+                         n_nodes=9).residual <= 1e-6
 
-    def __matmul__(self, other):
-        if isinstance(other, np.ndarray):
-            CountingCSR.matvecs += 1
-        return super().__matmul__(other)
 
-
-def test_ladder_step_at_eps_0025_takes_few_matvecs():
+def test_ladder_step_at_eps_0025_takes_few_matvecs(monkeypatch):
     # the eps=0.025 rung of the theorem1 ladder (dim 65520): one t=0.25
     # step takes 48 matvecs (scipy's expm_multiply makes 204 column
     # products with the scaled matrix)
@@ -238,25 +258,29 @@ def test_ladder_step_at_eps_0025_takes_few_matvecs():
     grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0),
                                        (12, 7), eps)
     assert ham.dim == 65520
-    h = CountingCSR(ham.tocsr())
-    counted = SimpleNamespace(eps=eps, tocsr=lambda: h)
+    products, original = [], ProductOperator._matmat
+
+    def counted(self, x):
+        products.append(x.shape[1])
+        return original(self, x)
+
+    monkeypatch.setattr(ProductOperator, "_matmat", counted)
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
     z2 = np.zeros(4, dtype=complex)
     z2[mb.modes] = [0.1 - 0.05j, 0.07j]
     state, _ = coherent_initial(grid, nb, mb, eps, z1, z2)
-    CountingCSR.matvecs = 0
-    psi = propagate(counted, state, [0.25])[0]
-    assert 0 < CountingCSR.matvecs <= 60
-    e0 = np.vdot(state, h @ state).real
-    assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-12
+    psi = propagate(ham, state, [0.25])[0]
+    assert 0 < len(products) <= 60
+    e0 = np.vdot(state, ham @ state).real
+    assert abs(np.vdot(psi, ham @ psi).real - e0) <= 1e-12
     # both times of the ladder share one recurrence: 75 matvecs, where
     # stepping from 0.25 on to 0.5 took 96
-    CountingCSR.matvecs = 0
-    both = propagate(counted, state, [0.25, 0.5])
-    assert 0 < CountingCSR.matvecs <= 80
+    products.clear()
+    both = propagate(ham, state, [0.25, 0.5])
+    assert 0 < len(products) <= 80
     assert np.linalg.norm(both[0] - psi) <= 1e-12
     for snap in both:
-        assert abs(np.vdot(snap, h @ snap).real - e0) <= 1e-12
+        assert abs(np.vdot(snap, ham @ snap).real - e0) <= 1e-12
 
 
 def test_uneven_coupling_propagates_in_complex_arithmetic():
@@ -272,7 +296,7 @@ def test_uneven_coupling_propagates_in_complex_arithmetic():
     ham = FactoredHamiltonian(grid, params, eps, truncated_basis(4, 3),
                               active_meson_basis(grid, params, 4))
     assert ham.meson_basis.standing
-    assert ham.tocsr().dtype == np.complex128
+    assert ham.dtype == np.complex128
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
     z2 = np.zeros(4, dtype=complex)
     z2[[1, 3]] = [0.1 - 0.05j, 0.07j]
@@ -560,12 +584,15 @@ def test_product_operator_invariants(n_sites, half_length, band, caps,
     # H conserves the nucleon number N1 (x) I exactly
     n1 = np.repeat(ham.eps * nb.occupations.sum(axis=1), mb.dim)
     assert np.abs(dense * n1[None, :] - n1[:, None] * dense).max() == 0.0
-    assert np.abs(ham.tocsr().toarray() - dense).max() <= 1e-14
+    # a single vector's product against the all-columns block
+    v = np.random.default_rng(5).standard_normal(ham.dim) + 0j
+    assert np.linalg.norm(ham @ v - dense @ v) <= 1e-14 * np.linalg.norm(v)
     xi1, xi2 = random_arguments(grid, mb, seed=4)
     for b in b_operators(ham, xi1, xi2):
         b_dense = b.toarray()
         assert np.abs(b_dense + b_dense.conj().T).max() <= 1e-13
-        assert np.abs(b.tocsr().toarray() - b_dense).max() <= 1e-14
+        assert np.linalg.norm(b @ v - b_dense @ v) \
+            <= 1e-14 * np.linalg.norm(v)
 
 
 def test_b_operators_agree_across_meson_frames():
@@ -590,7 +617,7 @@ def test_b_operators_and_relative_bounds_build_no_product_matrix(
         monkeypatch):
     grid, _, _, mb, ham = tiny_system(caps=(3, 4))
     xi1, xi2 = random_arguments(grid, mb, seed=2)
-    want = [b.tocsr() for b in b_operators(ham, xi1, xi2)]
+    want = [b.toarray() for b in b_operators(ham, xi1, xi2)]
     bounds = check_relative_bounds(ham, n_samples=20, seed=1)
     v = np.random.default_rng(6).standard_normal(ham.dim) + 0j
 
