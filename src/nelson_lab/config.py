@@ -114,6 +114,8 @@ def _mode_entries(value, path, n):
         if entry[0] != m or not 0 <= m < n:
             raise ConfigInvalid(f"{path}[{i}]",
                                 f"mode must be an integer in [0, {n})")
+        if m in [e[0] for e in value[:i]]:
+            raise ConfigInvalid(f"{path}[{i}]", f"mode {m} is set twice")
         out[m] = entry[1] + 1j * entry[2]
     return out
 

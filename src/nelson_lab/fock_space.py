@@ -22,7 +22,8 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv, pdtrc
 
-from .errors import SectorBasisUnsupported, StepSizeRejected
+from .errors import (SectorBasisUnsupported, StepSizeRejected,
+                     TruncationInsufficient)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,12 @@ class FockBasis:
     factors; None means the factor lives over position sites.  With
     `standing`, each pair of carried modes k, -k is rotated to the
     standing waves c = (a_k + a_-k)/sqrt2 in the slot of k > 0 and
-    s = -i (a_k - a_-k)/sqrt2 in the slot of -k (see
-    `standing_wave_pairs`); unpaired modes stay plane waves.  The rotation
-    keeps the total number, so it is exact on the capped space, and it
-    leaves dGamma(omega) alone because omega is even in k."""
+    s = -i (a_k - a_-k)/sqrt2 in the slot of -k (`_slot_field`);
+    unpaired modes stay plane waves.  The rotation keeps the total
+    number, so it is exact on the capped space, and it leaves
+    dGamma(omega) alone because omega is even in k.  A row's key is
+    n . p, p_m = (cap + 1)^m: a quantum of mode j leaving it shifts the
+    key by -p_j, one moving on to mode i by p_i - p_j (`_lookup`)."""
 
     kind: str
     n_modes: int
@@ -65,6 +68,7 @@ class FockBasis:
     modes: np.ndarray | None = None
     standing: bool = False
     _powers: np.ndarray = field(init=False, repr=False)
+    _keys: np.ndarray = field(init=False, repr=False)
     _sorted_keys: np.ndarray = field(init=False, repr=False)
     _order: np.ndarray = field(init=False, repr=False)
 
@@ -77,26 +81,28 @@ class FockBasis:
         if base ** self.n_modes >= 2 ** 62:
             raise ValueError("occupation key space exceeds int64")
         self._powers = base ** np.arange(self.n_modes, dtype=np.int64)
-        keys = self.occupations @ self._powers
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        self._keys = self.occupations @ self._powers
+        self._order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._order]
 
     @property
     def dim(self):
         return self.occupations.shape[0]
+
+    def _lookup(self, keys):
+        """Rows of the given keys, and which keys the basis holds."""
+        pos = np.searchsorted(self._sorted_keys, keys).clip(max=self.dim - 1)
+        return self._order[pos], self._sorted_keys[pos] == keys
 
     def index_of(self, occ_rows):
         """Indices of the given occupation rows; raises on misses."""
         occ_rows = np.atleast_2d(occ_rows)
         if np.any(occ_rows < 0) or np.any(occ_rows > self.cap):
             raise ValueError("occupation outside the basis")
-        keys = occ_rows @ self._powers
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, self.dim - 1)
-        out = self._order[pos]
-        if np.any(self._sorted_keys[pos] != keys):
+        rows, found = self._lookup(occ_rows @ self._powers)
+        if not np.all(found):
             raise ValueError("occupation outside the basis")
-        return out
+        return rows
 
 
 def sector_basis(n_modes, total, modes=None):
@@ -130,7 +136,8 @@ def standing_wave_pairs(grid, modes):
 def _slot_field(grid, basis, z, what):
     """Quadrature weight and the amplitudes of the field z at the basis
     slots: sites, plane-wave modes, or standing waves (the pair rotation
-    of `FockBasis` acts on amplitudes as it acts on annihilators)."""
+    of `FockBasis` acts on amplitudes as it acts on annihilators), of
+    each column of a 2d z.  Raises ValueError off the carried modes."""
     z = np.asarray(z, dtype=complex)
     if basis.modes is None:
         return grid.dx, z
@@ -141,7 +148,7 @@ def _slot_field(grid, basis, z, what):
     z_sel = z[basis.modes]
     if basis.standing:
         for p, q in standing_wave_pairs(grid, basis.modes):
-            zp, zq = z_sel[p], z_sel[q]
+            zp, zq = z_sel[[p, q]]  # copies, also of rows of a 2d z
             z_sel[p] = (zp + zq) / np.sqrt(2.0)
             z_sel[q] = -1j * (zp - zq) / np.sqrt(2.0)
     return grid.dk, z_sel
@@ -149,13 +156,14 @@ def _slot_field(grid, basis, z, what):
 
 def occupation_cap(mean, tail_budget, cap_max=10_000):
     """Smallest cap with Poisson(mean) tail mass above it, `pdtrc(cap,
-    mean)`, <= budget."""
+    mean)`, <= budget, up to cap_max (then TruncationInsufficient)."""
     if mean < 0 or tail_budget <= 0:
         raise ValueError("need mean >= 0 and tail_budget > 0")
     for cap in range(cap_max + 1):
         if pdtrc(cap, mean) <= tail_budget:
             return cap
-    raise ValueError("cap search exhausted")
+    raise TruncationInsufficient(f"no occupation cap up to {cap_max} meets "
+                                 "the tail budget", pdtrc(cap_max, mean))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +171,15 @@ def occupation_cap(mean, tail_budget, cap_max=10_000):
 
 
 def ladder(basis, mode, eps):
-    """Annihilator a_mode with amplitudes sqrt(eps * n), as CSR."""
+    """Annihilator a_mode with amplitudes sqrt(eps * n), as CSR, hopping
+    by the key shift -p_mode (`FockBasis`)."""
     if basis.kind == "sector":
         raise SectorBasisUnsupported(
             "ladder operators leave a fixed-total sector")
-    occ = basis.occupations
-    src = np.nonzero(occ[:, mode] > 0)[0]
-    new = occ[src].copy()
-    new[:, mode] -= 1
-    tgt = basis.index_of(new) if src.size else np.empty(0, dtype=np.int64)
-    vals = np.sqrt(eps * occ[src, mode])
+    n = basis.occupations[:, mode]
+    src = np.flatnonzero(n)
+    tgt, _ = basis._lookup(basis._keys[src] - basis._powers[mode])
+    vals = np.sqrt(eps * n[src])
     return sp.csr_matrix((vals, (tgt, src)), shape=(basis.dim, basis.dim))
 
 
@@ -185,40 +192,30 @@ def dgamma_diagonal(basis, values, eps):
 def second_quantize(basis, a_matrix, eps):
     """dGamma(A) = eps * sum_ij A_ij b_i* b_j for a one-body matrix A.
 
-    Number conserving, so valid on sector and truncated bases alike; real
-    when A is.
+    An off-diagonal A_ij hops by the key shift p_i - p_j (`FockBasis`),
+    all i at once for each j.  Number conserving, so valid on sector and
+    truncated bases alike; real when A is.
     """
     a_matrix = np.asarray(a_matrix)
     occ = basis.occupations
     n = basis.n_modes
     if a_matrix.shape != (n, n):
         raise ValueError(f"one-body matrix must be {n}x{n}")
-    diag = eps * (occ @ np.diag(a_matrix))
-    mat = sp.diags(diag, format="csr",
+    mat = sp.diags(eps * (occ @ np.diag(a_matrix)), format="csr",
                    dtype=np.result_type(a_matrix.dtype, float))
     rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j or a_matrix[i, j] == 0:
-                continue
-            src = np.nonzero(occ[:, j] > 0)[0]
-            if src.size == 0:
-                continue
-            new = occ[src].copy()
-            new[:, j] -= 1
-            new[:, i] += 1
-            tgt = basis.index_of(new)
-            amp = eps * a_matrix[i, j] * np.sqrt(
-                occ[src, j] * (occ[src, i] + 1.0))
-            rows.append(tgt)
-            cols.append(src)
-            vals.append(amp)
-    if rows:
-        mat = mat + sp.csr_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(basis.dim, basis.dim))
-    return mat.tocsr()
+    for j in range(n):
+        to = np.flatnonzero((a_matrix[:, j] != 0) & (np.arange(n) != j))
+        src = np.flatnonzero(occ[:, j])
+        shift = basis._powers[to] - basis._powers[j]
+        tgt, _ = basis._lookup(basis._keys[src] + shift[:, None])
+        rows.append(tgt.ravel())
+        cols.append(np.broadcast_to(src, tgt.shape).ravel())
+        vals.append((eps * a_matrix[to, j][:, None] * np.sqrt(
+            occ[src, j] * (occ[src, to[:, None]] + 1.0))).ravel())
+    return mat + sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=mat.shape)
 
 
 class Ladders(tuple):

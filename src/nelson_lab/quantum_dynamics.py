@@ -25,8 +25,7 @@ from .errors import StepSizeRejected
 from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
                          _expm_hermitian, _slot_field, coherent_state,
                          dgamma_diagonal, ladders, second_quantize,
-                         smeared_annihilator, standing_wave_pairs,
-                         truncated_basis)
+                         smeared_annihilator, truncated_basis)
 
 
 def active_meson_basis(grid, params, cap, *fields):
@@ -37,41 +36,15 @@ def active_meson_basis(grid, params, cap, *fields):
     return truncated_basis(modes.size, cap, modes=modes, standing=True)
 
 
-def coupling_weight_on(grid, params, meson_basis):
-    """The coupling weight w = chi/sqrt(omega), checked to vanish off the
-    modes the meson basis carries."""
-    if meson_basis.modes is None:
-        raise ValueError("meson basis must carry grid mode indices")
-    w = coupling_weight(grid, params)
-    covered = np.zeros(grid.n_sites, dtype=bool)
-    covered[meson_basis.modes] = True
-    if np.any(w[~covered] != 0):
-        raise ValueError("coupling weight is nonzero outside the meson basis")
-    return w
-
-
 def _site_profiles(grid, w, basis):
-    """g[p, j]: the coupling profile of meson slot p at site x_j.
-
-    A plane-wave slot of mode m carries w_m e^{-i k_m x_j}, real at k = 0
-    and Nyquist.  A standing pair (p, q) with k = k_p carries
-    c: (w_p e^{-ikx} + w_q e^{ikx})/sqrt2 and
-    s: -i (w_p e^{-ikx} - w_q e^{ikx})/sqrt2, which are sqrt2 w cos(kx)
-    and -sqrt2 w sin(kx) when w_p = w_q.  Real whenever every imaginary
-    part vanishes exactly.
-    """
-    modes = basis.modes
-    theta = np.outer(grid.k[modes], grid.x)
-    cos, sin = np.cos(theta), np.sin(theta)
-    sin[(2 * modes) % grid.n_sites == 0] = 0.0  # sin(k x_j) = 0 exactly
-    wm = w[modes][:, None]
-    re, im = wm * cos, -wm * sin
-    for p, q in (standing_wave_pairs(grid, modes) if basis.standing else ()):
-        plus = (w[modes[p]] + w[modes[q]]) / np.sqrt(2.0)
-        minus = (w[modes[p]] - w[modes[q]]) / np.sqrt(2.0)
-        re[p], im[p] = plus * cos[p], -minus * sin[p]
-        re[q], im[q] = -plus * sin[p], -minus * cos[p]
-    return re + 1j * im if np.any(im) else re
+    """g[p, j]: the coupling profile of meson slot p at site x_j, the
+    `_slot_field` of the plane-wave rows w_m e^{-i k_m x_j} (real at k = 0
+    and Nyquist), so sqrt2 w cos(kx) and -sqrt2 w sin(kx) on a standing
+    pair with w_k = w_-k.  Real when every imaginary part vanishes."""
+    rows = w[:, None] * grid.phases
+    rows.imag[[0, grid.n_sites // 2]] = 0.0  # sin(k x_j) = 0 exactly
+    g = _slot_field(grid, basis, rows, "coupling weight")[1]
+    return g if np.any(g.imag) else g.real
 
 
 class FactoredHamiltonian(ProductOperator):
@@ -96,7 +69,9 @@ class FactoredHamiltonian(ProductOperator):
     def __init__(self, grid, params, eps, nucleon_basis, meson_basis):
         self.grid, self.params, self.eps = grid, params, eps
         self.nucleon_basis, self.meson_basis = nucleon_basis, meson_basis
-        self.weight = coupling_weight_on(grid, params, meson_basis)
+        if meson_basis.modes is None:
+            raise ValueError("meson basis must carry grid mode indices")
+        self.weight = coupling_weight(grid, params)
         g = _site_profiles(grid, self.weight, meson_basis)
         self.slots = np.nonzero(np.any(g != 0, axis=1))[0]
         self.slot_profiles = g[self.slots]

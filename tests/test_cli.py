@@ -140,6 +140,19 @@ def test_run_runtime_failure(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_run_with_no_fitting_cap_fails_typed(tmp_path, capsys):
+    # at eps 1e-6 the coherent nucleon occupation of the shipped theorem1
+    # start is about 6.6e4, past every cap occupation_cap tries
+    shipped = json.loads((CONFIGS[0].parent / "theorem1.json").read_text())
+    p = write_cfg(tmp_path, edited(shipped, eps_values=[1e-6],
+                                   track_eps=1e-6))
+    assert main(["run", "theorem1", "--config", str(p),
+                 "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: no occupation cap up to 10000 ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_seed_rejected(tmp_path):
     p = write_cfg(tmp_path, MINIMIZE_CFG)
     with pytest.raises(SystemExit) as exc:
@@ -222,16 +235,18 @@ def test_off_ladder_track_eps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def edited(base, drop=(), z1=None, chi=None, **options):
+def edited(base, drop=(), z1=None, z2=None, chi=None, **options):
     """A copy of `base` without the top-level blocks in `drop`, with the
-    entries of `z1` set in its initial z1 block, those of `chi` in its
-    model chi block, and `options` set in its scenario block; an option
-    set to None is removed."""
+    entries of `z1` and `z2` set in its initial z1 and z2 blocks, those of
+    `chi` in its model chi block, and `options` set in its scenario block;
+    an option set to None is removed."""
     data = json.loads(json.dumps(base))
     for block in drop:
         del data[block]
     if z1:
         data["initial"]["z1"].update(z1)
+    if z2:
+        data["initial"]["z2"].update(z2)
     if chi:
         data["model"]["chi"].update(chi)
     for key, value in options.items():
@@ -272,6 +287,10 @@ REJECTED_AT_LOAD = {
                            ".scenario.n_values[1]"),
     "sharp-band-chi-width": (edited(MINIMIZE_CFG, chi={"width": 1.0}),
                              ".model.chi.width"),
+    "theorem1-repeated-z2-mode": (
+        edited(THEOREM1_CFG,
+               z2={"entries": [[1, 0.1, -0.05], [1, 0.0, 0.07]]}),
+        ".initial.z2.entries[1]"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from math import comb, factorial
 from scipy.linalg import expm
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from nelson_lab import fock_space
@@ -12,11 +13,12 @@ from nelson_lab.discretization import (
     Grid, ModelParams, chi_sharp_band, coupling_weight, dispersion,
     potential_preset)
 from nelson_lab.errors import (
-    NelsonLabError, SectorBasisUnsupported, StepSizeRejected)
+    NelsonLabError, SectorBasisUnsupported, StepSizeRejected,
+    TruncationInsufficient)
 from nelson_lab.fock_space import (
     FockBasis, ProductOperator, _expm_hermitian, _gershgorin_interval,
-    coherent_state, dgamma_diagonal, ladder, ladders, occupation_cap,
-    resolvent_bound_ratio, second_quantize, sector_basis,
+    _slot_field, coherent_state, dgamma_diagonal, ladder, ladders,
+    occupation_cap, resolvent_bound_ratio, second_quantize, sector_basis,
     smeared_annihilator, truncated_basis, weyl_conjugation_identities,
     weyl_generator)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
@@ -70,6 +72,12 @@ def test_occupation_cap_matches_poisson_tail():
         assert np.all(tails[want, np.arange(means.size)] <= budget)
         got = [occupation_cap(mean, budget) for mean in means]
         assert got == want.tolist()
+
+
+def test_occupation_cap_past_its_search_is_typed():
+    with pytest.raises(TruncationInsufficient) as exc:
+        occupation_cap(50.0, 1e-6, cap_max=10)
+    assert exc.value.deficit == pdtrc(10, 50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +135,68 @@ def test_second_quantize_against_ladder_products():
         for j in range(3):
             want += eps * a_mat[i, j] * (b_ops[i].getH() @ b_ops[j]).toarray()
     assert np.allclose(got, want, atol=1e-13)
+
+
+def hop(basis, occ, j, i=None):
+    """Row of `occ` with a quantum of mode j removed, or moved on to mode
+    i, found by its full occupation row (`index_of`)."""
+    new = occ.copy()
+    new[j] -= 1
+    if i is not None:
+        new[i] += 1
+    return basis.index_of(new)[0]
+
+
+def reference_ladder(basis, mode, eps):
+    """a_mode built entry by entry from the occupation rows."""
+    want = np.zeros((basis.dim, basis.dim))
+    for col, occ in enumerate(basis.occupations):
+        if occ[mode]:
+            want[hop(basis, occ, mode), col] = np.sqrt(eps * occ[mode])
+    return want
+
+
+def reference_second_quantize(basis, a_mat, eps):
+    """eps sum_ij A_ij b_i* b_j built entry by entry from the occupation
+    rows."""
+    want = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, occ in enumerate(basis.occupations):
+        for i in range(basis.n_modes):
+            for j in range(basis.n_modes):
+                if occ[j]:
+                    n_i = occ[i] + (i != j)
+                    want[hop(basis, occ, j, i), col] += (
+                        eps * a_mat[i, j] * np.sqrt(occ[j] * n_i))
+    return want
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "diagonal"])
+@pytest.mark.parametrize("basis", [
+    sector_basis(3, 3), truncated_basis(3, 3), sector_basis(1, 4),
+    truncated_basis(1, 4)],
+    ids=["sector", "truncated", "one-mode-sector", "one-mode"])
+def test_hops_against_occupation_rows(basis, kind):
+    # ladder and second_quantize find their target rows by key shifts;
+    # the reference moves the quanta in the occupation rows themselves
+    eps = 0.6
+    rng = np.random.default_rng(21)
+    n = basis.n_modes
+    a_mat = rng.standard_normal((n, n))
+    if kind == "complex":
+        a_mat = a_mat + 1j * rng.standard_normal((n, n))
+    elif kind == "diagonal":
+        a_mat = np.diag(np.diag(a_mat))
+    got = second_quantize(basis, a_mat, eps)
+    assert got.dtype == a_mat.dtype
+    # entry for entry the same arithmetic, but the diagonal sums its
+    # terms in another order: a few ulps of entries below 10
+    assert np.abs(got.toarray()
+                  - reference_second_quantize(basis, a_mat, eps)).max() \
+        <= 1e-14
+    if basis.kind == "truncated":
+        for mode in range(n):
+            assert np.array_equal(ladder(basis, mode, eps).toarray(),
+                                  reference_ladder(basis, mode, eps))
 
 
 def test_second_quantize_on_sector_matches_truncated_block():
@@ -243,8 +313,27 @@ def test_interaction_requires_covering_modes():
     params = small_model(grid)
     nb = truncated_basis(grid.n_sites, 1)
     mb = truncated_basis(1, 2, modes=np.array([0]))  # k=0 mode carries no chi
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the basis modes"):
         FactoredHamiltonian(grid, params, 0.5, nb, mb)
+    over_sites = truncated_basis(grid.n_sites, 2)
+    with pytest.raises(ValueError, match="must carry grid mode indices"):
+        FactoredHamiltonian(grid, params, 0.5, nb, over_sites)
+
+
+def test_slot_field_rotates_every_column_of_a_2d_field():
+    # six sites: modes 1 and 5 form a standing pair, 3 (Nyquist) stays a
+    # plane wave; each column is rotated as a 1d field is
+    grid = Grid(6, np.pi)
+    basis = truncated_basis(3, 2, modes=np.array([1, 3, 5]), standing=True)
+    rng = np.random.default_rng(22)
+    fields = np.zeros((grid.n_sites, 4), dtype=complex)
+    fields[basis.modes] = rng.standard_normal((3, 4)) \
+        + 1j * rng.standard_normal((3, 4))
+    quad, got = _slot_field(grid, basis, fields, "field")
+    assert quad == grid.dk and got.shape == (3, 4)
+    for col in range(4):
+        want = _slot_field(grid, basis, fields[:, col], "field")[1]
+        assert np.array_equal(got[:, col], want)
 
 
 # ---------------------------------------------------------------------------
