@@ -53,6 +53,10 @@ class SectorBasisUnsupported(NelsonLabError):
     """
 
 
+class BasisTooLarge(NelsonLabError):
+    """A Fock basis too large to enumerate, or to key in int64."""
+
+
 class TruncationInsufficient(NelsonLabError):
     """A truncated construction misses too much weight.
 

@@ -13,38 +13,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import factorial, lgamma, log, log1p
+from math import comb, factorial, lgamma, log, log1p
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.linalg.blas import get_blas_funcs
-from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv, pdtrc
 
-from .errors import (SectorBasisUnsupported, StepSizeRejected,
-                     TruncationInsufficient)
+from .errors import (BasisTooLarge, SectorBasisUnsupported,
+                     StepSizeRejected, TruncationInsufficient)
 
 
 # ---------------------------------------------------------------------------
 # bases
 
 
-def _sector_occupations(n_modes, total):
-    """All occupation rows with the given exact total, lexicographic."""
-    if n_modes == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    slots = total + n_modes - 1
-    for bars in combinations(range(slots), n_modes - 1):
-        occ = []
-        prev = -1
-        for b in bars:
-            occ.append(b - prev - 1)
-            prev = b
-        occ.append(slots - prev - 1)
-        rows.append(occ)
-    return np.array(rows, dtype=np.int64)
+# the most rows a basis may have: configs/, the benchmark workloads and the
+# planned 16-site runs need at most about 5e4 (54264: 6 nucleons on 16
+# sites), while eps = 1e-3 on 4 sites would need 4.6e6
+MAX_BASIS_ROWS = 1_000_000
+
+
+def _occupations(n_modes, totals):
+    """All occupation rows with the given totals, total by total and
+    lexicographic within each.  Raises BasisTooLarge above MAX_BASIS_ROWS
+    rows, before it enumerates any."""
+    rows = sum(comb(n + n_modes - 1, n_modes - 1) for n in totals)
+    if rows > MAX_BASIS_ROWS:
+        raise BasisTooLarge(f"the basis would have {rows} rows, more than "
+                            f"{MAX_BASIS_ROWS}")
+    occ = []
+    for total in totals:
+        slots = total + n_modes - 1
+        for bars in combinations(range(slots), n_modes - 1):
+            edges = (-1, *bars, slots)
+            occ.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(occ, dtype=np.int64)
 
 
 @dataclass
@@ -79,7 +84,8 @@ class FockBasis:
             raise ValueError("standing waves need grid mode indices")
         base = self.cap + 1
         if base ** self.n_modes >= 2 ** 62:
-            raise ValueError("occupation key space exceeds int64")
+            raise BasisTooLarge(f"{self.n_modes} modes up to {self.cap} "
+                                "quanta have keys beyond int64")
         self._powers = base ** np.arange(self.n_modes, dtype=np.int64)
         self._keys = self.occupations @ self._powers
         self._order = np.argsort(self._keys)
@@ -88,6 +94,27 @@ class FockBasis:
     @property
     def dim(self):
         return self.occupations.shape[0]
+
+    @cached_property
+    def lowering(self):
+        """The pattern of sum_m b_m, found by the key shifts -p_m
+        (`_lookup`): CSR (indptr, indices), each row's sources in column
+        order, with the mode m that each entry lowers and the source
+        occupation n_m, as read-only arrays.  The b_m lower distinct
+        modes, so no two of them share an entry.  Built on first use, once
+        per basis; `annihilator` re-weights it.  A sector basis raises
+        SectorBasisUnsupported, because lowering leaves the sector."""
+        if self.kind == "sector":
+            raise SectorBasisUnsupported(
+                "ladder operators leave a fixed-total sector")
+        mode, src = np.nonzero(self.occupations.T)
+        tgt, _ = self._lookup(self._keys[src] - self._powers[mode])
+        order = np.lexsort((src, tgt))
+        table = (np.searchsorted(tgt[order], np.arange(self.dim + 1)),
+                 src[order], mode[order], self.occupations[src, mode][order])
+        for array in table:
+            array.flags.writeable = False
+        return table
 
     def _lookup(self, keys):
         """Rows of the given keys, and which keys the basis holds."""
@@ -109,7 +136,7 @@ def sector_basis(n_modes, total, modes=None):
     """All states with exactly `total` quanta across `n_modes` modes."""
     if n_modes < 1 or total < 0:
         raise ValueError("need n_modes >= 1 and total >= 0")
-    occ = _sector_occupations(n_modes, total)
+    occ = _occupations(n_modes, [total])
     return FockBasis("sector", n_modes, total, occ,
                      None if modes is None else np.asarray(modes))
 
@@ -118,8 +145,7 @@ def truncated_basis(n_modes, max_total, modes=None, standing=False):
     """All states with at most `max_total` quanta, ordered by total."""
     if n_modes < 1 or max_total < 0:
         raise ValueError("need n_modes >= 1 and max_total >= 0")
-    occ = np.vstack([_sector_occupations(n_modes, n)
-                     for n in range(max_total + 1)])
+    occ = _occupations(n_modes, range(max_total + 1))
     return FockBasis("truncated", n_modes, max_total, occ,
                      None if modes is None else np.asarray(modes), standing)
 
@@ -170,17 +196,24 @@ def occupation_cap(mean, tail_budget, cap_max=10_000):
 # operators
 
 
+def annihilator(basis, f, quad, eps):
+    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m as CSR: the
+    `FockBasis.lowering` table with the weight sqrt(quad) conj(f_m)
+    sqrt(eps n) on each entry, and without the entries of modes where
+    f_m = 0.  Real when f is; it owns all its arrays.  A sector basis
+    raises SectorBasisUnsupported."""
+    indptr, indices, mode, n = basis.lowering
+    weight = (np.sqrt(quad) * np.conj(f))[mode]
+    keep = weight != 0
+    kept = np.concatenate(([0], np.cumsum(keep, dtype=indptr.dtype)))
+    return sp.csr_matrix(
+        (weight[keep] * np.sqrt(eps * n[keep]), indices[keep], kept[indptr]),
+        shape=(basis.dim, basis.dim))
+
+
 def ladder(basis, mode, eps):
-    """Annihilator a_mode with amplitudes sqrt(eps * n), as CSR, hopping
-    by the key shift -p_mode (`FockBasis`)."""
-    if basis.kind == "sector":
-        raise SectorBasisUnsupported(
-            "ladder operators leave a fixed-total sector")
-    n = basis.occupations[:, mode]
-    src = np.flatnonzero(n)
-    tgt, _ = basis._lookup(basis._keys[src] - basis._powers[mode])
-    vals = np.sqrt(eps * n[src])
-    return sp.csr_matrix((vals, (tgt, src)), shape=(basis.dim, basis.dim))
+    """The annihilator a_mode = sqrt(eps) b_mode, real."""
+    return annihilator(basis, np.eye(basis.n_modes)[mode], 1.0, eps)
 
 
 def dgamma_diagonal(basis, values, eps):
@@ -218,50 +251,15 @@ def second_quantize(basis, a_matrix, eps):
         shape=mat.shape)
 
 
-class Ladders(tuple):
-    """The annihilators a_m = sqrt(eps) b_m of every mode of a basis, in
-    mode order (`ladders`).  Their patterns are disjoint, because a_m
-    alone lowers mode m, so their sum has one fixed CSR pattern whose
-    entries each belong to one mode: `union`, built on first use."""
-
-    @cached_property
-    def union(self):
-        """(indptr, indices, amplitudes, mode of each entry) of sum_m a_m.
-        The sums of the ladders and of their indicators times m + 1 merge
-        the same disjoint patterns, so they share one canonical pattern."""
-        amplitudes = sum(self[1:], self[0])
-        labels = sum((m + 1) * (a != 0) for m, a in enumerate(self))
-        return (amplitudes.indptr, amplitudes.indices, amplitudes.data,
-                labels.data - 1)
-
-
-def ladders(basis, eps):
-    """The annihilators a_m of every mode of the basis, as `Ladders`."""
-    return Ladders(ladder(basis, m, eps) for m in range(basis.n_modes))
-
-
-def smeared_annihilator(annihilators, f, quad):
-    """a(f) = sum_m sqrt(quad * eps) conj(f_m) b_m, re-weighting the
-    `Ladders` a_m = sqrt(eps) b_m on their union pattern.  Entries of a
-    mode with f_m = 0 are left out, so the result is the per-mode sum
-    entry for entry, and it owns all its arrays."""
-    indptr, indices, amplitudes, mode = annihilators.union
-    weight = (np.sqrt(quad) * np.conj(np.asarray(f, dtype=complex)))[mode]
-    keep = weight != 0
-    kept = np.concatenate(([0], np.cumsum(keep, dtype=indptr.dtype)))
-    return sp.csr_matrix(
-        (weight[keep] * amplitudes[keep], indices[keep], kept[indptr]),
-        shape=annihilators[0].shape)
-
-
-class ProductOperator(LinearOperator):
+class ProductOperator:
     """sum_a L_a (x) R_a over a nucleon (x) meson product basis of
     `dims` = (dimN, dimM), kept as its factor pairs (L_a, R_a).  A factor
     is None (the identity), a 1d array (a diagonal) or a sparse matrix.
     On the state reshaped to P (dimN x dimM) each pair acts as L P R^T,
-    so applying the operator builds no product-space matrix; nor does
-    propagating with it, which reads its spectral interval from the pairs
-    as well (`_gershgorin_interval`)."""
+    so applying the operator (`@`, to a vector or a block of columns)
+    builds no product-space matrix; nor does propagating with it, which
+    reads its spectral interval from the pairs as well
+    (`_gershgorin_interval`)."""
 
     def __init__(self, terms, dims):
         self.terms = list(terms)
@@ -275,14 +273,15 @@ class ProductOperator(LinearOperator):
         self._nucleon_side = [(left, right) for left, right in self.terms
                               if right is None or right.ndim == 1]
         self._workspace = None  # see _matmat
-        dtype = np.result_type(np.float64, *[
+        self.dtype = np.result_type(np.float64, *[
             f.dtype for pair in self.terms for f in pair if f is not None])
-        dim = self.dims[0] * self.dims[1]
-        super().__init__(dtype, (dim, dim))
+        self.dim = self.dims[0] * self.dims[1]
+        self.shape = (self.dim, self.dim)
 
-    @property
-    def dim(self):
-        return self.shape[0]
+    def __matmul__(self, x):
+        """The product with a vector or with a block of columns."""
+        x = np.asarray(x)
+        return self._matmat(x.reshape(self.dim, -1)).reshape(x.shape)
 
     def _matmat(self, x):
         """All k columns at once: the state as P of shape (dimN, dimM, k),
@@ -328,7 +327,7 @@ class ProductOperator(LinearOperator):
     def toarray(self):
         """Dense matrix, all columns in one block; for small dims and tests.
         The block's dim x dim workspace is not kept."""
-        dense = self.matmat(np.eye(self.shape[0], dtype=self.dtype))
+        dense = self @ np.eye(self.dim, dtype=self.dtype)
         self._workspace = None
         return dense
 
@@ -514,10 +513,11 @@ def _expm_hermitian(h, taus, v):
 def weyl_generator(grid, basis, xi, eps):
     """Anti-Hermitian X with W(xi) = exp(X) on a single Fock factor:
     X = (i/sqrt(2)) (a*(xi) + a(xi)) with the smeared annihilator
-    a(xi) = sum_m sqrt(quad * eps) conj(xi_m) b_m.  A sector basis raises
-    SectorBasisUnsupported, as its ladders do."""
+    a(xi) = sum_m sqrt(quad * eps) conj(xi_m) b_m (`annihilator`).  A
+    sector basis raises SectorBasisUnsupported, as its lowering table
+    does."""
     quad, xi_sel = _slot_field(grid, basis, xi, "argument")
-    a_xi = smeared_annihilator(ladders(basis, eps), xi_sel, quad)
+    a_xi = annihilator(basis, xi_sel, quad, eps)
     return ((1j / np.sqrt(2.0)) * (a_xi.getH() + a_xi)).tocsr()
 
 
@@ -578,7 +578,6 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
     y_matrix = np.asarray(y_matrix, dtype=complex)
     quad, xi_sel = _slot_field(grid, basis, xi, "argument")
     _, eta_sel = _slot_field(grid, basis, eta, "argument")
-    annihilators = ladders(basis, eps)
 
     w_xi = _dense_weyl(grid, basis, xi, eps)
     w_eta = _dense_weyl(grid, basis, eta, eps)
@@ -590,7 +589,7 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
 
     dgam = second_quantize(basis, y_matrix, eps).toarray()
     y_xi = y_matrix @ xi_sel
-    a_yxi = smeared_annihilator(annihilators, y_xi, quad).toarray()
+    a_yxi = annihilator(basis, y_xi, quad, eps).toarray()
     pairing = quad * np.vdot(xi_sel, y_xi)
     rhs = (dgam
            + (1j * eps / np.sqrt(2.0)) * (a_yxi.conj().T - a_yxi)
@@ -600,8 +599,8 @@ def weyl_conjugation_identities(grid, basis, xi, eta, y_matrix, eps,
 
     shift = 1j * eps / np.sqrt(2.0) * np.sqrt(quad)
     worst = 0.0
-    for m, a_m in enumerate(annihilators):
-        a_m = a_m.toarray()
+    for m in range(basis.n_modes):
+        a_m = ladder(basis, m, eps).toarray()
         res = w_xi.conj().T @ a_m @ w_xi - a_m \
             - shift * xi_sel[m] * np.eye(basis.dim)
         worst = max(worst, core_norm(res))

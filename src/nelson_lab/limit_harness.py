@@ -19,7 +19,8 @@ import numpy as np
 from .classical_dynamics import flow
 from .discretization import covered_modes
 from .errors import TruncationInsufficient
-from .fock_space import _slot_field, occupation_cap, truncated_basis
+from .fock_space import (_slot_field, ladder, occupation_cap,
+                         truncated_basis)
 from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
                                coherent_product_state, free_weyl_argument,
                                propagate, weyl_matrix_elements)
@@ -100,14 +101,15 @@ def _moment_errors(ham, vectors, traj):
     read at the basis slots and compared with the slot amplitudes of z2
     (`_slot_field`); the standing-wave rotation is unitary, so the
     distance is that of the plane-wave moments."""
-    grid, dims, mb = ham.grid, ham.dims, ham.meson_basis
-    mode_mats = [op.T.toarray() for op in ham.meson_ladders]
+    grid, dims, nb, mb = ham.grid, ham.dims, ham.nucleon_basis, ham.meson_basis
+    sites = [ladder(nb, j, ham.eps) for j in range(nb.n_modes)]
+    mode_mats = [ladder(mb, p, ham.eps).T.toarray() for p in range(mb.n_modes)]
     z2 = np.array([_slot_field(grid, mb, z, "field")[1] for z in traj.z2])
     q1 = np.zeros((len(vectors), grid.n_sites), dtype=complex)
     q2 = np.zeros((len(vectors), mb.n_modes), dtype=complex)
     for i, vec in enumerate(vectors):
         mat = vec.reshape(dims)
-        for j, op in enumerate(ham.nucleon_ladders):
+        for j, op in enumerate(sites):
             q1[i, j] = np.vdot(mat, op @ mat) / np.sqrt(grid.dx)
         for p, op in enumerate(mode_mats):
             q2[i, p] = np.vdot(mat, mat @ op) / np.sqrt(grid.dk)

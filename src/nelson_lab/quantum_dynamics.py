@@ -12,7 +12,6 @@ with the freely evolved argument xi(s); both are built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,9 +22,9 @@ from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
 from .errors import StepSizeRejected
 from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
-                         _expm_hermitian, _slot_field, coherent_state,
-                         dgamma_diagonal, ladders, second_quantize,
-                         smeared_annihilator, truncated_basis)
+                         _expm_hermitian, _slot_field, annihilator,
+                         coherent_state, dgamma_diagonal, ladder,
+                         second_quantize, truncated_basis)
 
 
 def active_meson_basis(grid, params, cap, *fields):
@@ -50,14 +49,15 @@ def _site_profiles(grid, w, basis):
 class FactoredHamiltonian(ProductOperator):
     """H = dGamma1(h1) (x) I + I (x) diag(eps n.omega) + H_c as a
     `ProductOperator`, and the owner of the nucleon (x) meson space it
-    acts on.  Built once with it: the meson annihilators `meson_ladders`,
-    the coupling weight w = chi/sqrt(omega) (`weight`), the coupled meson
-    slots `slots` with their site profiles `slot_profiles` (rows of
-    `_site_profiles`), and the nucleon profiles `profiles`, rho_p(n) =
+    acts on.  Built once with it: the coupling weight w = chi/sqrt(omega)
+    (`weight`), the coupled meson slots `slots` with their site profiles
+    `slot_profiles` (rows of `_site_profiles`) and their annihilators
+    `slot_ladders` a_p, and the nucleon profiles `profiles`, rho_p(n) =
     sqrt(dk) eps sum_j n_j g_p(x_j), one row per coupled slot.  The
-    nucleon annihilators `nucleon_ladders` are built on first use, so a
-    nucleon sector raises SectorBasisUnsupported only when they are asked
-    for.
+    coupling pairs, `b_operators` and `check_relative_bounds` share the
+    slot ladders.  Every other annihilator re-weights the lowering table
+    of its basis (`annihilator`), so a nucleon sector raises
+    SectorBasisUnsupported only when one is asked for.
 
     The coupling is H_c = sum_p [diag(rho_p) (x) a_p* + diag(conj rho_p)
     (x) a_p].  With rho_p = r_p + i s_p and real ladders it is kept as the
@@ -77,15 +77,14 @@ class FactoredHamiltonian(ProductOperator):
         self.slot_profiles = g[self.slots]
         self.profiles = np.sqrt(grid.dk) * eps * (
             self.slot_profiles @ nucleon_basis.occupations.T)
-        self.meson_ladders = ladders(meson_basis, eps)
+        self.slot_ladders = [ladder(meson_basis, p, eps) for p in self.slots]
         omega = dispersion(grid.k, params.meson_mass)
         self.dg1 = second_quantize(
             nucleon_basis, one_body_hamiltonian(grid, params), eps)
         self.meson_diag = dgamma_diagonal(meson_basis,
                                           omega[meson_basis.modes], eps)
         coupling = []
-        for rho, p in zip(self.profiles, self.slots):
-            a = self.meson_ladders[p]
+        for rho, a in zip(self.profiles, self.slot_ladders):
             coupling.append((rho.real, a + a.T))
             if np.iscomplexobj(rho):
                 coupling.append((1j * rho.imag, a.T - a))
@@ -93,10 +92,6 @@ class FactoredHamiltonian(ProductOperator):
         self.coupling = ProductOperator(coupling, dims)
         super().__init__([(self.dg1, None), (None, self.meson_diag)]
                          + coupling, dims)
-
-    @cached_property
-    def nucleon_ladders(self):
-        return ladders(self.nucleon_basis, self.eps)
 
 
 def coherent_product_state(ham, z1, z2):
@@ -179,8 +174,8 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     beta = 1j / np.sqrt(2.0)
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
     quad2, z2 = _slot_field(ham.grid, mb, xi2, "argument")
-    a1 = smeared_annihilator(ham.nucleon_ladders, z1, quad1)
-    a2 = smeared_annihilator(ham.meson_ladders, z2, quad2)
+    a1 = annihilator(nb, z1, quad1, ham.eps)
+    a2 = annihilator(mb, z2, quad2, ham.eps)
     vectors = [phi, *chis]
     even1, odd1 = _lowering_series(
         beta * a1, np.hstack([v.reshape(dims) for v in vectors]), nb)
@@ -206,30 +201,30 @@ def b_operators(ham, xi1, xi2):
     mu_p = dx sum_j G_p(x_j) |xi1_j|^2, and B2 = -(i/sqrt2) Im sum_p
     zeta_p conj(mu_p).  Slot profiles and amplitudes rotate alike, so
     these hold in plane-wave and standing-wave meson bases alike.  All
-    three are anti-Hermitian; B2 is a purely imaginary scalar.  They
-    re-weight the ladders of `ham`.
+    three are anti-Hermitian; B2 is a purely imaginary scalar.  The pairs
+    with a_p take the `slot_ladders` of `ham`; psi(f) and a(mu) re-weight
+    the lowering tables of its bases (`annihilator`).
     """
-    grid, eps, nb = ham.grid, ham.eps, ham.nucleon_basis
+    grid, eps, nb, mb = ham.grid, ham.eps, ham.nucleon_basis, ham.meson_basis
     xi1 = np.asarray(xi1, dtype=complex)
-    _, zeta = _slot_field(grid, ham.meson_basis, xi2, "argument")
+    _, zeta = _slot_field(grid, mb, xi2, "argument")
     zeta = np.sqrt(grid.dk) * zeta[ham.slots]
     g = np.sqrt(grid.dk) * ham.slot_profiles
     s_plus = zeta @ np.conj(g)
     s_site = s_plus - np.conj(s_plus)
 
     def psi(f):
-        return smeared_annihilator(ham.nucleon_ladders, f, grid.dx)
+        return annihilator(nb, f, grid.dx, eps)
 
     scale = -1.0 / np.sqrt(2.0)
     b0 = [(scale * dgamma_diagonal(nb, s_site, eps), None)]
-    for g_p, p in zip(g, ham.slots):
-        a_p = ham.meson_ladders[p]
+    for g_p, a_p in zip(g, ham.slot_ladders):
         left = scale * (psi(xi1 * g_p).getH() - psi(xi1 * np.conj(g_p)))
         b0 += [(left, a_p.T), (-left.getH(), a_p)]
     # sum_p (mu_p a_p* + conj(mu_p) a_p) = a(mu)* + a(mu)
-    mu = np.zeros(len(ham.meson_ladders), dtype=complex)
+    mu = np.zeros(mb.n_modes, dtype=complex)
     mu[ham.slots] = grid.dx * (g @ np.abs(xi1) ** 2)
-    lower = smeared_annihilator(ham.meson_ladders, mu, 1.0)
+    lower = annihilator(mb, mu, 1.0, eps)
     third = lower.getH() + lower
     field = psi(s_site * xi1)
     b1 = [(-0.5j * (field.getH() + field), None), (None, 0.5j * third)]
@@ -371,10 +366,9 @@ def check_relative_bounds(ham, n_samples=500, seed=0):
     bounded by 1 when the inequality holds.
     """
     grid, eps, profiles = ham.grid, ham.eps, ham.profiles
-    slot_ladders = [ham.meson_ladders[p] for p in ham.slots]
-    creation = ProductOperator(zip(profiles, [a.T for a in slot_ladders]),
-                               ham.dims)
-    annihilation = ProductOperator(zip(profiles.conj(), slot_ladders),
+    creation = ProductOperator(
+        zip(profiles, [a.T for a in ham.slot_ladders]), ham.dims)
+    annihilation = ProductOperator(zip(profiles.conj(), ham.slot_ladders),
                                    ham.dims)
     omega = dispersion(grid.k, ham.params.meson_mass)[ham.meson_basis.modes]
     # dk |f(n)_p|^2 = |rho_p(n)|^2, and omega is even in k, so a

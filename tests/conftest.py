@@ -1,12 +1,13 @@
 """Shared test fixtures."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nelson_lab import fock_space
 from nelson_lab.discretization import ModelParams
-from nelson_lab.fock_space import ProductOperator
+from nelson_lab.fock_space import FockBasis, ProductOperator
 from nelson_lab.quantum_dynamics import FactoredHamiltonian
 
 
@@ -38,13 +39,16 @@ def one_pair():
 
 
 @pytest.fixture
-def ladder_builds(monkeypatch):
-    """(basis, mode, eps) of each `fock_space.ladder` build in the test."""
-    built, original = [], fock_space.ladder
+def lowering_builds(monkeypatch):
+    """The basis of each `FockBasis.lowering` table built, or asked for
+    on a sector, in the test."""
+    built, original = [], FockBasis.lowering.func
 
-    def counted(basis, mode, eps):
-        built.append((basis, mode, eps))
-        return original(basis, mode, eps)
+    def counted(basis):
+        built.append(basis)
+        return original(basis)
 
-    monkeypatch.setattr(fock_space, "ladder", counted)
+    table = cached_property(counted)
+    table.__set_name__(FockBasis, "lowering")
+    monkeypatch.setattr(FockBasis, "lowering", table)
     return built

@@ -65,7 +65,7 @@ THEOREM2_CFG = {
 # scipy subpackages that take most of scipy's import time and that no
 # scenario needs
 UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
-                "scipy.interpolate")
+                "scipy.interpolate", "scipy.sparse.linalg")
 
 
 def child_env():
@@ -150,6 +150,63 @@ def test_run_with_no_fitting_cap_fails_typed(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("run failed: no occupation cap up to 10000 ")
+    assert not (tmp_path / "x").exists()
+
+
+def run_child(argv, churn=False, timeout=60):
+    """`cli.main(argv)` in a fresh python process; with `churn`, the
+    process first allocates and frees about 65 MB of NaN-filled arrays of
+    several sizes, so that its heap holds other free memory than a plain
+    process's."""
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "if sys.argv[1] == 'churn':\n"
+              "    junk = [np.full(1 << b, np.nan) for _ in range(3)\n"
+              "            for b in (10, 13, 16, 19, 21)]\n"
+              "    del junk\n"
+              "from nelson_lab import cli\n"
+              "sys.exit(cli.main(sys.argv[2:]))\n")
+    return subprocess.run(
+        [sys.executable, "-c", script, "churn" if churn else "plain",
+         *argv], capture_output=True, text=True, env=child_env(),
+        timeout=timeout)
+
+
+def test_outputs_do_not_depend_on_the_process(tmp_path):
+    # two fresh processes, one with a churned heap: the same bytes, so no
+    # output reads memory it did not write or state left by earlier calls
+    p = write_cfg(tmp_path, THEOREM1_CFG)
+    outs = [tmp_path / "plain", tmp_path / "churn"]
+    for out in outs:
+        proc = run_child(["run", "theorem1", "--config", str(p),
+                          "--out", str(out), "--seed", "7"],
+                         churn=out.name == "churn")
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(f.name for f in outs[0].iterdir()
+                   if f.name != "manifest.json")
+    assert "summary.json" in names and "char_errors.csv" in names
+    assert names == sorted(f.name for f in outs[1].iterdir()
+                           if f.name != "manifest.json")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("scenario, changes", [
+    ("theorem1", {"scenario": {"eps_values": [1e-3], "track_eps": 1e-3}}),
+    ("theorem2", {"grid": {"n_sites": 64},
+                  "scenario": {"n_values": [1], "meson_cap": 1}})],
+    ids=["nucleon-cap-100", "64-sites"])
+def test_basis_too_large_fails_fast(tmp_path, scenario, changes):
+    # eps = 1e-3 asks for a nucleon cap of 100 on 4 sites, 4598126 rows;
+    # 64 sites give occupation keys beyond int64 already at one nucleon
+    data = json.loads((CONFIGS[0].parent / f"{scenario}.json").read_text())
+    for block, entries in changes.items():
+        data[block].update(entries)
+    p = write_cfg(tmp_path, data)
+    proc = run_child(["run", scenario, "--config", str(p),
+                      "--out", str(tmp_path / "x")], timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("run failed: ")
     assert not (tmp_path / "x").exists()
 
 
@@ -396,7 +453,7 @@ def test_run_leaves_unused_scipy_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0"
-    assert "scipy.sparse.linalg" in modules
+    assert "scipy.sparse" in modules
     loaded = [m for m in modules
               if any(m == name or m.startswith(name + ".")
                      for name in UNUSED_SCIPY)]

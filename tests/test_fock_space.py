@@ -17,10 +17,9 @@ from nelson_lab.errors import (
     TruncationInsufficient)
 from nelson_lab.fock_space import (
     FockBasis, ProductOperator, _expm_hermitian, _gershgorin_interval,
-    _slot_field, coherent_state, dgamma_diagonal, ladder, ladders,
+    _slot_field, annihilator, coherent_state, dgamma_diagonal, ladder,
     occupation_cap, resolvent_bound_ratio, second_quantize, sector_basis,
-    smeared_annihilator, truncated_basis, weyl_conjugation_identities,
-    weyl_generator)
+    truncated_basis, weyl_conjugation_identities, weyl_generator)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
                                          active_meson_basis,
                                          check_relative_bounds,
@@ -557,12 +556,12 @@ def test_relative_bounds_hold_on_random_states():
     assert max(out.values()) >= 1e-3
 
 
-def test_smeared_annihilator_matches_ladder_sum():
+def test_annihilator_matches_ladder_sum():
     grid = Grid(4, np.pi)
     eps = 0.5
     basis = truncated_basis(2, 3, modes=np.array([1, 3]))
     f = np.array([0.5 - 0.1j, 0.2j])
-    got = smeared_annihilator(ladders(basis, eps), f, grid.dk).toarray()
+    got = annihilator(basis, f, grid.dk, eps).toarray()
     want = np.zeros((basis.dim, basis.dim), dtype=complex)
     for m in range(2):
         want += np.sqrt(grid.dk) * np.conj(f[m]) * ladder(basis, m,
@@ -570,35 +569,54 @@ def test_smeared_annihilator_matches_ladder_sum():
     assert np.allclose(got, want)
 
 
-def per_mode_sum(annihilators, f, quad):
+def per_mode_sum(basis, f, quad, eps):
     """a(f) by adding the weighted ladders of the modes with f_m != 0."""
-    out = sp.csr_matrix(annihilators[0].shape, dtype=complex)
-    for f_m, a_m in zip(f, annihilators):
+    out = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for m, f_m in enumerate(f):
         if f_m != 0:
-            out = out + np.sqrt(quad) * np.conj(f_m) * a_m
+            out = out + np.sqrt(quad) * np.conj(f_m) * ladder(basis, m, eps)
     return out
 
 
 @pytest.mark.parametrize("frame", ["plane", "standing", "sites"])
-def test_smeared_annihilator_is_the_per_mode_sum_exactly(frame):
+def test_annihilator_is_the_per_mode_sum_exactly(frame):
     # six sites: modes 1 and 5 form a standing pair, 3 (Nyquist) stays a
     # plane wave; the middle weight is zero
     basis = (truncated_basis(3, 4) if frame == "sites" else
              truncated_basis(3, 4, modes=np.array([1, 3, 5]),
                              standing=frame == "standing"))
-    annihilators = ladders(basis, 0.3)
     f = np.array([0.4 - 0.2j, 0.0, 0.3j])
-    got = smeared_annihilator(annihilators, f, 0.7)
-    want = per_mode_sum(annihilators, f, 0.7)
+    got = annihilator(basis, f, 0.7, 0.3)
+    want = per_mode_sum(basis, f, 0.7, 0.3)
     assert got.nnz == want.nnz > 0
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     # a caller may change its result in place without touching the next
     got.data[:] = 0.0
     got.eliminate_zeros()
-    again = smeared_annihilator(annihilators, f, 0.7)
+    again = annihilator(basis, f, 0.7, 0.3)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(again, name), getattr(want, name))
+
+
+def test_lowering_table_is_built_once_and_read_only():
+    basis = truncated_basis(3, 4)
+    table = basis.lowering
+    assert basis.lowering is table
+    indptr, indices, mode, n = table
+    # one entry per quantum that can be removed, with its source
+    # occupation, in canonical CSR order
+    assert indptr[-1] == np.count_nonzero(basis.occupations)
+    assert np.array_equal(n, basis.occupations[indices, mode])
+    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                            shape=(basis.dim, basis.dim))
+    assert pattern.has_canonical_format
+    for array in table:
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    assert annihilator(basis, [1.0, 2.0, 3.0], 1.0, 0.5).dtype == float
+    with pytest.raises(SectorBasisUnsupported):
+        annihilator(sector_basis(3, 2), [1.0, 0.0, 0.0], 1.0, 0.5)
 
 
 def test_resolvent_bound_ratio_below_one():

@@ -184,14 +184,14 @@ def test_coherent_upper_bound_dominates_ground_energy():
         assert np.vdot(phi, ham @ phi).real >= e_q - 1e-10
 
 
-def test_sector_solves_build_no_nucleon_ladder(ladder_builds):
-    # Theorem 2 reads only the Hamiltonian of each sector, which builds its
-    # nucleon ladders, impossible on a sector, only when asked for them
+def test_sector_solves_build_no_nucleon_ladder(lowering_builds):
+    # Theorem 2 reads only the Hamiltonian of each sector, which asks for
+    # no lowering table of its nucleon sector, where none exists
     grid, params = harmonic_system(0.5)
     theorem2_sweep(grid, params, [1, 2], meson_cap=3)
-    # two meson ladders for each of the three solves, cap-shift included
-    assert [basis.modes is None for basis, _, _ in ladder_builds] == \
-        [False] * 6
+    # one meson table for each of the three solves, cap-shift included
+    assert [basis.kind for basis in lowering_builds] == ["truncated"] * 3
+    assert all(basis.modes is not None for basis in lowering_builds)
 
 
 def test_theorem2_sweep_validates_input():

@@ -111,17 +111,17 @@ def test_panel_and_input_validation():
         theorem1_sweep(grid, params, z0, [0.2], [-0.5])
 
 
-def test_sweep_builds_each_ladder_once(ladder_builds):
-    # the Hamiltonian of each rung owns its ladders: its coupling, the
-    # moments and every Weyl value re-weight them, and none is rebuilt
+def test_sweep_builds_each_lowering_table_once(lowering_builds):
+    # each basis of a rung builds its lowering table once: the coupling,
+    # the moments and every Weyl value of the rung re-weight it
     grid, params, z0, modes = limit_system()
     eps_values = (0.4, 0.2)
     theorem1_sweep(grid, params, z0, eps_values, [0.25])
-    built = Counter((eps, basis.modes is None, mode)
-                    for basis, mode, eps in ladder_builds)
-    assert built == Counter(
-        [(eps, True, j) for eps in eps_values for j in range(grid.n_sites)]
-        + [(eps, False, p) for eps in eps_values for p in range(modes.size)])
+    assert len({id(basis) for basis in lowering_builds}) == \
+        len(lowering_builds) == 2 * len(eps_values)
+    assert Counter((basis.n_modes, basis.modes is None)
+                   for basis in lowering_builds) == Counter(
+        {(grid.n_sites, True): 2, (modes.size, False): 2})
 
 
 def test_t1_hamiltonian_is_real():

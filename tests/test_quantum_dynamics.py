@@ -15,8 +15,8 @@ from nelson_lab.discretization import (
 from nelson_lab import fock_space, quantum_dynamics
 from nelson_lab.errors import SectorBasisUnsupported, StepSizeRejected
 from nelson_lab.fock_space import (
-    ProductOperator, coherent_state, ladders, sector_basis,
-    smeared_annihilator, truncated_basis, weyl_generator)
+    ProductOperator, annihilator, coherent_state, sector_basis,
+    truncated_basis, weyl_generator)
 from nelson_lab.limit_harness import default_xi_panel, theorem1_sweep
 from nelson_lab.quantum_dynamics import (
     FactoredHamiltonian, active_meson_basis, b_expansion_residual,
@@ -424,8 +424,7 @@ def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     nb = truncated_basis(grid.n_sites, 6)
     rng = np.random.default_rng(21)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    op = (1j / np.sqrt(2.0)) * smeared_annihilator(ladders(nb, 0.1), f,
-                                                   grid.dx)
+    op = (1j / np.sqrt(2.0)) * annihilator(nb, f, grid.dx, 0.1)
     block = (rng.standard_normal((nb.dim, 3))
              + 1j * rng.standard_normal((nb.dim, 3)))
     parts = quantum_dynamics._lowering_series(op, block, nb)
@@ -473,8 +472,8 @@ def test_weyl_matrix_elements_build_no_product_matrix(monkeypatch):
 
 
 def test_weyl_matrix_elements_reject_a_sector_basis():
-    # a nucleon sector raises when its ladders are asked for, a meson
-    # sector already when the Hamiltonian builds its ladders
+    # a nucleon sector raises when its lowering table is asked for, a
+    # meson sector already when the Hamiltonian builds its slot ladders
     grid, params, nb, mb, _ = tiny_system(caps=(2, 2))
     xi1 = np.array([0.3, 0.2j])
     xi2 = np.zeros(2, dtype=complex)
