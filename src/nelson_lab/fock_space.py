@@ -33,6 +33,12 @@ from .errors import (BasisTooLarge, SectorBasisUnsupported,
 # planned 16-site runs need at most about 5e4 (54264: 6 nucleons on 16
 # sites), while eps = 1e-3 on 4 sites would need 4.6e6
 MAX_BASIS_ROWS = 1_000_000
+# the most states a nucleon (x) meson product space may have: above the
+# 482790 that configs/, the benchmark workloads and the planned larger
+# runs need and the 2106000 an acceptance test applies H on, while
+# eps = 2e-3 on configs/theorem1.json, whose two factors each pass
+# MAX_BASIS_ROWS, gives 557845 x 325 = 1.8e8, 2.9 GB a complex vector
+MAX_PRODUCT_STATES = 4_000_000
 
 
 def _occupations(n_modes, totals):
@@ -272,6 +278,15 @@ class ProductOperator:
                             if right is not None and right.ndim == 2]
         self._nucleon_side = [(left, right) for left, right in self.terms
                               if right is None or right.ndim == 1]
+        # beside meson-side pairs, the pairs I (x) diag(R) start their sum
+        self._meson_diagonal = None
+        diagonals = [right for left, right in self._nucleon_side
+                     if left is None and right is not None]
+        if self._meson_side and diagonals:
+            self._meson_diagonal = sum(diagonals[1:], diagonals[0])
+            self._nucleon_side = [(left, right)
+                                  for left, right in self._nucleon_side
+                                  if left is not None or right is None]
         self._workspace = None  # see _matmat
         self.dtype = np.result_type(np.float64, *[
             f.dtype for pair in self.terms for f in pair if f is not None])
@@ -286,42 +301,66 @@ class ProductOperator:
     def _matmat(self, x):
         """All k columns at once: the state as P of shape (dimN, dimM, k),
         the meson-side pairs summed over its copy of shape (dimM, dimN, k)
-        and added back transposed.  The copy and the sum stay in
-        `_workspace` for the next product of the same k and dtype, and
-        one other state-sized temporary is alive at a time, so that a run
-        of products reuses its memory instead of having the allocator
-        hand it back and fault it in again; the result is a fresh array."""
+        and added back transposed.  The first term is the result, cast to
+        its dtype, and each later one is added into it; the meson-major
+        sum starts from the pairs I (x) diag(R), else from the first
+        meson-side pair.  The copy and the sum stay in `_workspace` for
+        the next product of the same k and dtype, and one other
+        state-sized temporary is alive at a time, so that a run of
+        products reuses its memory instead of having the allocator hand
+        it back and fault it in again; the result is a fresh array."""
         (dim_n, dim_m), k = self.dims, x.shape[1]
         state = x.reshape(dim_n, dim_m, k)
-        out = np.zeros(state.shape, np.result_type(self.dtype, x.dtype))
+        dtype = np.result_type(self.dtype, x.dtype)
+        out = None
+
+        def add(term, copy=False):
+            nonlocal out
+            if out is None:
+                out = term.astype(dtype, order="C", copy=copy)
+            else:
+                out += term
+
         for left, right in self._nucleon_side:
             term = state if right is None else state * right[:, None]
             if left is not None:
                 term = (left[:, None, None] * term if left.ndim == 1
                         else (left @ term.reshape(dim_n, -1)).reshape(
                             state.shape))
-            out += term
+            add(term, copy=term is state)
             del term
-        if not self._meson_side:
-            return out.reshape(x.shape)
-        shape, work = (dim_m, dim_n, k), self._workspace
-        if work is None or work.shape[1:] != shape or work.dtype != out.dtype:
-            work = self._workspace = np.empty((2,) + shape, out.dtype)
-        # of the result's dtype, so that each term can be scaled in place
-        meson_major, far = work
-        meson_major[...] = state.transpose(1, 0, 2)
-        far.fill(0.0)
-        for left, right in self._meson_side:
-            term = (right @ meson_major.reshape(dim_m, -1)).reshape(shape)
-            if left is None or left.ndim == 1:
-                if left is not None:
-                    term *= left[:, None]
-                far += term
-            else:
-                out += (left @ term.transpose(1, 0, 2).reshape(dim_n, -1)
-                        ).reshape(out.shape)
-            del term
-        out += far.transpose(1, 0, 2)
+        if self._meson_side:
+            shape, work = (dim_m, dim_n, k), self._workspace
+            if work is None or work.shape[1:] != shape or work.dtype != dtype:
+                work = self._workspace = np.empty((2,) + shape, dtype)
+            # of the result's dtype, so that each term can be scaled in place
+            meson_major, far = work
+            meson_major[...] = state.transpose(1, 0, 2)
+            started = self._meson_diagonal is not None
+            if started:
+                np.multiply(self._meson_diagonal[:, None, None], meson_major,
+                            out=far)
+            for left, right in self._meson_side:
+                term = (right @ meson_major.reshape(dim_m, -1)).reshape(shape)
+                if left is not None and left.ndim == 2:
+                    add((left @ term.transpose(1, 0, 2).reshape(dim_n, -1)
+                         ).reshape(state.shape))
+                elif not started:
+                    if left is None:
+                        far[...] = term
+                    else:
+                        np.multiply(term, left[:, None], out=far)
+                    started = True
+                else:
+                    if left is not None:
+                        term *= left[:, None]
+                    far += term
+                del term
+            if started:
+                # far is the workspace: the result may not be a view of it
+                add(far.transpose(1, 0, 2), copy=True)
+        if out is None:
+            out = np.zeros(state.shape, dtype)
         return out.reshape(x.shape)
 
     def toarray(self):
@@ -420,26 +459,44 @@ def _chebyshev_length(radius):
         k += 1
 
 
-def _chebyshev_sums(h, v, center, half, coeffs, planes, parities):
-    """Add sum_k f_k coeffs[j, k] T_k(X) v, X = (h - center)/half, into
-    planes[p, j] for each row j of `coeffs`, (f_k, p) = parities[k % 2].
-    T_k(X) v runs the three-term recurrence with the shift and scale
-    applied to the vectors, so no second matrix is built, and each
-    T_k(X) v serves every row."""
+def _scaled_shifted(op, scale, shift):
+    """scale (op - shift) as a `ProductOperator` over the factor pairs of
+    op: one factor of each pair scaled, and the shift taken into the
+    first pair I (x) diag(R), or into such a pair appended when op has
+    none, so that a product with it costs what one with op does."""
+    terms, shifted = [], False
+    for left, right in op.terms:
+        if left is None and right is None:
+            right = np.ones(op.dims[1])
+        if left is None and right.ndim == 1 and not shifted:
+            right, shifted = scale * (right - shift), True
+        elif left is not None:
+            left = scale * left
+        else:
+            right = scale * right
+        terms.append((left, right))
+    if not shifted:
+        terms.append((None, np.full(op.dims[1], -scale * shift)))
+    return ProductOperator(terms, op.dims)
+
+
+def _chebyshev_sums(x2, v, coeffs, planes, parities):
+    """Add sum_k f_k coeffs[j, k] T_k(X) v into planes[p, j] for each row
+    j of `coeffs`, (f_k, p) = parities[k % 2], with x2 = 2X.  T_k(X) v
+    runs the three-term recurrence T_1 = x2 T_0 / 2, T_{k+1} = x2 T_k -
+    T_{k-1}: one product and one vector pass a term, and each T_k(X) v
+    serves every row."""
     # y += a x and x *= a by BLAS on flat views: every array here is
     # contiguous and of the dtype of v, so BLAS writes through the view
     axpy, scal = get_blas_funcs(("axpy", "scal"), (v,))
     prev, cur = None, v
     for k in range(coeffs.shape[1]):
         if k > 0:
-            nxt = h @ cur
-            flat = nxt.reshape(-1)
-            axpy(cur.reshape(-1), flat, a=-center)
-            if prev is None:  # T_1 = X T_0
-                scal(1.0 / half, flat)
-            else:  # T_{k+1} = 2 X T_k - T_{k-1}
-                scal(2.0 / half, flat)
-                axpy(prev.reshape(-1), flat, a=-1.0)
+            nxt = x2 @ cur
+            if prev is None:
+                scal(0.5, nxt.reshape(-1))
+            else:
+                axpy(prev.reshape(-1), nxt.reshape(-1), a=-1.0)
             prev, cur = cur, nxt
         factor, plane = parities[k % 2]
         for j in np.nonzero(coeffs[:, k])[0]:
@@ -459,14 +516,17 @@ def _expm_hermitian(h, taus, v):
                         J_k(tau d) T_k(X),
 
     each tau cut after its own `_chebyshev_length(|tau| d)` terms, and
-    one recurrence serves all taus.  As (-i)^k is (-1)^{k//2} for even k
-    and -i (-1)^{k//2} for odd k, the sum is E - i O, with real
-    coefficients in the even part E and the odd part O.  A real h runs
-    in real arithmetic, on the real and the imaginary part of v in turn.
-    A tau of zero, or a zero-width interval, gives the phase alone.  The
-    bound holds only for a Hermitian h: a non-finite interval, or a
-    result that is not finite or whose norm differs from that of v by
-    more than _NORM_TOLERANCE relative, raises StepSizeRejected."""
+    one recurrence serves all taus.  It runs on 2X = (2/d)(h - c), built
+    once from the pairs of h (`_scaled_shifted`), so that no term pays
+    for the shift and scale.  As (-i)^k is (-1)^{k//2} for even k and
+    -i (-1)^{k//2} for odd k, the sum is E - i O, with real coefficients
+    in the even part E and the odd part O.  A real h runs in real
+    arithmetic, on the real and the imaginary part of v in turn.  A tau
+    of zero, or a zero-width interval, gives the phase alone, and no 2X
+    is built.  The bound holds only for a Hermitian h: a non-finite
+    interval, or a result that is not finite or whose norm differs from
+    that of v by more than _NORM_TOLERANCE relative, raises
+    StepSizeRejected."""
     v = np.asarray(v, dtype=complex)
     taus = np.asarray(taus, dtype=float)
     lo, hi = _gershgorin_interval(h)
@@ -481,10 +541,10 @@ def _expm_hermitian(h, taus, v):
     coeffs = np.where(k < lengths[:, None],
                       (-1.0) ** (k // 2) * jv(k, (taus * half)[:, None]), 0.0)
     coeffs[:, 1:] *= 2.0
+    x2 = _scaled_shifted(h, 2.0 / half, center) if k.size > 1 else None
     if np.iscomplexobj(h):
         planes = np.zeros((1, len(taus), v.size), dtype=complex)
-        _chebyshev_sums(h, v, center, half, coeffs, planes,
-                        ((1.0, 0), (-1j, 0)))
+        _chebyshev_sums(x2, v, coeffs, planes, ((1.0, 0), (-1j, 0)))
         out = planes[0]
     else:
         # (E - i O)(v_re + i v_im) = (E v_re + O v_im) + i (E v_im - O v_re),
@@ -492,8 +552,8 @@ def _expm_hermitian(h, taus, v):
         planes = np.zeros((2, len(taus), v.size))
         for part, parities in ((v.real, ((1.0, 0), (-1.0, 1))),
                                (v.imag, ((1.0, 1), (1.0, 0)))):
-            _chebyshev_sums(h, np.ascontiguousarray(part), center, half,
-                            coeffs, planes, parities)
+            _chebyshev_sums(x2, np.ascontiguousarray(part), coeffs, planes,
+                            parities)
         out = np.empty(planes.shape[1:], dtype=complex)
         out.real, out.imag = planes
     out *= np.exp(-1j * taus * center)[:, None]

@@ -20,11 +20,12 @@ from scipy.linalg import expm
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
-from .errors import StepSizeRejected
-from .fock_space import (ProductOperator, _core_projector, _dense_weyl,
-                         _expm_hermitian, _slot_field, annihilator,
-                         coherent_state, dgamma_diagonal, ladder,
-                         second_quantize, truncated_basis)
+from .errors import BasisTooLarge, StepSizeRejected
+from .fock_space import (MAX_PRODUCT_STATES, ProductOperator,
+                         _core_projector, _dense_weyl, _expm_hermitian,
+                         _slot_field, annihilator, coherent_state,
+                         dgamma_diagonal, ladder, second_quantize,
+                         truncated_basis)
 
 
 def active_meson_basis(grid, params, cap, *fields):
@@ -64,9 +65,17 @@ class FactoredHamiltonian(ProductOperator):
     pairs (r_p, a_p + a_p^T) and, for complex profiles, (i s_p, a_p^T -
     a_p); `coupling` is H_c alone.  The profiles are real when the slot
     profiles are, so the dtype is real in a standing-wave meson basis for
-    a coupling even in k."""
+    a coupling even in k.  A product space of more than
+    MAX_PRODUCT_STATES states raises BasisTooLarge before any of it is
+    built."""
 
     def __init__(self, grid, params, eps, nucleon_basis, meson_basis):
+        states = nucleon_basis.dim * meson_basis.dim
+        if states > MAX_PRODUCT_STATES:
+            raise BasisTooLarge(
+                f"the product space would have {nucleon_basis.dim} x "
+                f"{meson_basis.dim} = {states} states, more than "
+                f"{MAX_PRODUCT_STATES}")
         self.grid, self.params, self.eps = grid, params, eps
         self.nucleon_basis, self.meson_basis = nucleon_basis, meson_basis
         if meson_basis.modes is None:
@@ -92,6 +101,7 @@ class FactoredHamiltonian(ProductOperator):
         self.coupling = ProductOperator(coupling, dims)
         super().__init__([(self.dg1, None), (None, self.meson_diag)]
                          + coupling, dims)
+        self.weyl_workspace = None  # see weyl_matrix_elements
 
 
 def coherent_product_state(ham, z1, z2):
@@ -126,7 +136,7 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def _lowering_series(op, block, basis):
+def _lowering_series(op, block, basis, parts=None):
     """Even and odd parts of exp(op) block = sum_k op^k block / k! for an
     op that lowers the occupation total of a truncated `basis` by one, so
     that op^k = 0 for k > cap; the sum also ends at a vanishing term.  The
@@ -134,11 +144,16 @@ def _lowering_series(op, block, basis):
     of total at most cap - k, and each term is built and added there.  A
     sparse op is read there from the leading entries of its CSR arrays,
     without scipy's slicing: those rows reach only columns of total at
-    most cap - k + 1, the rows of term k - 1."""
+    most cap - k + 1, the rows of term k - 1.  The parts are written,
+    whole, into `parts`, a complex array of shape (2,) + block.shape
+    (a fresh one when None), and returned."""
     cap = basis.cap
     ends = np.searchsorted(basis.occupations.sum(axis=1), np.arange(cap),
                            side="right")
-    parts = [block.astype(complex), np.zeros(block.shape, dtype=complex)]
+    if parts is None:
+        parts = np.empty((2,) + block.shape, dtype=complex)
+    parts[0][...] = block
+    parts[1].fill(0.0)
     term = block
     for k in range(1, cap + 1):
         rows = ends[cap - k]
@@ -168,8 +183,10 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     whose even and odd parts E1, O1 give both signs, and the meson series
     E2, O2 on the identity.  The value is then the contraction of the
     small Gram matrices (E1 - O1)_phi^H (E1 + O1), dimM x (vectors x
-    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  A nucleon sector
-    raises SectorBasisUnsupported."""
+    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  E1 and O1 are
+    written into the workspace `ham.weyl_workspace`, kept for the next
+    call with as many vectors, so that a run of calls reuses its memory.
+    A nucleon sector raises SectorBasisUnsupported."""
     nb, mb, dims = ham.nucleon_basis, ham.meson_basis, ham.dims
     beta = 1j / np.sqrt(2.0)
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
@@ -177,11 +194,16 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     a1 = annihilator(nb, z1, quad1, ham.eps)
     a2 = annihilator(mb, z2, quad2, ham.eps)
     vectors = [phi, *chis]
-    even1, odd1 = _lowering_series(
-        beta * a1, np.hstack([v.reshape(dims) for v in vectors]), nb)
+    block = (phi.reshape(dims) if len(vectors) == 1
+             else np.hstack([v.reshape(dims) for v in vectors]))
+    parts = ham.weyl_workspace
+    if parts is None or parts.shape[1:] != block.shape:
+        parts = ham.weyl_workspace = np.empty((2,) + block.shape, complex)
+    even1, odd1 = _lowering_series(beta * a1, block, nb, parts)
     even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]), mb)
-    gram1 = ((even1[:, :dims[1]] - odd1[:, :dims[1]]).conj().T
-             @ (even1 + odd1)).reshape(dims[1], len(vectors), dims[1])
+    lhs = (even1[:, :dims[1]] - odd1[:, :dims[1]]).conj().T
+    even1 += odd1  # E1 + O1, in place
+    gram1 = (lhs @ even1).reshape(dims[1], len(vectors), dims[1])
     gram2 = (even2 - odd2).conj().T @ (even2 + odd2)
     norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
     return np.exp(-ham.eps * norm_sq / 4.0) * np.einsum(

@@ -172,19 +172,25 @@ def run_child(argv, churn=False, timeout=60):
         timeout=timeout)
 
 
-def test_outputs_do_not_depend_on_the_process(tmp_path):
+@pytest.mark.parametrize("cfg, table", [
+    (DUHAMEL_CFG, "contributions.csv"),
+    (THEOREM1_CFG, "char_errors.csv"),
+    (THEOREM2_CFG, "sector_energies.csv"),
+], ids=["duhamel", "theorem1", "theorem2"])
+def test_outputs_do_not_depend_on_the_process(tmp_path, cfg, table):
     # two fresh processes, one with a churned heap: the same bytes, so no
     # output reads memory it did not write or state left by earlier calls
-    p = write_cfg(tmp_path, THEOREM1_CFG)
+    p = write_cfg(tmp_path, cfg)
+    scenario = cfg["scenario"]["name"]
     outs = [tmp_path / "plain", tmp_path / "churn"]
     for out in outs:
-        proc = run_child(["run", "theorem1", "--config", str(p),
+        proc = run_child(["run", scenario, "--config", str(p),
                           "--out", str(out), "--seed", "7"],
                          churn=out.name == "churn")
         assert proc.returncode == 0, proc.stderr
     names = sorted(f.name for f in outs[0].iterdir()
                    if f.name != "manifest.json")
-    assert "summary.json" in names and "char_errors.csv" in names
+    assert "summary.json" in names and table in names
     assert names == sorted(f.name for f in outs[1].iterdir()
                            if f.name != "manifest.json")
     for name in names:
@@ -193,12 +199,15 @@ def test_outputs_do_not_depend_on_the_process(tmp_path):
 
 @pytest.mark.parametrize("scenario, changes", [
     ("theorem1", {"scenario": {"eps_values": [1e-3], "track_eps": 1e-3}}),
+    ("theorem1", {"scenario": {"eps_values": [2e-3], "track_eps": 2e-3}}),
     ("theorem2", {"grid": {"n_sites": 64},
                   "scenario": {"n_values": [1], "meson_cap": 1}})],
-    ids=["nucleon-cap-100", "64-sites"])
+    ids=["nucleon-cap-100", "product-space", "64-sites"])
 def test_basis_too_large_fails_fast(tmp_path, scenario, changes):
     # eps = 1e-3 asks for a nucleon cap of 100 on 4 sites, 4598126 rows;
-    # 64 sites give occupation keys beyond int64 already at one nucleon
+    # eps = 2e-3 for 557845 nucleon and 325 meson rows, each under the row
+    # guard, but 1.8e8 product states, 2.9 GB a complex vector; 64 sites
+    # give occupation keys beyond int64 already at one nucleon
     data = json.loads((CONFIGS[0].parent / f"{scenario}.json").read_text())
     for block, entries in changes.items():
         data[block].update(entries)

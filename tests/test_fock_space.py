@@ -260,14 +260,19 @@ def mixed_product_operator(complex_diagonal):
     diag_m = rng.standard_normal(3)
     terms = [(left, right), (None, right.T), (left, None), (diag_n, right),
              (left, diag_m), (diag_n, None), (None, None)]
+    return pair_operator(terms, dims)
 
+
+def pair_operator(terms, dims):
+    """The `ProductOperator` of the given pairs and its dense matrix from
+    np.kron."""
     def dense(factor, n):
         if factor is None:
             return np.eye(n)
         return np.diag(factor) if factor.ndim == 1 else factor.toarray()
 
-    want = sum(np.kron(dense(a, dims[0]), dense(b, dims[1]))
-               for a, b in terms)
+    want = sum((np.kron(dense(a, dims[0]), dense(b, dims[1]))
+                for a, b in terms), np.zeros((dims[0] * dims[1],) * 2))
     return ProductOperator(terms, dims), want
 
 
@@ -305,6 +310,81 @@ def test_product_operator_reuses_its_workspace(complex_diagonal):
     again = [op @ x for x in reversed(inputs)]
     for got, first in zip(reversed(again), results):
         assert np.array_equal(got, first)
+
+
+def sum_cases():
+    """Pair lists over (5, 3) whose products start their sums from each
+    kind of pair: the meson diagonals, a meson-side pair with a diagonal
+    or a matrix on the left, the identity, and a real term ahead of a
+    complex one; and a meson-side pair over (1, 3), where the transposed
+    meson-major sum is itself C-contiguous."""
+    rng = np.random.default_rng(14)
+    left = sp.random(5, 5, density=0.5, random_state=3, format="csr")
+    right = sp.random(3, 3, density=0.6, random_state=4, format="csr")
+    diag_n, diag_m, diag_m2 = (rng.standard_normal(n) for n in (5, 3, 3))
+    cdiag_n = diag_n + 1j * rng.standard_normal(5)
+    cases = {
+        "meson-diagonal": [(None, diag_m), (left, right), (diag_n, right),
+                           (left, None)],
+        "two-meson-diagonals": [(None, diag_m), (diag_n, right),
+                                (None, diag_m2)],
+        "meson-side-only": [(diag_n, right), (None, right.T)],
+        "matrix-pair-only": [(left, right)],
+        "identity-first": [(None, None), (left, diag_m)],
+        "real-then-complex": [(left, None), (cdiag_n, None),
+                              (None, diag_m)],
+        "real-then-complex-meson": [(left, None), (cdiag_n, right),
+                                    (None, diag_m)],
+    }
+    cases = {name: (terms, (5, 3)) for name, terms in cases.items()}
+    cases["one-nucleon-state"] = ([(np.array([2.0]), right)], (1, 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(sum_cases()))
+def test_product_operator_starts_its_sums_from_any_pair(case):
+    # the first term is the result and no zero-filled array is added to;
+    # whichever pair comes first, the result has the operator's dtype,
+    # leaves the input alone and is no view of the workspace
+    op, want = pair_operator(*sum_cases()[case])
+    rng = np.random.default_rng(15)
+    for shape in ((op.dim,), (op.dim, 2)):
+        real = rng.standard_normal(shape)
+        for x in (real, real + 1j * rng.standard_normal(shape)):
+            kept = x.copy()
+            got = op @ x
+            assert np.array_equal(x, kept)
+            assert got.dtype == np.result_type(op.dtype, x.dtype)
+            assert np.linalg.norm(got - want @ x) <= 1e-13 * np.linalg.norm(x)
+            first = got.copy()
+            op @ (2.0 * x)
+            assert np.array_equal(got, first)
+            if op._workspace is not None:
+                assert not np.shares_memory(got, op._workspace)
+
+
+@pytest.mark.parametrize("build", ["mixed", "hamiltonian"])
+def test_product_operator_ignores_what_its_workspace_held(build):
+    # a product overwrites the workspace before it reads it: one filled
+    # with NaN gives the bits of a fresh operator
+    def fresh():
+        if build == "mixed":
+            terms = [(None, np.arange(3.0))] + list(
+                mixed_product_operator(True)[0].terms)
+            return ProductOperator(terms, (5, 3))
+        grid = Grid(4, np.pi)
+        params = small_model(grid)
+        return FactoredHamiltonian(grid, params, 0.4, truncated_basis(4, 2),
+                                   active_meson_basis(grid, params, 3))
+
+    op = fresh()
+    rng = np.random.default_rng(16)
+    for shape in ((op.dim,), (op.dim, 3)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = fresh() @ x
+        op @ x
+        op._workspace.fill(np.nan)
+        assert np.array_equal(op @ x, want)
 
 
 def test_interaction_requires_covering_modes():
@@ -715,6 +795,77 @@ def test_chebyshev_propagator_runs_a_real_generator_in_real_arithmetic(
         assert np.linalg.norm(g - expm(-1j * tau * h) @ v) \
             <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(g - c) <= 1e-13 * np.linalg.norm(v)
+
+
+def hermitian_generator(kind, complex_entries, one_pair):
+    """A Hermitian `ProductOperator` and its dense matrix: `one_pair` of
+    a dense matrix, or pairs over (6, 4) of Hermitian factors of every
+    kind, with or without the meson diagonal I (x) diag(R)."""
+    rng = np.random.default_rng(43 + complex_entries)
+    if kind == "one-pair":
+        h = random_hermitian(rng, 12, complex_entries) + 2.0 * np.eye(12)
+        return one_pair(h), h
+
+    def factor(n):  # sparse: the tridiagonal part of a Hermitian matrix
+        return sp.csr_matrix(np.triu(np.tril(
+            random_hermitian(rng, n, complex_entries), 1), -1))
+
+    terms = [(factor(6), None), (rng.standard_normal(6), factor(4)),
+             (factor(6), factor(4)), (None, factor(4)),
+             (rng.standard_normal(6), None)]
+    if kind == "meson-diagonal":
+        terms.append((None, rng.uniform(1.0, 3.0, 4)))
+    return pair_operator(terms, (6, 4))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("kind", ["one-pair", "meson-diagonal",
+                                  "no-meson-diagonal"])
+def test_chebyshev_propagator_on_the_prescaled_generator(kind,
+                                                         complex_entries,
+                                                         one_pair):
+    # the recurrence runs on 2X = (2/d)(h - c), built from the pairs of h:
+    # one factor of each pair scaled, and the shift taken into the meson
+    # diagonal, or into a pair appended when h has none
+    op, dense = hermitian_generator(kind, complex_entries, one_pair)
+    assert np.abs(dense - dense.conj().T).max() == 0.0
+    assert op.dtype == (np.complex128 if complex_entries else np.float64)
+    lo, hi = _gershgorin_interval(op)
+    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    x2 = fock_space._scaled_shifted(op, 2.0 / half, center)
+    assert len(x2.terms) == len(op.terms) + (kind != "meson-diagonal")
+    want = (2.0 / half) * (dense - center * np.eye(op.dim))
+    assert np.abs(x2.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    rng = np.random.default_rng(47)
+    taus = [0.25, 3.0, -11.0]
+    for shape in ((op.dim,), (op.dim, 2)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for tau, got in zip(taus, _expm_hermitian(op, taus, v)):
+            assert np.linalg.norm(got - expm(-1j * tau * dense) @ v) \
+                <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("kind", ["one-pair", "meson-diagonal"])
+def test_chebyshev_real_generator_takes_two_products_a_term(
+        kind, monkeypatch, one_pair):
+    # K terms cost K - 1 products on each of the real and imaginary parts
+    # of a complex v, and nothing more: the shift and scale are in 2X
+    op, _ = hermitian_generator(kind, False, one_pair)
+    lo, hi = _gershgorin_interval(op)
+    taus = [0.4, 5.0]
+    terms = fock_space._chebyshev_length(max(taus) * (hi - lo) / 2.0)
+    products, original = [], ProductOperator._matmat
+
+    def counted(self, x):
+        products.append(x.dtype)
+        return original(self, x)
+
+    rng = np.random.default_rng(53)
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    monkeypatch.setattr(ProductOperator, "_matmat", counted)
+    _expm_hermitian(op, taus, v)
+    assert terms > 10
+    assert products == [np.float64] * (2 * (terms - 1))
 
 
 def test_chebyshev_interval_holds_the_spectrum(one_pair):

@@ -454,6 +454,51 @@ def test_weyl_vacuum_value_is_exact_at_a_low_cap(free_ham):
     assert abs(got - np.exp(-eps * norm_sq / 4.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("n_chis", [0, 3])
+def test_weyl_values_ignore_what_the_workspace_held(n_chis):
+    # each call overwrites the whole workspace before it reads it: one
+    # filled with NaN gives the bits of a fresh Hamiltonian
+    grid, params, nb, mb, ham = tiny_system(caps=(4, 5))
+    rng = np.random.default_rng(9)
+    xi1, xi2, phi, _ = random_weyl_case(rng, grid, nb, mb, 0.5)
+    chis = [rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim)
+            for _ in range(n_chis)]
+    fresh = FactoredHamiltonian(grid, params, ham.eps, nb, mb)
+    want = weyl_matrix_elements(fresh, xi1, xi2, phi, chis)
+    assert np.array_equal(weyl_matrix_elements(ham, xi1, xi2, phi, chis),
+                          want)
+    ham.weyl_workspace.fill(np.nan)
+    assert np.array_equal(weyl_matrix_elements(ham, xi1, xi2, phi, chis),
+                          want)
+
+
+def test_weyl_workspace_is_kept_until_the_block_changes(monkeypatch):
+    # the nucleon series of every call with one vector runs in the same
+    # workspace, the lone phi reshaped into it; a Duhamel node (phi and
+    # its three B_j phi) replaces it with one four times as wide
+    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    rng = np.random.default_rng(10)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
+    assert ham.weyl_workspace is None
+
+    def no_hstack(*args, **kwargs):
+        raise AssertionError("a lone vector copied by np.hstack")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "hstack", no_hstack)
+        weyl_matrix_elements(ham, xi1, xi2, phi, ())
+        kept = ham.weyl_workspace
+        assert kept.shape == (2, nb.dim, mb.dim)
+        weyl_matrix_elements(ham, 0.5 * xi1, xi2, chi, ())
+        assert ham.weyl_workspace is kept
+    weyl_matrix_elements(ham, xi1, xi2, phi,
+                         [b @ phi for b in b_operators(ham, xi1, xi2)])
+    block = ham.weyl_workspace
+    assert block is not kept and block.shape == (2, nb.dim, 4 * mb.dim)
+    weyl_matrix_elements(ham, xi1, xi2, chi, [phi, phi, chi])
+    assert ham.weyl_workspace is block
+
+
 def test_weyl_matrix_elements_build_no_product_matrix(monkeypatch):
     grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
     rng = np.random.default_rng(3)
