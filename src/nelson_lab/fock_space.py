@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb, factorial, lgamma, log, log1p
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.linalg.blas import get_blas_funcs
+from scipy.sparse._sparsetools import csr_matvecs  # see _accumulate
 from scipy.special import jv, pdtrc
 
 from .errors import (BasisTooLarge, SectorBasisUnsupported,
@@ -44,18 +44,19 @@ MAX_PRODUCT_STATES = 4_000_000
 def _occupations(n_modes, totals):
     """All occupation rows with the given totals, total by total and
     lexicographic within each.  Raises BasisTooLarge above MAX_BASIS_ROWS
-    rows, before it enumerates any."""
+    rows, before it enumerates any.  They are built a mode at a time, from
+    the last: the rows of total t over one mode more are, for n = 0..t,
+    n quanta in the new leading mode ahead of the rows of total t - n."""
     rows = sum(comb(n + n_modes - 1, n_modes - 1) for n in totals)
     if rows > MAX_BASIS_ROWS:
         raise BasisTooLarge(f"the basis would have {rows} rows, more than "
                             f"{MAX_BASIS_ROWS}")
-    occ = []
-    for total in totals:
-        slots = total + n_modes - 1
-        for bars in combinations(range(slots), n_modes - 1):
-            edges = (-1, *bars, slots)
-            occ.append([b - a - 1 for a, b in zip(edges, edges[1:])])
-    return np.array(occ, dtype=np.int64)
+    table = [np.full((1, 1), t, np.int64) for t in range(max(totals) + 1)]
+    for _ in range(n_modes - 1):
+        table = [np.concatenate([
+            np.column_stack((np.full(len(table[t - n]), n), table[t - n]))
+            for n in range(t + 1)]) for t in range(len(table))]
+    return np.concatenate([table[t] for t in totals])
 
 
 @dataclass
@@ -257,6 +258,20 @@ def second_quantize(basis, a_matrix, eps):
         shape=mat.shape)
 
 
+def _accumulate(m, x, y):
+    """y += m @ x on the leading y.shape[0] rows of the CSR matrix m, for
+    a C-contiguous 2d y, by the kernel that scipy's csr @ dense calls
+    after it has allocated and zero-filled its result; this allocates
+    nothing for an x of the layout and dtype of y, nor for a leading-row
+    slice.  A real m on a complex block runs on the float views."""
+    x = np.ascontiguousarray(x, dtype=y.dtype)
+    if y.dtype.kind == "c" and m.dtype.kind != "c":
+        x, y = x.view(x.real.dtype), y.view(y.real.dtype)
+    rows = y.shape[0]
+    csr_matvecs(rows, m.shape[1], x.shape[1], m.indptr[:rows + 1],
+                m.indices, m.data, x.reshape(-1), y.reshape(-1))
+
+
 class ProductOperator:
     """sum_a L_a (x) R_a over a nucleon (x) meson product basis of
     `dims` = (dimN, dimM), kept as its factor pairs (L_a, R_a).  A factor
@@ -276,8 +291,9 @@ class ProductOperator:
         # coupling pair at dim 113256, one BLAS thread on a 2-vCPU VM)
         self._meson_side = [(left, right.tocsr()) for left, right in self.terms
                             if right is not None and right.ndim == 2]
-        self._nucleon_side = [(left, right) for left, right in self.terms
-                              if right is None or right.ndim == 1]
+        self._nucleon_side = [
+            (left if left is None or left.ndim == 1 else left.tocsr(), right)
+            for left, right in self.terms if right is None or right.ndim == 1]
         # beside meson-side pairs, the pairs I (x) diag(R) start their sum
         self._meson_diagonal = None
         diagonals = [right for left, right in self._nucleon_side
@@ -298,70 +314,66 @@ class ProductOperator:
         x = np.asarray(x)
         return self._matmat(x.reshape(self.dim, -1)).reshape(x.shape)
 
-    def _matmat(self, x):
-        """All k columns at once: the state as P of shape (dimN, dimM, k),
-        the meson-side pairs summed over its copy of shape (dimM, dimN, k)
-        and added back transposed.  The first term is the result, cast to
-        its dtype, and each later one is added into it; the meson-major
-        sum starts from the pairs I (x) diag(R), else from the first
-        meson-side pair.  The copy and the sum stay in `_workspace` for
-        the next product of the same k and dtype, and one other
-        state-sized temporary is alive at a time, so that a run of
-        products reuses its memory instead of having the allocator hand
-        it back and fault it in again; the result is a fresh array."""
+    def _matmat(self, x, out=None):
+        """All k columns of x, of shape (dim, k), at once, into `out`,
+        returned: a fresh array when None, else a C-contiguous array of
+        the shape of x and the dtype of the product that shares no memory
+        with x (ValueError otherwise).  On the state as P of shape (dimN,
+        dimM, k), the meson-side pairs are summed over its meson-major
+        copy into `far`, started by the pairs I (x) diag(R) (else at
+        zero): a pair adds R P^T L^T by `_accumulate`, a diagonal L first
+        scaling the copy into `out`, which is free until `far` is written
+        into it, transposed, in one strided pass (else `out` starts at
+        zero).  Each sparse nucleon factor then adds into `out` by
+        `_accumulate`.  Pairs sparse on both sides (the B0 terms of
+        `b_operators`) and diagonal nucleon pairs add through temporaries.
+        The copy and `far` stay in `_workspace` for the next product of the
+        same k and dtype."""
         (dim_n, dim_m), k = self.dims, x.shape[1]
-        state = x.reshape(dim_n, dim_m, k)
         dtype = np.result_type(self.dtype, x.dtype)
-        out = None
-
-        def add(term, copy=False):
-            nonlocal out
-            if out is None:
-                out = term.astype(dtype, order="C", copy=copy)
-            else:
-                out += term
-
-        for left, right in self._nucleon_side:
-            term = state if right is None else state * right[:, None]
-            if left is not None:
-                term = (left[:, None, None] * term if left.ndim == 1
-                        else (left @ term.reshape(dim_n, -1)).reshape(
-                            state.shape))
-            add(term, copy=term is state)
-            del term
+        if out is None:
+            out = np.empty(x.shape, dtype)
+        elif (out.shape != x.shape or out.dtype != dtype
+              or not out.flags.c_contiguous or np.may_share_memory(out, x)):
+            raise ValueError(
+                f"out must be a C-contiguous {dtype} array of shape "
+                f"{x.shape} that shares no memory with x")
+        state, result = (a.reshape(dim_n, dim_m, k) for a in (x, out))
         if self._meson_side:
             shape, work = (dim_m, dim_n, k), self._workspace
             if work is None or work.shape[1:] != shape or work.dtype != dtype:
                 work = self._workspace = np.empty((2,) + shape, dtype)
-            # of the result's dtype, so that each term can be scaled in place
             meson_major, far = work
             meson_major[...] = state.transpose(1, 0, 2)
-            started = self._meson_diagonal is not None
-            if started:
+            if self._meson_diagonal is None:
+                far.fill(0.0)
+            else:
                 np.multiply(self._meson_diagonal[:, None, None], meson_major,
                             out=far)
+            paired = []
             for left, right in self._meson_side:
-                term = (right @ meson_major.reshape(dim_m, -1)).reshape(shape)
                 if left is not None and left.ndim == 2:
-                    add((left @ term.transpose(1, 0, 2).reshape(dim_n, -1)
-                         ).reshape(state.shape))
-                elif not started:
-                    if left is None:
-                        far[...] = term
-                    else:
-                        np.multiply(term, left[:, None], out=far)
-                    started = True
-                else:
-                    if left is not None:
-                        term *= left[:, None]
-                    far += term
-                del term
-            if started:
-                # far is the workspace: the result may not be a view of it
-                add(far.transpose(1, 0, 2), copy=True)
-        if out is None:
-            out = np.zeros(state.shape, dtype)
-        return out.reshape(x.shape)
+                    paired.append((left, right))
+                    continue
+                src = meson_major if left is None else np.multiply(
+                    meson_major, left[:, None], out=out.reshape(shape))
+                _accumulate(right, src.reshape(dim_m, -1),
+                            far.reshape(dim_m, -1))
+            result[...] = far.transpose(1, 0, 2)
+            for left, right in paired:
+                term = (right @ meson_major.reshape(dim_m, -1)).reshape(shape)
+                result += (left @ term.transpose(1, 0, 2).reshape(dim_n, -1)
+                           ).reshape(state.shape)
+        else:
+            result.fill(0.0)
+        for left, right in self._nucleon_side:
+            term = state if right is None else state * right[:, None]
+            if left is not None and left.ndim == 2:
+                _accumulate(left, term.reshape(dim_n, -1),
+                            out.reshape(dim_n, -1))
+            else:
+                result += term if left is None else left[:, None, None] * term
+        return out
 
     def toarray(self):
         """Dense matrix, all columns in one block; for small dims and tests.
@@ -484,15 +496,16 @@ def _chebyshev_sums(x2, v, coeffs, planes, parities):
     """Add sum_k f_k coeffs[j, k] T_k(X) v into planes[p, j] for each row
     j of `coeffs`, (f_k, p) = parities[k % 2], with x2 = 2X.  T_k(X) v
     runs the three-term recurrence T_1 = x2 T_0 / 2, T_{k+1} = x2 T_k -
-    T_{k-1}: one product and one vector pass a term, and each T_k(X) v
-    serves every row."""
+    T_{k-1}: one product, written into the kept vector k % 3 (never into
+    v), and one vector pass a term, and each T_k(X) v serves every row."""
     # y += a x and x *= a by BLAS on flat views: every array here is
     # contiguous and of the dtype of v, so BLAS writes through the view
     axpy, scal = get_blas_funcs(("axpy", "scal"), (v,))
-    prev, cur = None, v
+    kept = np.empty((3, v.size), v.dtype)
+    prev, cur = None, v.reshape(v.shape[0], -1)
     for k in range(coeffs.shape[1]):
         if k > 0:
-            nxt = x2 @ cur
+            nxt = x2._matmat(cur, out=kept[k % 3].reshape(cur.shape))
             if prev is None:
                 scal(0.5, nxt.reshape(-1))
             else:

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.blas import drot, get_blas_funcs
 
 from .classical_energy import minimize_constrained
 from .errors import ConvergenceFailure
-from .fock_space import sector_basis
+from .fock_space import ProductOperator, sector_basis
 from .quantum_dynamics import (FactoredHamiltonian, active_meson_basis,
                                coherent_product_state)
 
@@ -30,7 +31,12 @@ def _lobpcg(matrix, x0, tol, maxiter):
     against its update by one plane rotation.  Stops at ARPACK's rule
     |r| <= tol max(1, |theta|), checked on a freshly computed Hx, and
     returns theta, x and that |r|; raises ConvergenceFailure after
-    maxiter steps."""
+    maxiter steps.  Each product is written into its row of the images;
+    an array or a sparse matrix runs as the `ProductOperator` of the one
+    pair (csr(matrix), None) over (dim, 1)."""
+    if not isinstance(matrix, ProductOperator):
+        matrix = ProductOperator([(sp.csr_matrix(matrix), None)],
+                                 (matrix.shape[0], 1))
     dtype = np.result_type(matrix.dtype, x0.dtype, np.float64)
     # rows x, p, r and their images H x, H p, H r, updated in place by BLAS
     basis = np.zeros((3, x0.size), dtype)
@@ -38,7 +44,7 @@ def _lobpcg(matrix, x0, tol, maxiter):
     (x, p, r), (hx, hp, hr) = basis, images
     axpy, scal = get_blas_funcs(("axpy", "scal"), (basis,))
     x[:] = x0 / np.linalg.norm(x0)
-    hx[:] = matrix @ x
+    matrix._matmat(x[:, None], out=hx[:, None])
     theta = np.vdot(x, hx).real
     rows = slice(None, None, 2)  # x and r: there is no p before step 1
     fresh = True  # hx is H x itself, not the result of the updates
@@ -53,7 +59,7 @@ def _lobpcg(matrix, x0, tol, maxiter):
             # roundoff, so the test is made again on H x; if it fails
             # there, the iteration restarts from x alone
             scal(1.0 / np.linalg.norm(x), x)
-            hx[:] = matrix @ x
+            matrix._matmat(x[:, None], out=hx[:, None])
             theta = np.vdot(x, hx).real
             fresh, rows = True, slice(None, None, 2)
             continue
@@ -63,7 +69,7 @@ def _lobpcg(matrix, x0, tol, maxiter):
         for v in basis[rows][:-1]:
             axpy(v, r, a=-np.vdot(v, r))
         scal(1.0 / np.linalg.norm(r), r)
-        hr[:] = matrix @ r
+        matrix._matmat(r[:, None], out=hr[:, None])
         # the lower triangle of the projected matrix, which eigh reads; a
         # vdot per entry, because BLAS runs a 3 x dim x 3 gemm far slower
         vecs, imgs = basis[rows], images[rows]
@@ -92,7 +98,7 @@ def _lobpcg(matrix, x0, tol, maxiter):
 
 def lowest_eigenpair(matrix, tol=1e-10, maxiter=None, v0=None):
     """Smallest eigenvalue and eigenvector of a Hermitian matrix: an
-    array, a sparse matrix or a `FactoredHamiltonian`.
+    array, a sparse matrix or a `ProductOperator` (`FactoredHamiltonian`).
 
     Every dim runs `_lobpcg`.  A real symmetric matrix with a real start
     runs in real arithmetic.  `v0` is the start vector, of the matrix's

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, covered_modes, dispersion,
                              one_body_hamiltonian)
 from .errors import BasisTooLarge, StepSizeRejected
-from .fock_space import (MAX_PRODUCT_STATES, ProductOperator,
+from .fock_space import (MAX_PRODUCT_STATES, ProductOperator, _accumulate,
                          _core_projector, _dense_weyl, _expm_hermitian,
                          _slot_field, annihilator, coherent_state,
                          dgamma_diagonal, ladder, second_quantize,
@@ -136,39 +135,34 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def _lowering_series(op, block, basis, parts=None):
-    """Even and odd parts of exp(op) block = sum_k op^k block / k! for an
-    op that lowers the occupation total of a truncated `basis` by one, so
-    that op^k = 0 for k > cap; the sum also ends at a vanishing term.  The
-    basis is ordered by total, so term k lives on the leading rows, those
-    of total at most cap - k, and each term is built and added there.  A
-    sparse op is read there from the leading entries of its CSR arrays,
-    without scipy's slicing: those rows reach only columns of total at
-    most cap - k + 1, the rows of term k - 1.  The parts are written,
-    whole, into `parts`, a complex array of shape (2,) + block.shape
-    (a fresh one when None), and returned."""
+def _lowering_series(op, block, basis, work=None):
+    """Even and odd parts of exp(op) block = sum_k op^k block / k! for a
+    CSR op that lowers the occupation total of a truncated `basis` by
+    one, so that op^k = 0 for k > cap; the sum also ends at a vanishing
+    term.  The basis is ordered by total, so term k lives on the leading
+    rows, those of total at most cap - k, and `_accumulate` builds it
+    there from the leading rows of op, which reach only the rows of term
+    k - 1.  `work` is a complex array of shape (4,) + block.shape (a
+    fresh one when None): the parts are written, whole, into work[:2]
+    and returned, and the terms go in turn into the zeroed leading rows
+    of work[2] and work[3]."""
     cap = basis.cap
     ends = np.searchsorted(basis.occupations.sum(axis=1), np.arange(cap),
                            side="right")
-    if parts is None:
-        parts = np.empty((2,) + block.shape, dtype=complex)
+    if work is None:
+        work = np.empty((4,) + block.shape, dtype=complex)
+    parts = work[:2]
     parts[0][...] = block
     parts[1].fill(0.0)
     term = block
     for k in range(1, cap + 1):
-        rows = ends[cap - k]
-        if sp.issparse(op):
-            end = op.indptr[rows]
-            lead = sp.csr_matrix((op.data[:end], op.indices[:end],
-                                  op.indptr[:rows + 1]),
-                                 shape=(rows, term.shape[0]))
-        else:
-            lead = op[:rows, :term.shape[0]]
-        term = lead @ term
+        term, prev = work[2 + k % 2][:ends[cap - k]], term
+        term.fill(0.0)
+        _accumulate(op, prev, term)
         if not term.any():
             break
         term *= 1.0 / k
-        parts[k % 2][:rows] += term
+        parts[k % 2][:len(term)] += term
     return parts
 
 
@@ -183,10 +177,10 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     whose even and odd parts E1, O1 give both signs, and the meson series
     E2, O2 on the identity.  The value is then the contraction of the
     small Gram matrices (E1 - O1)_phi^H (E1 + O1), dimM x (vectors x
-    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  E1 and O1 are
-    written into the workspace `ham.weyl_workspace`, kept for the next
-    call with as many vectors, so that a run of calls reuses its memory.
-    A nucleon sector raises SectorBasisUnsupported."""
+    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  E1, O1 and the terms
+    of their series are written into the workspace `ham.weyl_workspace`,
+    kept for the next call with as many vectors, so that a run of calls
+    reuses its memory.  A nucleon sector raises SectorBasisUnsupported."""
     nb, mb, dims = ham.nucleon_basis, ham.meson_basis, ham.dims
     beta = 1j / np.sqrt(2.0)
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
@@ -196,11 +190,11 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     vectors = [phi, *chis]
     block = (phi.reshape(dims) if len(vectors) == 1
              else np.hstack([v.reshape(dims) for v in vectors]))
-    parts = ham.weyl_workspace
-    if parts is None or parts.shape[1:] != block.shape:
-        parts = ham.weyl_workspace = np.empty((2,) + block.shape, complex)
-    even1, odd1 = _lowering_series(beta * a1, block, nb, parts)
-    even2, odd2 = _lowering_series(beta * a2.toarray(), np.eye(dims[1]), mb)
+    work = ham.weyl_workspace
+    if work is None or work.shape[1:] != block.shape:
+        work = ham.weyl_workspace = np.empty((4,) + block.shape, complex)
+    even1, odd1 = _lowering_series(beta * a1, block, nb, work)
+    even2, odd2 = _lowering_series(beta * a2, np.eye(dims[1]), mb)
     lhs = (even1[:, :dims[1]] - odd1[:, :dims[1]]).conj().T
     even1 += odd1  # E1 + O1, in place
     gram1 = (lhs @ even1).reshape(dims[1], len(vectors), dims[1])

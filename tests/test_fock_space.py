@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 from scipy.linalg import expm
 from scipy.special import pdtrc
 from scipy.stats import poisson
@@ -16,10 +18,11 @@ from nelson_lab.errors import (
     NelsonLabError, SectorBasisUnsupported, StepSizeRejected,
     TruncationInsufficient)
 from nelson_lab.fock_space import (
-    FockBasis, ProductOperator, _expm_hermitian, _gershgorin_interval,
-    _slot_field, annihilator, coherent_state, dgamma_diagonal, ladder,
-    occupation_cap, resolvent_bound_ratio, second_quantize, sector_basis,
-    truncated_basis, weyl_conjugation_identities, weyl_generator)
+    FockBasis, ProductOperator, _accumulate, _expm_hermitian,
+    _gershgorin_interval, _occupations, _slot_field, annihilator,
+    coherent_state, dgamma_diagonal, ladder, occupation_cap,
+    resolvent_bound_ratio, second_quantize, sector_basis, truncated_basis,
+    weyl_conjugation_identities, weyl_generator)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
                                          active_meson_basis,
                                          check_relative_bounds,
@@ -50,6 +53,23 @@ def test_truncated_dimensions_and_order():
     totals = basis.occupations.sum(axis=1)
     assert np.all(np.diff(totals) >= 0)  # ordered by total
     assert totals[0] == 0
+
+
+@pytest.mark.parametrize("n_modes, totals", [
+    (1, [0]), (1, range(4)), (3, [0]), (4, [2]), (2, range(8)),
+    (4, range(6)), (8, [3]), (5, [0, 2, 3])])
+def test_occupations_match_the_enumeration_of_bar_positions(n_modes, totals):
+    # the rows of a total are the placements of n_modes - 1 bars among
+    # total + n_modes - 1 slots, in the lexicographic order of the bars
+    want = []
+    for total in totals:
+        slots = total + n_modes - 1
+        for bars in combinations(range(slots), n_modes - 1):
+            edges = (-1, *bars, slots)
+            want.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    got = _occupations(n_modes, totals)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.array(want, dtype=np.int64))
 
 
 def test_index_roundtrip_and_miss():
@@ -246,6 +266,62 @@ def test_interaction_halves_against_explicit_assembly():
     assert np.abs(full - full.conj().T).max() <= 1e-13
 
 
+def random_csr(shape, complex_entries, index_dtype, seed, lower=False):
+    """A random CSR matrix with the given index dtype, lower triangular
+    when asked for (its leading rows then reach only leading columns)."""
+    m = sp.random(*shape, density=0.4, random_state=seed, format="csr")
+    if complex_entries:
+        m = m + 1j * sp.random(*shape, density=0.4, random_state=seed + 1,
+                               format="csr")
+    m = (sp.tril(m) if lower else m).tocsr()
+    m.indptr = m.indptr.astype(index_dtype)
+    m.indices = m.indices.astype(index_dtype)
+    return m
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("m_complex, x_complex", [
+    (False, False), (True, True), (False, True), (True, False)])
+def test_accumulate_adds_the_public_product(m_complex, x_complex,
+                                            index_dtype):
+    # _accumulate calls a private scipy kernel: against the public m @ x,
+    # on every dtype pairing (a real m on a complex block runs on the
+    # float views), both index widths, and leading-row slices
+    rng = np.random.default_rng(19)
+
+    def draw(shape, complex_entries):
+        real = rng.standard_normal(shape)
+        return real + 1j * rng.standard_normal(shape) if complex_entries \
+            else real
+
+    m = random_csr((9, 7), m_complex, index_dtype, seed=6)
+    assert m.indices.dtype == index_dtype
+    x = draw((7, 3), x_complex)
+    y0 = draw((9, 3), m_complex or x_complex)
+    y = y0.copy()
+    _accumulate(m, x, y)
+    assert np.abs(y - (y0 + m @ x)).max() <= 1e-14
+    lead = y0[:4].copy()
+    _accumulate(m, x, lead)
+    assert np.abs(lead - (y0 + m @ x)[:4]).max() <= 1e-14
+    # a lower-triangular m on the leading rows of x alone, as the
+    # lowering series applies its terms
+    m = random_csr((9, 9), m_complex, index_dtype, seed=8, lower=True)
+    x = draw((9, 2), x_complex)
+    lead = y0[:5, :2].copy()
+    _accumulate(m, x[:5], lead)
+    assert np.abs(lead - (y0[:5, :2] + m[:5] @ x)).max() <= 1e-14
+
+
+def test_scipy_private_kernel_is_imported_in_one_module():
+    # a scipy release that moves csr_matvecs breaks one import, in
+    # fock_space, and the contract test above
+    src = Path(fock_space.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py"))
+             if "_sparsetools" in p.read_text()]
+    assert users == ["fock_space.py"]
+
+
 def mixed_product_operator(complex_diagonal):
     """A `ProductOperator` with every factor kind, with non-symmetric
     sparse factors so that a missing transpose shows, and its dense
@@ -343,7 +419,6 @@ def sum_cases():
 
 @pytest.mark.parametrize("case", sorted(sum_cases()))
 def test_product_operator_starts_its_sums_from_any_pair(case):
-    # the first term is the result and no zero-filled array is added to;
     # whichever pair comes first, the result has the operator's dtype,
     # leaves the input alone and is no view of the workspace
     op, want = pair_operator(*sum_cases()[case])
@@ -385,6 +460,60 @@ def test_product_operator_ignores_what_its_workspace_held(build):
         op @ x
         op._workspace.fill(np.nan)
         assert np.array_equal(op @ x, want)
+
+
+PRODUCT_KINDS = ["mixed", "mixed-meson-diagonal", "nucleon-only"]
+
+
+def product_kind(kind, complex_diagonal):
+    """`mixed_product_operator`, alone or with the meson diagonal
+    I (x) diag(R) that starts the meson-major sum, or its pairs without a
+    meson matrix, which start the result at zero."""
+    op, _ = mixed_product_operator(complex_diagonal)
+    terms = op.terms
+    if kind == "mixed-meson-diagonal":
+        terms = [(None, np.arange(3.0))] + terms
+    elif kind == "nucleon-only":
+        terms = [(left, right) for left, right in terms
+                 if right is None or right.ndim == 1]
+    return pair_operator(terms, op.dims)
+
+
+@pytest.mark.parametrize("complex_diagonal", [False, True])
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_into_out_ignores_what_out_and_the_workspace_held(
+        kind, complex_diagonal):
+    # out and the workspace are written before they are read: filled with
+    # NaN, they give the bits of a fresh operator's product
+    op, want = product_kind(kind, complex_diagonal)
+    rng = np.random.default_rng(17)
+    for k in (1, 3):
+        real = rng.standard_normal((op.dim, k))
+        for x in (real, real + 1j * rng.standard_normal((op.dim, k))):
+            fresh = ProductOperator(op.terms, op.dims)._matmat(x)
+            assert np.linalg.norm(fresh - want @ x) \
+                <= 1e-13 * np.linalg.norm(x)
+            op._matmat(x)
+            if op._workspace is not None:
+                op._workspace.fill(np.nan)
+            out = np.full(x.shape, np.nan, dtype=fresh.dtype)
+            kept = x.copy()
+            assert op._matmat(x, out=out) is out
+            assert np.array_equal(out, fresh)
+            assert np.array_equal(x, kept)
+
+
+def test_product_into_out_checks_out():
+    # an out that shares memory with x, or has another dtype, shape or
+    # layout than the product, raises before anything is written
+    op, _ = mixed_product_operator(complex_diagonal=False)
+    block = np.random.default_rng(18).standard_normal((op.dim + 1, 2))
+    x, kept = block[:op.dim], block[:op.dim].copy()
+    for out in (x, block[1:], np.empty((op.dim, 2), complex),
+                np.empty((op.dim, 3)), np.empty((2, op.dim)).T):
+        with pytest.raises(ValueError, match="shares no memory with x"):
+            op._matmat(x, out=out)
+    assert np.array_equal(block[:op.dim], kept)
 
 
 def test_interaction_requires_covering_modes():
@@ -779,9 +908,9 @@ def test_chebyshev_propagator_runs_a_real_generator_in_real_arithmetic(
     h = random_hermitian(rng, n, False)
     operands, original = [], ProductOperator._matmat
 
-    def recording(self, x):
+    def recording(self, x, out=None):
         operands.append(x.dtype)
-        return original(self, x)
+        return original(self, x, out)
 
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     taus = [0.3, 2.0]
@@ -856,9 +985,9 @@ def test_chebyshev_real_generator_takes_two_products_a_term(
     terms = fock_space._chebyshev_length(max(taus) * (hi - lo) / 2.0)
     products, original = [], ProductOperator._matmat
 
-    def counted(self, x):
+    def counted(self, x, out=None):
         products.append(x.dtype)
-        return original(self, x)
+        return original(self, x, out)
 
     rng = np.random.default_rng(53)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)

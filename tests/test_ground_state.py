@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigvalsh
-from scipy.sparse.linalg import LinearOperator
 
 from nelson_lab import ground_state
 from nelson_lab.classical_energy import minimize_constrained
@@ -12,8 +11,8 @@ from nelson_lab.discretization import (
     Grid, ModelParams, chi_gaussian, chi_sharp_band, covered_modes,
     one_body_hamiltonian, potential_preset)
 from nelson_lab.errors import ConvergenceFailure
-from nelson_lab.fock_space import (coherent_state, sector_basis,
-                                   truncated_basis)
+from nelson_lab.fock_space import (ProductOperator, coherent_state,
+                                   sector_basis, truncated_basis)
 from nelson_lab.ground_state import (
     active_meson_basis, lowest_eigenpair, theorem2_sweep)
 from nelson_lab.quantum_dynamics import (FactoredHamiltonian,
@@ -67,14 +66,23 @@ def even_params(grid, kind):
     return harmonic_params(grid, chi)
 
 
+class Counting(ProductOperator):
+    """A `ProductOperator` that counts its products in `.count`."""
+
+    count = 0
+
+    def _matmat(self, x, out=None):
+        self.count += 1
+        return super()._matmat(x, out)
+
+
 def counting(op):
-    """`op` as a LinearOperator that counts its matvecs in `.count`."""
-    def matvec(v):
-        wrapped.count += 1
-        return op @ v
-    wrapped = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-    wrapped.count = 0
-    return wrapped
+    """`op` as a `Counting` operator: the pairs of a `ProductOperator`, or
+    the one pair (csr(op), None) over (dim, 1), as `_lobpcg` wraps a
+    matrix."""
+    if isinstance(op, ProductOperator):
+        return Counting(op.terms, op.dims)
+    return Counting([(sp.csr_matrix(op), None)], (op.shape[0], 1))
 
 
 def test_lowest_eigenpair_routes_agree():

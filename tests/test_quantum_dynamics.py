@@ -260,9 +260,9 @@ def test_ladder_step_at_eps_0025_takes_few_matvecs(monkeypatch):
     assert ham.dim == 65520
     products, original = [], ProductOperator._matmat
 
-    def counted(self, x):
+    def counted(self, x, out=None):
         products.append(x.shape[1])
-        return original(self, x)
+        return original(self, x, out)
 
     monkeypatch.setattr(ProductOperator, "_matmat", counted)
     z1 = np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j])
@@ -306,6 +306,31 @@ def test_uneven_coupling_propagates_in_complex_arithmetic():
     for t, got in zip(times, propagate(ham, psi0, times)):
         want = expm(-1j * t * dense / eps) @ psi0
         assert np.linalg.norm(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("chi_3, dtype", [(0.3, np.float64),
+                                          (0.15, np.complex128)])
+def test_propagate_leaves_its_input_alone(chi_3, dtype):
+    # the recurrence writes each term into one of its kept vectors, never
+    # into T_0: on a complex H that is the complex start vector itself
+    grid = Grid(4, np.pi)
+    chi = np.zeros(4)
+    chi[[1, 3]] = [0.3, chi_3]
+    params = ModelParams(mass=1.0, meson_mass=1.0, charge=1.0,
+                         potential=potential_preset(grid, "harmonic", 1.0),
+                         chi=chi)
+    ham = FactoredHamiltonian(grid, params, 0.5, truncated_basis(4, 3),
+                              active_meson_basis(grid, params, 4))
+    assert ham.dtype == dtype
+    z2 = np.zeros(4, dtype=complex)
+    z2[[1, 3]] = [0.1 - 0.05j, 0.07j]
+    psi0, _ = coherent_product_state(
+        ham, np.array([0.15, 0.09 + 0.06j, -0.075, 0.045j]), z2)
+    kept = psi0.copy()
+    snaps = propagate(ham, psi0, [0.0, 0.3, 0.6])
+    assert np.array_equal(psi0, kept)
+    assert np.array_equal(snaps[0], kept)
+    assert not any(np.shares_memory(snap, psi0) for snap in snaps)
 
 
 def raised_caps(nb, mb, k):
@@ -418,8 +443,9 @@ def test_weyl_matrix_elements_do_not_depend_on_the_cap():
 
 
 def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
-    # the sparse series reads each term's leading rows from the CSR arrays
-    # directly; the dense operand takes the plain slice op[:rows, :cols]
+    # the series builds each term on its leading rows from the leading
+    # rows of the CSR arrays; the reference sums the same terms over the
+    # whole block with the dense matrix
     grid = Grid(4, np.pi)
     nb = truncated_basis(grid.n_sites, 6)
     rng = np.random.default_rng(21)
@@ -428,7 +454,10 @@ def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     block = (rng.standard_normal((nb.dim, 3))
              + 1j * rng.standard_normal((nb.dim, 3)))
     parts = quantum_dynamics._lowering_series(op, block, nb)
-    dense = quantum_dynamics._lowering_series(op.toarray(), block, nb)
+    dense, term = np.zeros((2,) + block.shape, complex), block
+    for k in range(nb.cap + 1):
+        dense[k % 2] += term
+        term = op.toarray() @ term / (k + 1)
     for got, want in zip(parts, dense):
         assert np.abs(got - want).max() <= 1e-13
     exact = expm(op.toarray()) @ block
@@ -456,8 +485,9 @@ def test_weyl_vacuum_value_is_exact_at_a_low_cap(free_ham):
 
 @pytest.mark.parametrize("n_chis", [0, 3])
 def test_weyl_values_ignore_what_the_workspace_held(n_chis):
-    # each call overwrites the whole workspace before it reads it: one
-    # filled with NaN gives the bits of a fresh Hamiltonian
+    # each call writes the parts and each term buffer of the workspace
+    # before it reads them: one filled with NaN gives the bits of a fresh
+    # Hamiltonian
     grid, params, nb, mb, ham = tiny_system(caps=(4, 5))
     rng = np.random.default_rng(9)
     xi1, xi2, phi, _ = random_weyl_case(rng, grid, nb, mb, 0.5)
@@ -474,8 +504,9 @@ def test_weyl_values_ignore_what_the_workspace_held(n_chis):
 
 def test_weyl_workspace_is_kept_until_the_block_changes(monkeypatch):
     # the nucleon series of every call with one vector runs in the same
-    # workspace, the lone phi reshaped into it; a Duhamel node (phi and
-    # its three B_j phi) replaces it with one four times as wide
+    # workspace (its even and odd parts and two term buffers), the lone
+    # phi reshaped into it; a Duhamel node (phi and its three B_j phi)
+    # replaces it with one four times as wide
     grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
     rng = np.random.default_rng(10)
     xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
@@ -488,13 +519,13 @@ def test_weyl_workspace_is_kept_until_the_block_changes(monkeypatch):
         patched.setattr(np, "hstack", no_hstack)
         weyl_matrix_elements(ham, xi1, xi2, phi, ())
         kept = ham.weyl_workspace
-        assert kept.shape == (2, nb.dim, mb.dim)
+        assert kept.shape == (4, nb.dim, mb.dim)
         weyl_matrix_elements(ham, 0.5 * xi1, xi2, chi, ())
         assert ham.weyl_workspace is kept
     weyl_matrix_elements(ham, xi1, xi2, phi,
                          [b @ phi for b in b_operators(ham, xi1, xi2)])
     block = ham.weyl_workspace
-    assert block is not kept and block.shape == (2, nb.dim, 4 * mb.dim)
+    assert block is not kept and block.shape == (4, nb.dim, 4 * mb.dim)
     weyl_matrix_elements(ham, xi1, xi2, chi, [phi, phi, chi])
     assert ham.weyl_workspace is block
 
