@@ -263,10 +263,9 @@ def _accumulate(m, x, y):
     a C-contiguous 2d y, by the kernel that scipy's csr @ dense calls
     after it has allocated and zero-filled its result; this allocates
     nothing for an x of the layout and dtype of y, nor for a leading-row
-    slice.  A real m on a complex block runs on the float views."""
+    slice.  The kernel promotes a real m on a complex block, as csr @
+    dense does."""
     x = np.ascontiguousarray(x, dtype=y.dtype)
-    if y.dtype.kind == "c" and m.dtype.kind != "c":
-        x, y = x.view(x.real.dtype), y.view(y.real.dtype)
     rows = y.shape[0]
     csr_matvecs(rows, m.shape[1], x.shape[1], m.indptr[:rows + 1],
                 m.indices, m.data, x.reshape(-1), y.reshape(-1))
@@ -492,28 +491,34 @@ def _scaled_shifted(op, scale, shift):
     return ProductOperator(terms, op.dims)
 
 
-def _chebyshev_sums(x2, v, coeffs, planes, parities):
-    """Add sum_k f_k coeffs[j, k] T_k(X) v into planes[p, j] for each row
-    j of `coeffs`, (f_k, p) = parities[k % 2], with x2 = 2X.  T_k(X) v
-    runs the three-term recurrence T_1 = x2 T_0 / 2, T_{k+1} = x2 T_k -
-    T_{k-1}: one product, written into the kept vector k % 3 (never into
-    v), and one vector pass a term, and each T_k(X) v serves every row."""
+def _chebyshev_sums(x2, parts, coeffs, planes):
+    """For each (v, parities) of `parts`, add sum_k f_k coeffs[j, k]
+    T_k(X) v into planes[p, j] for each row j of `coeffs`, (f_k, p) =
+    parities[k % 2], with x2 = 2X.  T_k(X) v runs the three-term
+    recurrence T_1 = x2 T_0 / 2, T_{k+1} = x2 T_k - T_{k-1}: one product
+    and one vector pass a term, and each T_k(X) v serves every row.  T_k
+    sits in vector k % 3 of one (3, v.size) buffer for all parts, freed
+    on return; T_0 is copied in, so v is never written and may be
+    strided (T_0 is last read at k = 2, before T_3 overwrites it)."""
     # y += a x and x *= a by BLAS on flat views: every array here is
-    # contiguous and of the dtype of v, so BLAS writes through the view
-    axpy, scal = get_blas_funcs(("axpy", "scal"), (v,))
-    kept = np.empty((3, v.size), v.dtype)
-    prev, cur = None, v.reshape(v.shape[0], -1)
-    for k in range(coeffs.shape[1]):
-        if k > 0:
-            nxt = x2._matmat(cur, out=kept[k % 3].reshape(cur.shape))
-            if prev is None:
-                scal(0.5, nxt.reshape(-1))
-            else:
-                axpy(prev.reshape(-1), nxt.reshape(-1), a=-1.0)
-            prev, cur = cur, nxt
-        factor, plane = parities[k % 2]
-        for j in np.nonzero(coeffs[:, k])[0]:
-            axpy(cur.reshape(-1), planes[plane, j], a=factor * coeffs[j, k])
+    # contiguous and of the dtype of planes, so BLAS writes through them
+    axpy, scal = get_blas_funcs(("axpy", "scal"), (planes,))
+    kept = np.empty((3, planes.shape[2]), planes.dtype)
+    for v, parities in parts:
+        kept[0].reshape(v.shape)[...] = v
+        prev, cur = None, kept[0].reshape(v.shape[0], -1)
+        for k in range(coeffs.shape[1]):
+            if k > 0:
+                nxt = x2._matmat(cur, out=kept[k % 3].reshape(cur.shape))
+                if prev is None:
+                    scal(0.5, nxt.reshape(-1))
+                else:
+                    axpy(prev.reshape(-1), nxt.reshape(-1), a=-1.0)
+                prev, cur = cur, nxt
+            factor, plane = parities[k % 2]
+            for j in np.nonzero(coeffs[:, k])[0]:
+                axpy(cur.reshape(-1), planes[plane, j],
+                     a=factor * coeffs[j, k])
 
 
 def _expm_hermitian(h, taus, v):
@@ -557,16 +562,14 @@ def _expm_hermitian(h, taus, v):
     x2 = _scaled_shifted(h, 2.0 / half, center) if k.size > 1 else None
     if np.iscomplexobj(h):
         planes = np.zeros((1, len(taus), v.size), dtype=complex)
-        _chebyshev_sums(x2, v, coeffs, planes, ((1.0, 0), (-1j, 0)))
+        _chebyshev_sums(x2, [(v, ((1.0, 0), (-1j, 0)))], coeffs, planes)
         out = planes[0]
     else:
         # (E - i O)(v_re + i v_im) = (E v_re + O v_im) + i (E v_im - O v_re),
         # summed in contiguous planes (BLAS adds into strided ones slower)
         planes = np.zeros((2, len(taus), v.size))
-        for part, parities in ((v.real, ((1.0, 0), (-1.0, 1))),
-                               (v.imag, ((1.0, 1), (1.0, 0)))):
-            _chebyshev_sums(x2, np.ascontiguousarray(part), coeffs, planes,
-                            parities)
+        _chebyshev_sums(x2, [(v.real, ((1.0, 0), (-1.0, 1))),
+                             (v.imag, ((1.0, 1), (1.0, 0)))], coeffs, planes)
         out = np.empty(planes.shape[1:], dtype=complex)
         out.real, out.imag = planes
     out *= np.exp(-1j * taus * center)[:, None]

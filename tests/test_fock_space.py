@@ -285,8 +285,8 @@ def random_csr(shape, complex_entries, index_dtype, seed, lower=False):
 def test_accumulate_adds_the_public_product(m_complex, x_complex,
                                             index_dtype):
     # _accumulate calls a private scipy kernel: against the public m @ x,
-    # on every dtype pairing (a real m on a complex block runs on the
-    # float views), both index widths, and leading-row slices
+    # on every dtype pairing (the kernel promotes a real m on a complex
+    # block), both index widths, and leading-row slices
     rng = np.random.default_rng(19)
 
     def draw(shape, complex_entries):
