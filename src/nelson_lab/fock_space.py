@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, factorial, lgamma, log, log1p
+from math import comb, exp, inf, lgamma, log, log1p
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,16 +259,18 @@ def second_quantize(basis, a_matrix, eps):
 
 
 def _accumulate(m, x, y):
-    """y += m @ x on the leading y.shape[0] rows of the CSR matrix m, for
-    a C-contiguous 2d y, by the kernel that scipy's csr @ dense calls
-    after it has allocated and zero-filled its result; this allocates
-    nothing for an x of the layout and dtype of y, nor for a leading-row
-    slice.  The kernel promotes a real m on a complex block, as csr @
-    dense does."""
+    """y += m @ x on the leading y.shape[0] rows of m, a CSR matrix or
+    the (data, indices, indptr) arrays of one, for a C-contiguous 2d y,
+    by the kernel that scipy's csr @ dense calls after it has allocated
+    and zero-filled its result; this allocates nothing for an x of the
+    layout and dtype of y, nor for a leading-row slice.  The kernel
+    promotes a real m on a complex block, as csr @ dense does."""
+    data, indices, indptr = (m if isinstance(m, tuple)
+                             else (m.data, m.indices, m.indptr))
     x = np.ascontiguousarray(x, dtype=y.dtype)
     rows = y.shape[0]
-    csr_matvecs(rows, m.shape[1], x.shape[1], m.indptr[:rows + 1],
-                m.indices, m.data, x.reshape(-1), y.reshape(-1))
+    csr_matvecs(rows, x.shape[0], x.shape[1], indptr[:rows + 1], indices,
+                data, x.reshape(-1), y.reshape(-1))
 
 
 class ProductOperator:
@@ -387,13 +389,12 @@ class ProductOperator:
 
 
 def _poisson_amplitudes(alpha, occupations, cap):
-    """Product of alpha_m^n / sqrt(n!) down each occupation row."""
-    n_modes = alpha.shape[0]
-    table = np.empty((n_modes, cap + 1), dtype=complex)
-    fact = np.array([factorial(n) for n in range(cap + 1)], dtype=float)
-    for m in range(n_modes):
-        table[m] = alpha[m] ** np.arange(cap + 1) / np.sqrt(fact)
-    return np.prod(table[np.arange(n_modes), occupations], axis=1)
+    """Product of alpha_m^n / sqrt(n!) down each occupation row, by the
+    cumulative products of alpha_m / sqrt(k): no factorial overflows."""
+    steps = np.ones((alpha.shape[0], cap + 1), dtype=complex)
+    steps[:, 1:] = alpha[:, None] / np.sqrt(np.arange(1.0, cap + 1))
+    table = np.cumprod(steps, axis=1)
+    return np.prod(table[np.arange(alpha.shape[0]), occupations], axis=1)
 
 
 def coherent_state(grid, basis, z, eps):
@@ -409,9 +410,10 @@ def coherent_state(grid, basis, z, eps):
         nrm = np.sqrt(quad) * np.linalg.norm(z_sel)
         if nrm == 0:
             raise ValueError("sector state needs a nonzero field")
-        u = np.sqrt(quad) * z_sel / nrm
+        # times (N!)^(1/2N): amplitudes near the multinomial sqrt(N!) ones
+        u = np.sqrt(quad) * z_sel / nrm * np.exp(
+            lgamma(basis.cap + 1.0) / (2.0 * max(basis.cap, 1)))
         amps = _poisson_amplitudes(u, basis.occupations, basis.cap)
-        amps *= np.sqrt(float(factorial(basis.cap)))
         vec = amps / np.linalg.norm(amps)
         return vec, 0.0
     alpha = z_sel * np.sqrt(quad / eps)
@@ -457,17 +459,23 @@ def _gershgorin_interval(op):
 
 
 def _chebyshev_length(radius):
-    """Fewest terms K with 2 sum_{k >= K} |J_k(radius)| <= _CHEBYSHEV_TAIL,
-    from |J_k(x)| <= (x/2)^k / k!: once q = x / (2(k + 1)) < 1 these bounds
-    fall by at least the factor q per term, so their sum from k on is at
-    most (x/2)^k / k! / (1 - q)."""
-    k = 0
-    while True:
+    """Fewest terms K with 2 sum_{k >= K} |J_k(radius)| <= _CHEBYSHEV_TAIL.
+    From |J_k(x)| <= (x/2)^k / k!: once q = x / (2(k + 1)) < 1 these
+    bounds fall by at least the factor q per term, so their sum from k on
+    is at most (x/2)^k / k! / (1 - q).  Twice that meets the tail first
+    at L; J_0 ... J_L are then taken by jv, and K is the fewest terms
+    whose tail up to J_L, plus the bound past J_L, still meets it."""
+    def bound(k):  # log of the bound on sum_{j >= k} |J_j|
         q = radius / (2.0 * (k + 1))
-        if q < 1.0 and (k * log(radius / 2.0) - lgamma(k + 1.0) - log1p(-q)
-                        <= log(_CHEBYSHEV_TAIL / 2.0)):
-            return k
+        return (k * log(radius / 2.0) - lgamma(k + 1.0) - log1p(-q)
+                if q < 1.0 else inf)
+
+    k = 0
+    while bound(k) > log(_CHEBYSHEV_TAIL / 2.0):
         k += 1
+    tails = np.cumsum(np.abs(jv(np.arange(k, -1, -1), radius)))[::-1]
+    tails += exp(bound(k + 1))
+    return int(np.count_nonzero(2.0 * tails[:k] > _CHEBYSHEV_TAIL))
 
 
 def _scaled_shifted(op, scale, shift):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_blas_funcs
 
 from .classical_dynamics import FieldState, free_flow
 from .discretization import (coupling_weight, covered_modes, dispersion,
@@ -135,33 +135,30 @@ def free_weyl_argument(grid, params, xi1, xi2, t):
     return st.z1, st.z2
 
 
-def _lowering_series(op, block, basis, work=None):
-    """Even and odd parts of exp(op) block = sum_k op^k block / k! for a
-    CSR op that lowers the occupation total of a truncated `basis` by
-    one, so that op^k = 0 for k > cap; the sum also ends at a vanishing
-    term.  The basis is ordered by total, so term k lives on the leading
-    rows, those of total at most cap - k, and `_accumulate` builds it
-    there from the leading rows of op, which reach only the rows of term
-    k - 1.  `work` is a complex array of shape (4,) + block.shape (a
-    fresh one when None): the parts are written, whole, into work[:2]
-    and returned, and the terms go in turn into the zeroed leading rows
-    of work[2] and work[3]."""
-    cap = basis.cap
-    ends = np.searchsorted(basis.occupations.sum(axis=1), np.arange(cap),
-                           side="right")
+def _lowering_series(z, quad_eps, block, basis, work=None):
+    """Even and odd parts of exp(A) block = sum_k A^k block / k! for A =
+    (i/sqrt2) a(z), a(z) = sum_m sqrt(quad_eps) conj(z_m) b_m, which lowers
+    the total of a truncated `basis` by one, so that A^k = 0 for k > cap.
+    A is its data over the (indptr, indices) of `basis.lowering`, no
+    sparse matrix, and term k is (A/k) term k - 1, the 1/k folded into
+    that data.  Term k lives on the leading rows, of total at most cap -
+    k, and `_accumulate` builds it there from the leading rows of the
+    table, which reach only those of term k - 1.  `work`, (4,) +
+    block.shape (fresh when None), takes the parts, returned, in work[:2]
+    (the block may be work[0]) and the terms in the zeroed work[2:]."""
+    indptr, indices, mode, n = basis.lowering
+    data = (1j * np.sqrt(quad_eps / 2.0) * np.conj(z))[mode] * np.sqrt(n)
+    ends = np.searchsorted(basis.occupations.sum(axis=1),
+                           np.arange(basis.cap), side="right")
     if work is None:
         work = np.empty((4,) + block.shape, dtype=complex)
-    parts = work[:2]
+    parts, term = work[:2], work[0]
     parts[0][...] = block
     parts[1].fill(0.0)
-    term = block
-    for k in range(1, cap + 1):
-        term, prev = work[2 + k % 2][:ends[cap - k]], term
+    for k in range(1, basis.cap + 1):
+        term, prev = work[2 + k % 2][:ends[basis.cap - k]], term
         term.fill(0.0)
-        _accumulate(op, prev, term)
-        if not term.any():
-            break
-        term *= 1.0 / k
+        _accumulate((data / k, indices, indptr), prev, term)
         parts[k % 2][:len(term)] += term
     return parts
 
@@ -172,36 +169,46 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     capped states.  With beta = i/sqrt2 and A = a1(xi1) (x) I + I (x)
     a2(xi2), normal ordering gives <phi, W chi> = e^{-eps|xi|^2/4}
     <e^{-beta A} phi, e^{beta A} chi>, and A only lowers, so each
-    exponential is a finite series.  On P (dimN x dimM) it is e^{beta a1}
-    P (e^{beta a2})^T: one sparse nucleon series on all vectors at once,
-    whose even and odd parts E1, O1 give both signs, and the meson series
-    E2, O2 on the identity.  The value is then the contraction of the
-    small Gram matrices (E1 - O1)_phi^H (E1 + O1), dimM x (vectors x
-    dimM), and (E2 - O2)^H (E2 + O2), dimM x dimM.  E1, O1 and the terms
-    of their series are written into the workspace `ham.weyl_workspace`,
-    kept for the next call with as many vectors, so that a run of calls
-    reuses its memory.  A nucleon sector raises SectorBasisUnsupported."""
-    nb, mb, dims = ham.nucleon_basis, ham.meson_basis, ham.dims
-    beta = 1j / np.sqrt(2.0)
+    exponential is a finite `_lowering_series`.  On P (dimN x dimM) it is
+    e^{beta a1} P (e^{beta a2})^T: one nucleon series on all vectors at
+    once, whose even and odd parts E1, O1 give both signs, and the meson
+    series E2, O2 on the identity.  The value for chi contracts (E1 -
+    O1)_phi^H (E1 + O1)_chi, one gemm on the transposes (nothing copied
+    or conjugated), with (E2 - O2)^H (E2 + O2).  A zero argument's factor
+    is the identity, and its series is not run: xi1 = 0 leaves E1 = P, O1
+    = 0, and xi2 = 0 no Gram matrix, the value being the vdot of (E1 -
+    O1)_phi and (E1 + O1)_chi, or |E1|^2 - |O1|^2 + 2i Im<E1, O1> for phi
+    alone.  The vectors, the series and E1 -+ O1 live in
+    `ham.weyl_workspace`, kept for the next call with as many vectors;
+    with `chis`, gemm and vdot copy the strided columns of a vector.
+    Unless xi1 = 0, a nucleon sector raises."""
+    nb, mb, (dim_n, dim_m) = ham.nucleon_basis, ham.meson_basis, ham.dims
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
     quad2, z2 = _slot_field(ham.grid, mb, xi2, "argument")
-    a1 = annihilator(nb, z1, quad1, ham.eps)
-    a2 = annihilator(mb, z2, quad2, ham.eps)
-    vectors = [phi, *chis]
-    block = (phi.reshape(dims) if len(vectors) == 1
-             else np.hstack([v.reshape(dims) for v in vectors]))
-    work = ham.weyl_workspace
-    if work is None or work.shape[1:] != block.shape:
-        work = ham.weyl_workspace = np.empty((4,) + block.shape, complex)
-    even1, odd1 = _lowering_series(beta * a1, block, nb, work)
-    even2, odd2 = _lowering_series(beta * a2, np.eye(dims[1]), mb)
-    lhs = (even1[:, :dims[1]] - odd1[:, :dims[1]]).conj().T
-    even1 += odd1  # E1 + O1, in place
-    gram1 = (lhs @ even1).reshape(dims[1], len(vectors), dims[1])
-    gram2 = (even2 - odd2).conj().T @ (even2 + odd2)
     norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
-    return np.exp(-ham.eps * norm_sq / 4.0) * np.einsum(
-        "ajb,ab->j", gram1, gram2)
+    scale = np.exp(-ham.eps * norm_sq / 4.0)
+    vectors = [np.asarray(v, complex).reshape(ham.dims) for v in (phi, *chis)]
+    lhs, rights = vectors[0], vectors
+    if z1.any():
+        work, shape = ham.weyl_workspace, (dim_n, len(vectors) * dim_m)
+        if work is None or work.shape[1:] != shape:
+            work = ham.weyl_workspace = np.empty((4,) + shape, complex)
+        np.stack(vectors, axis=1, out=work[0].reshape(dim_n, -1, dim_m))
+        even, odd = _lowering_series(z1, quad1 * ham.eps, work[0], nb, work)
+        if len(vectors) == 1 and not z2.any():
+            return scale * np.array([np.vdot(even, even).real - np.vdot(
+                odd, odd).real + 2j * np.vdot(even, odd).imag])
+        lhs = np.subtract(even, odd, out=odd)[:, :dim_m]
+        even *= 2.0  # E1 + O1 = 2 E1 - (E1 - O1), in pages already used
+        rights = np.subtract(even, odd, out=even).reshape(
+            dim_n, -1, dim_m).transpose(1, 0, 2)
+    if not z2.any():
+        return scale * np.array([np.vdot(lhs, r) for r in rights])
+    even2, odd2 = _lowering_series(z2, quad2 * ham.eps, np.eye(dim_m), mb)
+    gram2 = ((even2 - odd2).conj().T @ (even2 + odd2)).T
+    gemm = get_blas_funcs("gemm", (lhs, rights[0]))  # r^T conj(lhs)
+    return scale * np.array([np.sum(gram2 * gemm(1.0, r.T, lhs.T, trans_b=2))
+                             for r in rights])
 
 
 def b_operators(ham, xi1, xi2):

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
 from scipy.linalg import expm
-from scipy.special import pdtrc
+from scipy.special import gammaln, jv, pdtrc
 from scipy.stats import poisson
 
 from nelson_lab import fock_space
@@ -576,6 +576,44 @@ def test_meson_coherent_matches_poisson_statistics():
         assert abs(got - z2[m]) <= 1e-8
 
 
+def test_coherent_amplitudes_at_a_cap_past_factorial_overflow():
+    # 171! passes the largest double: at cap 200 the amplitudes alpha^n /
+    # sqrt(n!) come from a cumulative product, and match their log-space
+    # values
+    grid, eps = Grid(4, np.pi), 0.01
+    basis = truncated_basis(1, 200, modes=np.array([1]))
+    z2 = np.zeros(grid.n_sites, dtype=complex)
+    z2[1] = 1.0 - 0.45j
+    vec, deficit = coherent_state(grid, basis, z2, eps)
+    alpha = z2[1] * np.sqrt(grid.dk / eps)
+    n = np.arange(201)
+    log_amp = (n * np.log(abs(alpha)) - gammaln(n + 1) / 2.0
+               - abs(alpha) ** 2 / 2.0)
+    want = np.exp(log_amp + 1j * n * np.angle(alpha))
+    assert abs(alpha) ** 2 > 100.0
+    assert abs(deficit - poisson.sf(200, abs(alpha) ** 2)) <= 1e-12
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-13
+    assert np.abs(vec - want / np.linalg.norm(want)).max() <= 1e-12
+
+
+def test_sector_state_at_200_quanta():
+    # sqrt(200!) overflows nowhere: the multinomial amplitudes
+    # sqrt(N! / (n1! n2!)) u1^n1 u2^n2 against their log-space values
+    grid = Grid(2, np.pi / 2)
+    z1 = np.array([0.3 + 0.4j, -0.5 + 0.1j])
+    basis = sector_basis(grid.n_sites, 200)
+    vec, deficit = coherent_state(grid, basis, z1, 0.5)
+    u = z1 / np.linalg.norm(z1)
+    n1, n2 = basis.occupations.T
+    log_amp = (gammaln(201) - gammaln(n1 + 1) - gammaln(n2 + 1)) / 2.0 \
+        + n1 * np.log(abs(u[0])) + n2 * np.log(abs(u[1]))
+    want = np.exp(log_amp + 1j * (n1 * np.angle(u[0]) + n2 * np.angle(u[1])))
+    assert deficit == 0.0
+    assert abs(np.linalg.norm(want) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-13
+    assert np.abs(vec - want).max() <= 1e-12
+
+
 def test_meson_coherent_support_check_and_budget():
     grid = Grid(4, np.pi)
     basis = truncated_basis(1, 4, modes=np.array([1]))
@@ -995,6 +1033,23 @@ def test_chebyshev_real_generator_takes_two_products_a_term(
     _expm_hermitian(op, taus, v)
     assert terms > 10
     assert products == [np.float64] * (2 * (terms - 1))
+
+
+def test_chebyshev_cut_meets_the_tail_within_the_bound():
+    # the cut sums the Bessel tail by jv where the bound |J_k(x)| <=
+    # (x/2)^k / k! keeps terms: it is never longer than the bound's own
+    # length, and a long jv sum confirms that the coefficients it leaves
+    # out sum to at most the tail
+    for radius in np.geomspace(0.1, 200.0, 61):
+        bound = next(k for k in range(1000)
+                     if radius < 2.0 * (k + 1) and k * np.log(radius / 2.0)
+                     - gammaln(k + 1.0) - np.log1p(-radius / (2.0 * (k + 1)))
+                     <= np.log(fock_space._CHEBYSHEV_TAIL / 2.0))
+        cut = fock_space._chebyshev_length(radius)
+        tail = 2.0 * np.abs(jv(np.arange(cut, cut + 400), radius)).sum()
+        assert 0 < cut <= bound
+        assert tail <= fock_space._CHEBYSHEV_TAIL
+    assert fock_space._chebyshev_length(200.0) < bound - 30
 
 
 def test_chebyshev_interval_holds_the_spectrum(one_pair):

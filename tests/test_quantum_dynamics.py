@@ -1,5 +1,7 @@
 """Coupled dynamics on truncated product bases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -444,8 +446,8 @@ def test_weyl_matrix_elements_do_not_depend_on_the_cap():
 
 def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     # the series builds each term on its leading rows from the leading
-    # rows of the CSR arrays; the reference sums the same terms over the
-    # whole block with the dense matrix
+    # rows of the lowering table, weighted per mode; the reference sums
+    # the same terms over the whole block with the dense annihilator
     grid = Grid(4, np.pi)
     nb = truncated_basis(grid.n_sites, 6)
     rng = np.random.default_rng(21)
@@ -453,7 +455,7 @@ def test_lowering_series_reads_sparse_rows_like_the_dense_slice():
     op = (1j / np.sqrt(2.0)) * annihilator(nb, f, grid.dx, 0.1)
     block = (rng.standard_normal((nb.dim, 3))
              + 1j * rng.standard_normal((nb.dim, 3)))
-    parts = quantum_dynamics._lowering_series(op, block, nb)
+    parts = quantum_dynamics._lowering_series(f, grid.dx * 0.1, block, nb)
     dense, term = np.zeros((2,) + block.shape, complex), block
     for k in range(nb.cap + 1):
         dense[k % 2] += term
@@ -545,6 +547,86 @@ def test_weyl_matrix_elements_build_no_product_matrix(monkeypatch):
     want = dense_reference(grid, ham.eps, nb, mb, xi1, xi2, phi, [phi, chi],
                            12)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def zero_factors(zero, xi1, xi2):
+    """The arguments with xi1, xi2 or both set to zero."""
+    return (np.zeros_like(xi1) if zero in ("xi1", "both") else xi1,
+            np.zeros_like(xi2) if zero in ("xi2", "both") else xi2)
+
+
+@pytest.mark.parametrize("n_chis", [0, 2])
+@pytest.mark.parametrize("zero", ["xi1", "xi2", "both"])
+def test_weyl_identity_factors_match_dense_reference(zero, n_chis,
+                                                     free_ham):
+    # a zero argument makes its factor the identity, and its series is not
+    # run: xi1 = 0 takes the nucleon Gram matrix from the state, xi2 = 0
+    # forms no Gram matrix (one vdot a vector, or three for phi alone)
+    grid, eps = Grid(4, np.pi), 0.3
+    nb = truncated_basis(grid.n_sites, 1)
+    mb = truncated_basis(2, 3, modes=np.array([1, 3]), standing=True)
+    rng = np.random.default_rng(31)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.3)
+    xi1, xi2 = zero_factors(zero, xi1, xi2)
+    chis = [chi, rng.standard_normal(phi.size) + 1j * chi][:n_chis]
+    got = weyl_matrix_elements(free_ham(grid, eps, nb, mb), xi1, xi2, phi,
+                               chis)
+    want = dense_reference(grid, eps, nb, mb, xi1, xi2, phi, [phi, *chis],
+                           8)
+    assert abs(got[0]) >= 0.1
+    assert np.abs(got - want).max() <= 1e-12
+
+
+WEYL_CASES = [(zero, n_chis) for zero in ("none", "xi1", "xi2", "both")
+              for n_chis in (0, 2)]
+
+
+@pytest.mark.parametrize("zero,n_chis", WEYL_CASES)
+def test_weyl_matrix_elements_build_no_sparse_matrix(zero, n_chis,
+                                                     monkeypatch):
+    # the series read the lowering tables as raw arrays: with every scipy
+    # sparse constructor raising, each kind of call still gives its value
+    grid, _, nb, mb, ham = tiny_system(caps=(4, 5))
+    rng = np.random.default_rng(12)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
+    xi1, xi2 = zero_factors(zero, xi1, xi2)
+    chis = [chi, phi][:n_chis]
+    nb.lowering, mb.lowering  # built once per basis, before the guard
+
+    def no_sparse(self, *args, **kwargs):
+        raise AssertionError("scipy sparse matrix built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sp._base._spbase, "__init__", no_sparse)
+        got = weyl_matrix_elements(ham, xi1, xi2, phi, chis)
+    want = dense_reference(grid, ham.eps, nb, mb, xi1, xi2, phi,
+                           [phi, *chis], 12)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("zero,n_chis", [
+    case for case in WEYL_CASES if case not in (("none", 2), ("xi2", 2))])
+def test_weyl_matrix_elements_allocate_no_state_sized_array(zero, n_chis):
+    # once the workspace is there, a call allocates nothing as large as
+    # one state: the vectors, the parts, the terms and E1 -+ O1 live in
+    # the workspace, the Gram product is taken by gemm on the transposes,
+    # and the rest is of the size of one factor.  (After a nucleon series
+    # on chis, gemm or vdot copies each vector's strided columns.)
+    grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0), (8, 5),
+                                       0.2)
+    rng = np.random.default_rng(13)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
+    xi1, xi2 = zero_factors(zero, xi1, xi2)
+    chis = [chi, phi][:n_chis]
+    want = weyl_matrix_elements(ham, xi1, xi2, phi, chis)
+    tracemalloc.start()
+    try:
+        got = weyl_matrix_elements(ham, xi1, xi2, phi, chis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < phi.nbytes
 
 
 def test_weyl_matrix_elements_reject_a_sector_basis():
