@@ -463,8 +463,9 @@ def _chebyshev_length(radius):
     From |J_k(x)| <= (x/2)^k / k!: once q = x / (2(k + 1)) < 1 these
     bounds fall by at least the factor q per term, so their sum from k on
     is at most (x/2)^k / k! / (1 - q).  Twice that meets the tail first
-    at L; J_0 ... J_L are then taken by jv, and K is the fewest terms
-    whose tail up to J_L, plus the bound past J_L, still meets it."""
+    at L; J_0 ... J_{L+1} are then taken by jv, and K is the fewest terms
+    whose tail up to J_{L+1}, plus the bound past J_{L+1}, still meets
+    it."""
     def bound(k):  # log of the bound on sum_{j >= k} |J_j|
         q = radius / (2.0 * (k + 1))
         return (k * log(radius / 2.0) - lgamma(k + 1.0) - log1p(-q)
@@ -473,8 +474,8 @@ def _chebyshev_length(radius):
     k = 0
     while bound(k) > log(_CHEBYSHEV_TAIL / 2.0):
         k += 1
-    tails = np.cumsum(np.abs(jv(np.arange(k, -1, -1), radius)))[::-1]
-    tails += exp(bound(k + 1))
+    tails = np.cumsum(np.abs(jv(np.arange(k + 1, -1, -1), radius)))[::-1]
+    tails += exp(bound(k + 2))
     return int(np.count_nonzero(2.0 * tails[:k] > _CHEBYSHEV_TAIL))
 
 
@@ -567,26 +568,33 @@ def _expm_hermitian(h, taus, v):
     coeffs = np.where(k < lengths[:, None],
                       (-1.0) ** (k // 2) * jv(k, (taus * half)[:, None]), 0.0)
     coeffs[:, 1:] *= 2.0
-    x2 = _scaled_shifted(h, 2.0 / half, center) if k.size > 1 else None
     if np.iscomplexobj(h):
         planes = np.zeros((1, len(taus), v.size), dtype=complex)
-        _chebyshev_sums(x2, [(v, ((1.0, 0), (-1j, 0)))], coeffs, planes)
-        out = planes[0]
+        parts = [(v, ((1.0, 0), (-1j, 0)))]
     else:
         # (E - i O)(v_re + i v_im) = (E v_re + O v_im) + i (E v_im - O v_re),
         # summed in contiguous planes (BLAS adds into strided ones slower)
         planes = np.zeros((2, len(taus), v.size))
-        _chebyshev_sums(x2, [(v.real, ((1.0, 0), (-1.0, 1))),
-                             (v.imag, ((1.0, 1), (1.0, 0)))], coeffs, planes)
-        out = np.empty(planes.shape[1:], dtype=complex)
-        out.real, out.imag = planes
-    out *= np.exp(-1j * taus * center)[:, None]
+        parts = [(v.real, ((1.0, 0), (-1.0, 1))),
+                 (v.imag, ((1.0, 1), (1.0, 0)))]
+    # 2X, and the product workspace it keeps, go on return
+    _chebyshev_sums(_scaled_shifted(h, 2.0 / half, center)
+                    if k.size > 1 else None, parts, coeffs, planes)
+    # the norms from the real planes, before the result is formed
     norm_in = np.linalg.norm(v)
-    for norm_out in np.linalg.norm(out, axis=1):
+    reals = planes.view(float)
+    for j in range(len(taus)):
+        norm_out = np.sqrt(sum(np.dot(p[j], p[j]) for p in reals))
         if not abs(norm_out - norm_in) <= _NORM_TOLERANCE * norm_in:
             raise StepSizeRejected(
                 f"Chebyshev propagation changed the norm from {norm_in:.6e} "
                 f"to {norm_out:.6e}: the generator is not Hermitian")
+    if np.iscomplexobj(h):
+        out = planes[0]
+    else:
+        out = np.empty(planes.shape[1:], dtype=complex)
+        out.real, out.imag = planes
+    out *= np.exp(-1j * taus * center)[:, None]
     return out.reshape(taus.shape + v.shape)
 
 

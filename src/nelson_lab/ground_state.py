@@ -43,7 +43,7 @@ def _lobpcg(matrix, x0, tol, maxiter):
     images = np.zeros_like(basis)
     (x, p, r), (hx, hp, hr) = basis, images
     axpy, scal = get_blas_funcs(("axpy", "scal"), (basis,))
-    x[:] = x0 / np.linalg.norm(x0)
+    np.divide(x0, np.linalg.norm(x0), out=x)
     matrix._matmat(x[:, None], out=hx[:, None])
     theta = np.vdot(x, hx).real
     rows = slice(None, None, 2)  # x and r: there is no p before step 1
@@ -54,6 +54,9 @@ def _lobpcg(matrix, x0, tol, maxiter):
         residual = np.linalg.norm(r)
         if residual <= tol * max(1.0, abs(theta)):
             if fresh:
+                # the images, and the views of them a step leaves bound,
+                # go before x is copied out
+                images = hx = hp = hr = imgs = v = w = u = None
                 return float(theta), x.copy(), float(residual)
             # the updates let x drift from norm 1 and hx from H x by
             # roundoff, so the test is made again on H x; if it fails
@@ -152,19 +155,18 @@ def _sector_hamiltonian(grid, params, n, meson_cap):
                                active_meson_basis(grid, params, meson_cap))
 
 
-def _ground_energy(ham, start):
-    """Lowest eigenvalue of `ham`, with the iteration started at the
-    coherent product vector `start`: by Theorem 2 it is close to the
-    ground state."""
-    if not np.issubdtype(ham.dtype, np.complexfloating):
-        # A real operator takes the real part.  The minimiser returns a
-        # real z1, and its meson field has real standing-wave amplitudes,
-        # so the imaginary part is zero and dropping it loses nothing.
-        # The copy lets the complex vector go before the solve when the
-        # caller keeps no reference to it, as in the cap-shift solve, the
-        # largest.
-        start = start.real.copy()
-    return lowest_eigenpair(ham, v0=start)[0]
+def _coherent_start(ham, best):
+    """The coherent product vector at the classical minimiser `best` on
+    the bases of `ham`: by Theorem 2 it is close to the ground state.  A
+    real operator takes its real part.  The minimiser returns a real z1,
+    and its meson field has real standing-wave amplitudes, so the
+    imaginary part is zero and dropping it loses nothing.  Only the real
+    copy is returned: the complex vector goes before any product or
+    solve."""
+    start = coherent_product_state(ham, best.z1, best.z2)[0]
+    if np.issubdtype(ham.dtype, np.complexfloating):
+        return start
+    return start.real.copy()
 
 
 def theorem2_sweep(grid, params, n_values, meson_cap, cap_check_shift=3,
@@ -180,24 +182,27 @@ def theorem2_sweep(grid, params, n_values, meson_cap, cap_check_shift=3,
     (its real part when the operator is real), the same vector whose
     Rayleigh quotient is the coherent bound.
     """
-    if not all(np.isfinite(n) and n == int(n) and n > 0 for n in n_values):
-        raise ValueError("nucleon numbers must be positive integers")
+    if not n_values or not all(np.isfinite(n) and n == int(n) and n > 0
+                               for n in n_values):
+        raise ValueError("nucleon numbers must be a nonempty list of "
+                         "positive integers")
     n_values = [int(n) for n in n_values]
     best = minimize_constrained(grid, params, seed=seed)
     e_classical = best.energy
     records = []
     for n in n_values:
         ham = _sector_hamiltonian(grid, params, n, meson_cap)
-        start, _ = coherent_product_state(ham, best.z1, best.z2)
+        start = _coherent_start(ham, best)
         e_coherent = float(np.vdot(start, ham @ start).real)
-        e_quantum = _ground_energy(ham, start)
+        e_quantum = lowest_eigenpair(ham, v0=start)[0]
         records.append(GroundStateRecord(
             n=n, eps=ham.eps, dim=ham.shape[0], e_quantum=e_quantum,
             e_coherent=e_coherent, gap=abs(e_quantum - e_classical)))
+    # the last sector's operator and start go before the largest solve
+    del ham, start
     ham = _sector_hamiltonian(grid, params, max(n_values),
                               meson_cap + cap_check_shift)
-    deeper = _ground_energy(ham,
-                            coherent_product_state(ham, best.z1, best.z2)[0])
+    deeper = lowest_eigenpair(ham, v0=_coherent_start(ham, best))[0]
     cap_shift = abs(deeper - records[n_values.index(max(n_values))].e_quantum)
     return SweepReport(lambda_coupling=params.charge,
                        e_classical=e_classical, records=records,

@@ -158,6 +158,7 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
         deficits.append(deficit)
         snapshots = propagate(ham, psi0, list(t_values))
         moment_errors[a] = _moment_errors(ham, [psi0, *snapshots], traj)
+        del psi0
         for b, (t, snap) in enumerate(zip(t_values, snapshots)):
             for c, (xi_t, target) in enumerate(zip(evolved_panels[b],
                                                    targets[b])):
@@ -167,6 +168,9 @@ def theorem1_sweep(grid, params, z0, eps_values, t_values, xi_panel=None,
                 samples.append(CharFnSample(eps=eps, t=t, xi_index=c,
                                             value=value, target=target,
                                             error=err))
+        # this rung's operator and states go before the next rung builds
+        # its own
+        del ham, snapshots, snap
     return Theorem1Report(eps_values=eps_values, t_values=t_values,
                           n_xi=len(xi_panel), errors=errors, samples=samples,
                           moment_errors=moment_errors, dims=tuple(dims),

@@ -179,8 +179,11 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     = 0, and xi2 = 0 no Gram matrix, the value being the vdot of (E1 -
     O1)_phi and (E1 + O1)_chi, or |E1|^2 - |O1|^2 + 2i Im<E1, O1> for phi
     alone.  The vectors, the series and E1 -+ O1 live in
-    `ham.weyl_workspace`, kept for the next call with as many vectors;
-    with `chis`, gemm and vdot copy the strided columns of a vector.
+    `ham.weyl_workspace`, kept for the next call with as many vectors.
+    After a nucleon series with `chis`, a vector's columns are strided
+    there, and gemm or vdot would copy them, so all values come from one
+    real product of the float views of E1 - O1 and the stack, which BLAS
+    reads in place.
     Unless xi1 = 0, a nucleon sector raises."""
     nb, mb, (dim_n, dim_m) = ham.nucleon_basis, ham.meson_basis, ham.dims
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
@@ -188,27 +191,40 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     norm_sq = quad1 * np.vdot(z1, z1).real + quad2 * np.vdot(z2, z2).real
     scale = np.exp(-ham.eps * norm_sq / 4.0)
     vectors = [np.asarray(v, complex).reshape(ham.dims) for v in (phi, *chis)]
-    lhs, rights = vectors[0], vectors
+    lhs, rights, gram2 = vectors[0], vectors, None
+    if z2.any():
+        even2, odd2 = _lowering_series(z2, quad2 * ham.eps, np.eye(dim_m), mb)
+        gram2 = (even2 - odd2).conj().T @ (even2 + odd2)
+        del even2, odd2  # their workspace goes before the nucleon series
     if z1.any():
         work, shape = ham.weyl_workspace, (dim_n, len(vectors) * dim_m)
         if work is None or work.shape[1:] != shape:
             work = ham.weyl_workspace = np.empty((4,) + shape, complex)
         np.stack(vectors, axis=1, out=work[0].reshape(dim_n, -1, dim_m))
         even, odd = _lowering_series(z1, quad1 * ham.eps, work[0], nb, work)
-        if len(vectors) == 1 and not z2.any():
+        if len(vectors) == 1 and gram2 is None:
             return scale * np.array([np.vdot(even, even).real - np.vdot(
                 odd, odd).real + 2j * np.vdot(even, odd).imag])
         lhs = np.subtract(even, odd, out=odd)[:, :dim_m]
         even *= 2.0  # E1 + O1 = 2 E1 - (E1 - O1), in pages already used
-        rights = np.subtract(even, odd, out=even).reshape(
-            dim_n, -1, dim_m).transpose(1, 0, 2)
-    if not z2.any():
+        rights = [np.subtract(even, odd, out=even)]
+        if len(vectors) > 1:
+            # g[m', a, v, m, b]: part a of lhs[:, m'] against part b of
+            # vector v's (E1 + O1)[:, m], real 0 and imaginary 1, so that
+            # grams[m', v, m] = (lhs^H (E1 + O1)_v)[m', m]
+            g = (lhs.view(float).T @ rights[0].view(float)).reshape(
+                dim_m, 2, -1, dim_m, 2)
+            grams = g[:, 0, :, :, 0] + g[:, 1, :, :, 1] + 1j * (
+                g[:, 0, :, :, 1] - g[:, 1, :, :, 0])
+            if gram2 is None:
+                return scale * np.einsum("ava->v", grams)
+            return scale * np.array([np.sum(gram2 * grams[:, v])
+                                     for v in range(len(vectors))])
+    if gram2 is None:
         return scale * np.array([np.vdot(lhs, r) for r in rights])
-    even2, odd2 = _lowering_series(z2, quad2 * ham.eps, np.eye(dim_m), mb)
-    gram2 = ((even2 - odd2).conj().T @ (even2 + odd2)).T
     gemm = get_blas_funcs("gemm", (lhs, rights[0]))  # r^T conj(lhs)
-    return scale * np.array([np.sum(gram2 * gemm(1.0, r.T, lhs.T, trans_b=2))
-                             for r in rights])
+    return scale * np.array([np.sum(gram2.T * gemm(
+        1.0, r.T, lhs.T, trans_b=2)) for r in rights])
 
 
 def b_operators(ham, xi1, xi2):

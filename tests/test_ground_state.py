@@ -204,7 +204,7 @@ def test_sector_solves_build_no_nucleon_ladder(lowering_builds):
 
 def test_theorem2_sweep_validates_input():
     grid, params = harmonic_system(0.5)
-    for bad in ([0, 1], [1, 2.5], [1, float("nan")]):
+    for bad in ([], [0, 1], [1, 2.5], [1, float("nan")]):
         with pytest.raises(ValueError):
             theorem2_sweep(grid, params, bad, meson_cap=3)
 

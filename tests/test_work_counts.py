@@ -70,7 +70,7 @@ def products(monkeypatch):
 def test_t1_ladder_products_per_rung_and_weyl_calls(tmp_path, products,
                                                     monkeypatch):
     # each rung takes 2(K - 1) products for the K Chebyshev terms of its
-    # later time (45, 49, 53, 61, 73); every Weyl value reads the lowering
+    # later time (45, 49, 53, 61, 72); every Weyl value reads the lowering
     # tables and builds no scipy sparse matrix
     inside, weyl_calls = [], []
     original_weyl = limit_harness.weyl_matrix_elements
@@ -94,8 +94,8 @@ def test_t1_ladder_products_per_rung_and_weyl_calls(tmp_path, products,
     monkeypatch.setattr(limit_harness, "weyl_matrix_elements", watched)
     summary, _ = run(tmp_path, T1_LADDER)
     assert summary["dims"] == [1890, 4410, 6930, 20020, 65520]
-    assert list(products.values()) == [88, 96, 104, 120, 144]
-    assert sum(products.values()) == 552
+    assert list(products.values()) == [88, 96, 104, 120, 142]
+    assert sum(products.values()) == 550
     assert weyl_calls == [dim for dim in summary["dims"]
                           for _ in range(12)]
 
