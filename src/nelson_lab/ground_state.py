@@ -182,8 +182,8 @@ def theorem2_sweep(grid, params, n_values, meson_cap, cap_check_shift=3,
     (its real part when the operator is real), the same vector whose
     Rayleigh quotient is the coherent bound.
     """
-    if not n_values or not all(np.isfinite(n) and n == int(n) and n > 0
-                               for n in n_values):
+    if len(n_values) == 0 or not all(
+            np.isfinite(n) and n == int(n) and n > 0 for n in n_values):
         raise ValueError("nucleon numbers must be a nonempty list of "
                          "positive integers")
     n_values = [int(n) for n in n_values]

@@ -173,17 +173,18 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
     e^{beta a1} P (e^{beta a2})^T: one nucleon series on all vectors at
     once, whose even and odd parts E1, O1 give both signs, and the meson
     series E2, O2 on the identity.  The value for chi contracts (E1 -
-    O1)_phi^H (E1 + O1)_chi, one gemm on the transposes (nothing copied
-    or conjugated), with (E2 - O2)^H (E2 + O2).  A zero argument's factor
-    is the identity, and its series is not run: xi1 = 0 leaves E1 = P, O1
-    = 0, and xi2 = 0 no Gram matrix, the value being the vdot of (E1 -
-    O1)_phi and (E1 + O1)_chi, or |E1|^2 - |O1|^2 + 2i Im<E1, O1> for phi
-    alone.  The vectors, the series and E1 -+ O1 live in
-    `ham.weyl_workspace`, kept for the next call with as many vectors.
-    After a nucleon series with `chis`, a vector's columns are strided
-    there, and gemm or vdot would copy them, so all values come from one
-    real product of the float views of E1 - O1 and the stack, which BLAS
-    reads in place.
+    O1)_phi^H (E1 + O1)_chi with (E2 - O2)^H (E2 + O2).  A zero
+    argument's factor is the identity, and its series is not run: xi1 =
+    0 leaves E1 = P, O1 = 0, and xi2 = 0 no Gram matrix, the value being
+    the vdot of (E1 - O1)_phi and (E1 + O1)_chi, or |E1|^2 - |O1|^2 +
+    2i Im<E1, O1> for phi alone.  The vectors, the series and E1 -+ O1
+    live in `ham.weyl_workspace`, kept for the next call with as many
+    vectors.  After a nucleon series, E1 - O1 is conjugated there in
+    place, and numpy reads it and each vector's columns, strided in the
+    stack, where they lie: one einsum for all vectors when xi2 = 0, else
+    one (dimM, dimM) matmul per vector.  With xi1 = 0 the vectors are
+    the caller's: a vdot each, or one gemm on the transposes, r^T
+    conj(phi), which copies and conjugates nothing.
     Unless xi1 = 0, a nucleon sector raises."""
     nb, mb, (dim_n, dim_m) = ham.nucleon_basis, ham.meson_basis, ham.dims
     quad1, z1 = _slot_field(ham.grid, nb, xi1, "argument")
@@ -205,21 +206,17 @@ def weyl_matrix_elements(ham, xi1, xi2, phi, chis):
         if len(vectors) == 1 and gram2 is None:
             return scale * np.array([np.vdot(even, even).real - np.vdot(
                 odd, odd).real + 2j * np.vdot(even, odd).imag])
-        lhs = np.subtract(even, odd, out=odd)[:, :dim_m]
+        lhs = np.subtract(even, odd, out=odd)
         even *= 2.0  # E1 + O1 = 2 E1 - (E1 - O1), in pages already used
-        rights = [np.subtract(even, odd, out=even)]
-        if len(vectors) > 1:
-            # g[m', a, v, m, b]: part a of lhs[:, m'] against part b of
-            # vector v's (E1 + O1)[:, m], real 0 and imaginary 1, so that
-            # grams[m', v, m] = (lhs^H (E1 + O1)_v)[m', m]
-            g = (lhs.view(float).T @ rights[0].view(float)).reshape(
-                dim_m, 2, -1, dim_m, 2)
-            grams = g[:, 0, :, :, 0] + g[:, 1, :, :, 1] + 1j * (
-                g[:, 0, :, :, 1] - g[:, 1, :, :, 0])
-            if gram2 is None:
-                return scale * np.einsum("ava->v", grams)
-            return scale * np.array([np.sum(gram2 * grams[:, v])
-                                     for v in range(len(vectors))])
+        rights = np.subtract(even, odd, out=even).reshape(dim_n, -1, dim_m)
+        # conj(E1 - O1) over the whole slab: a ufunc in place on phi's
+        # strided columns alone would copy them.  einsum and matmul read
+        # those columns, and each vector's, where they lie.
+        lhs = np.conjugate(lhs, out=lhs)[:, :dim_m]
+        if gram2 is None:
+            return scale * np.einsum("nm,nvm->v", lhs, rights)
+        return scale * np.array([np.sum(gram2 * (lhs.T @ rights[:, v]))
+                                 for v in range(len(vectors))])
     if gram2 is None:
         return scale * np.array([np.vdot(lhs, r) for r in rights])
     gemm = get_blas_funcs("gemm", (lhs, rights[0]))  # r^T conj(lhs)

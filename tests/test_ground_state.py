@@ -172,6 +172,9 @@ def test_sweep_solves_the_smallest_sectors():
     for r in report.records:
         ham = ground_state._sector_hamiltonian(grid, params, r.n, 0)
         assert abs(r.e_quantum - eigvalsh(ham.toarray())[0]) <= 1e-12
+    # a numpy array of nucleon numbers reads as the list does
+    again = theorem2_sweep(grid, params, np.arange(1, 4), meson_cap=0)
+    assert again.records == report.records
 
 
 def test_coherent_upper_bound_dominates_ground_energy():
@@ -204,7 +207,8 @@ def test_sector_solves_build_no_nucleon_ladder(lowering_builds):
 
 def test_theorem2_sweep_validates_input():
     grid, params = harmonic_system(0.5)
-    for bad in ([], [0, 1], [1, 2.5], [1, float("nan")]):
+    for bad in ([], np.array([]), [0, 1], [1, 2.5], [1, float("nan")],
+                np.array([0, 1])):
         with pytest.raises(ValueError):
             theorem2_sweep(grid, params, bad, meson_cap=3)
 

@@ -608,10 +608,8 @@ def test_weyl_matrix_elements_build_no_sparse_matrix(zero, n_chis,
 def test_weyl_matrix_elements_allocate_no_state_sized_array(zero, n_chis):
     # once the workspace is there, a call allocates nothing as large as
     # one state: the vectors, the parts, the terms and E1 -+ O1 live in
-    # the workspace, the Gram product is taken by gemm on the transposes,
-    # or, after a nucleon series on chis, by one real product of the
-    # float views, which reads each vector's strided columns in place,
-    # and the rest is of the size of one factor
+    # the workspace, the contraction reads each vector's strided columns
+    # where they lie, and the rest is of the size of one factor
     grid, _, nb, mb, ham = make_system(4, np.pi, 0.25, (1.0, 1.0), (8, 5),
                                        0.2)
     rng = np.random.default_rng(13)
@@ -627,6 +625,29 @@ def test_weyl_matrix_elements_allocate_no_state_sized_array(zero, n_chis):
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak < phi.nbytes
+
+
+@pytest.mark.parametrize("zero", ["none", "xi1", "xi2", "both"])
+def test_weyl_chis_add_no_state_sized_array_at_a_small_nucleon_factor(zero):
+    # at 45 x 11, the shape of the duhamel-nodes system, the meson
+    # series on the identity and its Gram product, (11, 11) arrays, reach
+    # two states by themselves; three chis add nothing of the size of a
+    # state to a call's peak, as a copy of their strided columns would
+    grid, _, nb, mb, ham = tiny_system(caps=(8, 10))
+    assert ham.dims == (45, 11)
+    rng = np.random.default_rng(13)
+    xi1, xi2, phi, chi = random_weyl_case(rng, grid, nb, mb, 0.5)
+    xi1, xi2 = zero_factors(zero, xi1, xi2)
+    peaks = []
+    for chis in ([], [chi, phi, chi]):
+        weyl_matrix_elements(ham, xi1, xi2, phi, chis)  # the workspace
+        tracemalloc.start()
+        try:
+            weyl_matrix_elements(ham, xi1, xi2, phi, chis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < phi.nbytes / 2
 
 
 def test_weyl_matrix_elements_reject_a_sector_basis():
